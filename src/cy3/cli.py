@@ -40,6 +40,7 @@ from .element_classify import (
     UnipotentDeficient,
     UnipotentFull,
     classify,
+    real_pair_lines,
 )
 from .errors import (
     BoundTooLarge,
@@ -373,16 +374,16 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
         )
         if isinstance(cls, UnipotentDeficient):
             raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
-        if seed is None and isinstance(cls, (Hyperbolic, UnipotentFull)):
-            seed = cls
+        if seed is None:
+            seed = cls if isinstance(cls, UnipotentFull) else real_pair_lines(g, cls)
     if seed is None:
         report["verdict"] = {
             "kind": "Inconclusive",
             "reason": "no infinite-order generator to factor against",
         }
         return report, EXIT_INCONCLUSIVE
-    if isinstance(seed, Hyperbolic):
-        rel = check_hyperbolic_relations(T, L, seed.u, seed.v, seed.w)
+    if not isinstance(seed, UnipotentFull):
+        rel = check_hyperbolic_relations(T, L, *seed)
         report["relations"].append(render_relation_report(rel))
         if not rel.overall:
             failing = [r.name for r in rel.rows if not r.holds]
@@ -391,7 +392,7 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
                 "reason": f"hyperbolic relations failed: {failing}",
             }
             return report, EXIT_INCONCLUSIVE
-        fact = hyperbolic_factorization(T, seed.u, seed.v, seed.w, relation_report=rel)
+        fact = hyperbolic_factorization(T, *seed, relation_report=rel)
     else:
         frame = (seed.w, seed.w1, seed.w2)
         rel = check_unipotent_relations(T, L, *frame)

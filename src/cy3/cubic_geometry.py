@@ -17,6 +17,7 @@ from .core_arith import QuadSurd
 from .errors import (
     GeometricInconsistency,
     NotOnQuadric,
+    PostCheckFailed,
     RelationsNotVerified,
     SingularPoint,
 )
@@ -323,7 +324,8 @@ def unipotent_factorization(
     )
     # L in frame coordinates is z; it must be tangent to Q at w = (1, 0, 0).
     plane = tangent_plane(q, (1, 0, 0))
-    assert plane == (QuadSurd(0), QuadSurd(0), QuadSurd(1))
+    if plane != (QuadSurd(0), QuadSurd(0), QuadSurd(1)):
+        raise PostCheckFailed("tangent plane", f"L is not tangent to Q at w: {plane}")
     frame = (tuple(int(x) for x in w), tuple(int(x) for x in w1),
              tuple(int(x) for x in w2))
     return UnipotentSplit(

@@ -15,6 +15,7 @@ from .errors import (
     IsIdentity,
     NotFiniteOrder,
     NotUnipotent,
+    PostCheckFailed,
 )
 from .lattice_forms import (
     LatticeMap,
@@ -142,7 +143,8 @@ def unipotent_frame(g: LatticeMap):
         w1 = napply(e)
         w = napply(w1)
         if any(w):
-            assert not any(napply(w)), "nilpotency violated"
+            if any(napply(w)):
+                raise PostCheckFailed("nilpotency", "(g - id)^3 e != 0")
             return (w, w1, e)
     return UnipotentDeficient(rank_of_g_minus_id=_nilpotent_rank(n))
 
@@ -190,6 +192,43 @@ def finite_eigenvalue_tag(g: LatticeMap) -> str:
     return tag
 
 
+def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
+    """(alpha, u, v, w) for a det-1 map with eigenvalue 1 whose other two
+    eigenvalues are real, i.e. |s| > 2 for s = trace - 1: alpha is the larger
+    root of t^2 - s*t + 1, v its eigenvector, u the eigenvector for 1/alpha
+    and w the primitive fixed vector. For s < -2 both roots are negative and
+    |alpha| < 1. The eigen-equations are checked before returning."""
+    s = g.trace - 1
+    alpha, beta = solve_unit_quadratic(s)
+    u = _eigenvector_surd(g, beta)
+    v = _eigenvector_surd(g, alpha)
+    w = _eigenvector_1(g)
+    inv_alpha = alpha.inverse()
+    if g.apply(u) != tuple(x * inv_alpha for x in u):
+        raise PostCheckFailed("eigen-equation g u = u / alpha")
+    if g.apply(v) != tuple(x * alpha for x in v):
+        raise PostCheckFailed("eigen-equation g v = alpha v")
+    if g.apply(w) != w:
+        raise PostCheckFailed("eigen-equation g w = w")
+    if not (alpha * beta == 1 and alpha + beta == s):
+        raise PostCheckFailed("alpha·beta = 1 and alpha + beta = s")
+    return alpha, u, v, w
+
+
+def real_pair_lines(g: LatticeMap, cls: ElementClass) -> tuple | None:
+    """Eigenlines (u, v, w) of an infinite-order element with a real eigenvalue
+    pair, else None. That is a Hyperbolic class, or a det-1 map with eigenvalue
+    1 and a negative real pair (s < -2): out of theory as an element, since no
+    eigenvalue exceeds 1, but its square is hyperbolic with the same eigenlines,
+    so it certifies the same relations, factorization and scaling character."""
+    if isinstance(cls, Hyperbolic):
+        return cls.u, cls.v, cls.w
+    if (isinstance(cls, OutOfTheory) and g.det == 1 and g.trace - 1 < -2
+            and char_poly(g)(1) == 0):
+        return _real_pair_eigendata(g)[1:]
+    return None
+
+
 def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
     """Trichotomy verdict with exact eigen-data.
 
@@ -219,17 +258,16 @@ def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
 
     s = g.trace - 1  # char poly = (t - 1)(t^2 - s*t + 1)
 
-    if s * s > 4:
-        alpha, beta = solve_unit_quadratic(s)
-        u = _eigenvector_surd(g, beta)
-        v = _eigenvector_surd(g, alpha)
-        w = _eigenvector_1(g)
-        inv_alpha = alpha.inverse()
-        assert g.apply(u) == tuple(x * inv_alpha for x in u)
-        assert g.apply(v) == tuple(x * alpha for x in v)
-        assert g.apply(w) == w
-        assert alpha * beta == 1 and alpha + beta == s
-        return Hyperbolic(s=s, alpha=alpha, u=u, v=v, w=w)
+    if s > 2:
+        return Hyperbolic(s, *_real_pair_eigendata(g))
+
+    if s < -2:
+        # Both roots of t^2 - s*t + 1 are negative reals: infinite order, but
+        # no eigenvalue exceeds 1, so the element is not hyperbolic.
+        return OutOfTheory(
+            f"negative real eigenvalue pair (s = {s} < -2): infinite order, "
+            "no eigenvalue above 1"
+        )
 
     if s == 2:
         frame = unipotent_frame(g)

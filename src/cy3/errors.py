@@ -41,6 +41,16 @@ class InconsistentTag(Cy3Error):
     """Internal check failure: order and eigenvalue tag disagree."""
 
 
+class PostCheckFailed(Cy3Error):
+    """Internal post-check failure: a computed result does not satisfy the
+    identity that defines it. `check` names the identity."""
+
+    def __init__(self, check: str, detail: str = ""):
+        self.check = check
+        self.detail = detail
+        super().__init__(check if not detail else f"{check}: {detail}")
+
+
 class GeometricInconsistency(Cy3Error):
     """Input lattice data violates a consequence of Calabi-Yau geometry.
 

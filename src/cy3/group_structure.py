@@ -27,12 +27,12 @@ from .cubic_geometry import (
     unipotent_factorization,
 )
 from .element_classify import (
-    Hyperbolic,
     UnipotentDeficient,
     UnipotentFull,
     OutOfTheory,
     classify,
     finite_order,
+    real_pair_lines,
 )
 from .errors import (
     BoundTooLarge,
@@ -43,16 +43,17 @@ from .errors import (
     NonIntegral,
     NonPreservingGenerator,
     NotUnipotentInFrame,
+    PostCheckFailed,
 )
 from .lattice_forms import (
     LatticeMap,
     LinearForm,
     TrilinearForm,
-    _det3,
-    cubic_eval,
+    _dot,
+    _matvec,
+    cross,
     preserves_pair,
     primitive_part,
-    trilinear_eval,
 )
 
 ENUMERATION_BOUND_GUARD = 6
@@ -457,36 +458,50 @@ def enumerate_symmetries(
 ) -> list[LatticeMap]:
     """All unimodular maps with entries in [-bound, bound] preserving (T, L).
 
-    Brute-force oracle: the search is pruned column by column using the partial
-    invariance of L and of the cubic's restriction to the chosen columns."""
+    Brute-force oracle over the integer tensor D·T: columns are pooled by L
+    and the cubic value, pairs by the entries (1,1,2) and (1,2,2), and third
+    columns by dot products with the slices (D·T)(c1,c1,·), (D·T)(c1,c2,·),
+    (D·T)(c2,c2,·) and the det. Every survivor is re-verified by the full
+    pullback in `preserves_pair`."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound > ENUMERATION_BOUND_GUARD and not allow_large_bound:
         raise BoundTooLarge(
             f"bound {bound} exceeds the guard {ENUMERATION_BOUND_GUARD}"
         )
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    entries = range(-bound, bound + 1)
-    column_pool = [
-        [
-            c
-            for c in product(entries, repeat=3)
-            if L(c) == L(basis[j]) and cubic_eval(T, c) == QuadSurd(T.entry(j + 1, j + 1, j + 1))
-        ]
-        for j in range(3)
-    ]
+    dt = T.scaled
+    l = L.coefficients()
+    # Column pools: c is a candidate j-th column iff L(c) = l_j and
+    # (D·T)(c, c, c) = (D·T)_jjj; each is kept with its contraction (D·T)(c, ·, ·).
+    pools = ([], [], [])
+    for c in product(range(-bound, bound + 1), repeat=3):
+        lc = _dot(l, c)
+        if lc not in l:
+            continue
+        m = T.contract(c)
+        cc = _dot(_matvec(m, c), c)
+        for j in range(3):
+            if lc == l[j] and cc == dt[j][j][j]:
+                pools[j].append((c, m))
+    t112, t122 = dt[0][0][1], dt[0][1][1]
+    t113, t123, t223 = dt[0][0][2], dt[0][1][2], dt[1][1][2]
+    second = [(c2, _matvec(m2, c2)) for c2, m2 in pools[1]]
+    third = [c3 for c3, _ in pools[2]]
     found = []
-    for c1 in column_pool[0]:
-        for c2 in column_pool[1]:
-            if trilinear_eval(T, c1, c1, c2) != QuadSurd(T.entry(1, 1, 2)):
+    for c1, m1 in pools[0]:
+        s11 = _matvec(m1, c1)  # (D·T)(c1, c1, ·)
+        for c2, s22 in second:
+            if _dot(s11, c2) != t112:
                 continue
-            if trilinear_eval(T, c1, c2, c2) != QuadSurd(T.entry(1, 2, 2)):
+            s12 = _matvec(m1, c2)  # (D·T)(c1, c2, ·)
+            if _dot(s12, c2) != t122:
                 continue
-            for c3 in column_pool[2]:
-                rows = tuple(zip(c1, c2, c3))
-                if _det3(rows) not in (1, -1):
+            n = cross(c1, c2)  # det(c1, c2, c3) = n·c3
+            for c3 in third:
+                if (_dot(s11, c3) != t113 or _dot(s12, c3) != t123
+                        or _dot(s22, c3) != t223 or _dot(n, c3) not in (1, -1)):
                     continue
-                g = LatticeMap(rows)
+                g = LatticeMap(tuple(zip(c1, c2, c3)))
                 if preserves_pair(g, T, L):
                     found.append(g)
     found.sort(key=lambda g: g.rows)
@@ -531,16 +546,17 @@ def analyze_group(
         reductions.append("determinant -1 generators replaced by det-1 products (index ≤ 2)")
 
     classes = [classify(g, L) for g in generators]
+    lines = [real_pair_lines(g, c) for g, c in zip(generators, classes)]
 
-    for cls in classes:
+    for cls, real_pair in zip(classes, lines):
         if isinstance(cls, UnipotentDeficient):
             raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
-        if isinstance(cls, OutOfTheory):
+        if isinstance(cls, OutOfTheory) and real_pair is None:
             return GroupVerdict(kind="Inconclusive", reason=cls.reason,
                                 reductions=tuple(reductions))
 
     unipotents = [(g, c) for g, c in zip(generators, classes) if isinstance(c, UnipotentFull)]
-    hyperbolics = [(g, c) for g, c in zip(generators, classes) if isinstance(c, Hyperbolic)]
+    hyperbolics = [real_pair for real_pair in lines if real_pair is not None]
 
     if unipotents and hyperbolics:
         return GroupVerdict(
@@ -570,7 +586,8 @@ def _finite_closure(generators, reductions) -> GroupVerdict:
                     new.add(prod)
         if not new:
             ordered = sorted(elements, key=lambda g: g.rows)
-            assert all(finite_order(g) is not None for g in ordered)
+            if any(finite_order(g) is None for g in ordered):
+                raise PostCheckFailed("closure elements of finite order")
             return GroupVerdict(kind="Finite", elements=tuple(ordered),
                                 reductions=tuple(reductions))
         elements |= new
@@ -622,24 +639,24 @@ def _unipotent_route(T, L, generators, seed, reductions) -> GroupVerdict:
                         reductions=tuple(reductions))
 
 
-def _hyperbolic_route(T, L, generators, seed, reductions) -> GroupVerdict:
-    g0, cls = seed
-    report = check_hyperbolic_relations(T, L, cls.u, cls.v, cls.w)
+def _hyperbolic_route(T, L, generators, lines, reductions) -> GroupVerdict:
+    u, v, w = lines
+    report = check_hyperbolic_relations(T, L, u, v, w)
     if not report.overall:
         failing = [r.name for r in report.rows if not r.holds]
         return GroupVerdict(kind="Inconclusive",
                             reason=f"hyperbolic relations failed: {failing}",
                             reductions=tuple(reductions))
-    fact = hyperbolic_factorization(T, cls.u, cls.v, cls.w, relation_report=report)
+    fact = hyperbolic_factorization(T, u, v, w, relation_report=report)
     singular_locus(fact)  # gradient post-check on the certified lines
     b1, b2 = plane_basis(L)
-    u_plane = _plane_coordinates(cls.u, b1, b2)
-    v_plane = _plane_coordinates(cls.v, b1, b2)
+    u_plane = _plane_coordinates(u, b1, b2)
+    v_plane = _plane_coordinates(v, b1, b2)
     values = []
     for h in generators:
         restricted = restrict_to_plane(h, L)
         try:
-            # v carries the eigenvalue alpha > 1 for the seed generator
+            # v carries the larger root alpha of the seed generator
             values.append(scaling_character(restricted, v_plane, u_plane))
         except LinesNotPreserved as exc:
             return GroupVerdict(kind="Inconclusive", reason=str(exc),

@@ -3,14 +3,16 @@ forms, unimodular lattice maps, and the invariance predicates tying them togethe
 
 On disk a cubic is a vector of 10 integer monomial coefficients; internally each
 trilinear entry t[ijk] is the monomial coefficient divided by its multinomial
-weight, stored as an exact rational.
+weight, stored as an exact rational, and the form also keeps the integer tensor
+D·T on which pullbacks and invariance checks run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core_arith import QuadSurd
@@ -45,15 +47,37 @@ def multinomial(i: int, j: int, k: int) -> int:
 
 
 class TrilinearForm:
-    """Fully symmetric trilinear form on the rank-3 lattice, exact entries."""
+    """Fully symmetric trilinear form on the rank-3 lattice, exact entries.
 
-    __slots__ = ("_t",)
+    Alongside the rational entries it keeps the integer tensor `scaled` = D·T,
+    where `scale` = D is the lcm of the entry denominators (a divisor of 6 for
+    an integral cubic), as nested 3x3x3 tuples indexed from 0. Invariance
+    checks and enumeration run on it in plain ints.
+    """
+
+    __slots__ = ("_t", "scale", "scaled")
 
     def __init__(self, entries: Mapping[tuple[int, int, int], Fraction]):
         t = {}
         for key in ENTRY_KEYS:
             t[key] = Fraction(entries.get(key, 0))
         self._t = t
+        scale = lcm(*(v.denominator for v in t.values()))
+        scaled = {key: v.numerator * (scale // v.denominator) for key, v in t.items()}
+        self.scale = scale
+        self.scaled = tuple(
+            tuple(tuple(scaled[tuple(sorted((i, j, k)))] for k in (1, 2, 3)) for j in (1, 2, 3))
+            for i in (1, 2, 3)
+        )
+
+    def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The integer matrix (D·T)(v, ·, ·) for an integer vector v."""
+        a, b, c = v
+        x, y, z = self.scaled
+        return tuple(
+            tuple(a * p + b * q + c * r for p, q, r in zip(rx, ry, rz))
+            for rx, ry, rz in zip(x, y, z)
+        )
 
     @classmethod
     def from_cubic_coefficients(cls, coeffs: Mapping[str, int]) -> "TrilinearForm":
@@ -246,24 +270,40 @@ def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
     return total
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _matvec(m, v: Sequence[int]) -> tuple[int, int, int]:
+    return (_dot(m[0], v), _dot(m[1], v), _dot(m[2], v))
+
+
+def _scaled_pullback(T: TrilinearForm, g: LatticeMap) -> dict[tuple[int, int, int], int]:
+    """Entries of (D·T)(g a, g b, g c) on sorted index triples, in ints."""
+    cols = tuple(zip(*g.rows))
+    contracted = [T.contract(c) for c in cols]
+    return {
+        (i, j, k): _dot(_matvec(contracted[i - 1], cols[j - 1]), cols[k - 1])
+        for i, j, k in ENTRY_KEYS
+    }
+
+
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:
     """Pullback (g·T)(a, b, c) = T(g a, g b, g c), exact."""
-    cols = [g.apply((1 if i == 0 else 0, 1 if i == 1 else 0, 1 if i == 2 else 0))
-            for i in range(3)]
-    entries = {}
-    for i, j, k in combinations_with_replacement((1, 2, 3), 3):
-        val = Fraction(0)
-        for p, q, r in product(range(3), repeat=3):
-            t = T.entry(p + 1, q + 1, r + 1)
-            if t:
-                val += t * cols[i - 1][p] * cols[j - 1][q] * cols[k - 1][r]
-        entries[(i, j, k)] = val
-    return TrilinearForm(entries)
+    return TrilinearForm({
+        key: Fraction(value, T.scale) for key, value in _scaled_pullback(T, g).items()
+    })
 
 
 def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:
     """True iff g leaves both the cubic and the linear form invariant."""
-    return L.compose(g) == L and transform_cubic(T, g) == T
+    if L.compose(g) != L:
+        return False
+    dt = T.scaled
+    return all(
+        dt[i - 1][j - 1][k - 1] == value
+        for (i, j, k), value in _scaled_pullback(T, g).items()
+    )
 
 
 # -- vectors -------------------------------------------------------------------

@@ -157,6 +157,16 @@ class TestFactorCommand:
         assert fact["tangency_points"] == [["1", "0", "0"]]
         assert fact["singular_locus"] == [["1", "0", "0"]]
 
+    def test_negative_real_pair_seeds_the_factorization(self):
+        """s = -3: the element is out of theory, but its eigenlines still
+        certify the three-line factorization."""
+        data = dict(GOLDEN, matrices=[[[-2, -1, 0], [-1, -1, 0], [0, 0, 1]]])
+        report, code = run(problem(data), "factor")
+        assert code == EXIT_OK
+        assert report["elements"][0]["class"]["kind"] == "OutOfTheory"
+        assert report["factorization"]["kind"] == "ThreeLines"
+        assert report["factorization"]["B"] == "5/6"
+
     def test_lefschetz_violation_exits_2(self):
         report, code = run(problem(SPLIT), "factor")
         assert code == EXIT_GEOMETRIC

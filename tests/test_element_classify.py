@@ -26,6 +26,7 @@ from cy3.errors import (
     IsIdentity,
     NotFiniteOrder,
     NotUnipotent,
+    PostCheckFailed,
 )
 from cy3.lattice_forms import LatticeMap, LinearForm
 from test_lattice_forms import random_unimodular
@@ -180,6 +181,31 @@ class TestGuards:
         g = LatticeMap([[-1, 1, 0], [0, -1, 0], [0, 0, 1]])
         verdict = classify(g, L_z)
         assert isinstance(verdict, OutOfTheory)
+
+    @pytest.mark.parametrize("s", [-5, -68, -921, -12457])
+    def test_negative_real_pair_is_out_of_theory(self, s, L_z):
+        """s = trace - 1 < -2: both roots of t^2 - s t + 1 are negative, so no
+        eigenvalue exceeds 1 and the element is not hyperbolic."""
+        g = LatticeMap([[s, -1, 2], [1, 0, -1], [0, 0, 1]])
+        assert g.trace - 1 == s
+        verdict = classify(g, L_z)
+        assert isinstance(verdict, OutOfTheory)
+        assert "negative real eigenvalue pair" in verdict.reason
+        assert f"s = {s}" in verdict.reason
+
+    def test_positive_real_pair_stays_hyperbolic(self, L_z):
+        g = LatticeMap([[5, -1, 2], [1, 0, -1], [0, 0, 1]])
+        verdict = classify(g, L_z)
+        assert isinstance(verdict, Hyperbolic)
+        assert verdict.alpha > 1
+
+
+class TestPostChecks:
+    def test_broken_apply_fails_the_eigen_equation(self, golden_generator, L_z, monkeypatch):
+        monkeypatch.setattr(LatticeMap, "apply", lambda self, v: tuple(v))
+        with pytest.raises(PostCheckFailed) as info:
+            classify(golden_generator, L_z)
+        assert info.value.check == "eigen-equation g u = u / alpha"
 
 
 def _order_oracle(g, bound=2 * ORDER_SEARCH_BOUND):

@@ -13,6 +13,7 @@ from cy3.errors import (
     GeometricInconsistency,
     NonPreservingGenerator,
     NotUnipotentInFrame,
+    PostCheckFailed,
 )
 from cy3.group_structure import (
     CharacterWitness,
@@ -27,7 +28,7 @@ from cy3.group_structure import (
     tau,
     verify_unipotent_constraints,
 )
-from cy3.lattice_forms import LatticeMap, LinearForm, preserves_pair
+from cy3.lattice_forms import LatticeMap, LinearForm, TrilinearForm, preserves_pair
 
 
 class TestPlaneBasis:
@@ -241,7 +242,82 @@ class TestEnumeration:
                     assert prod in found
 
 
+# Bound-3 enumerations recorded at the seed commit, before the integer kernel.
+# A bound-b enumeration (b <= 3) is the sublist with entries in [-b, b].
+PINNED_BOUND_3 = {
+    "golden": [
+        ((-2, -1, 0), (-1, -1, 0), (0, 0, 1)), ((-2, -1, 0), (3, 2, 0), (0, 0, 1)),
+        ((-2, 3, 0), (-1, 2, 0), (0, 0, 1)), ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+        ((-1, 0, 0), (1, 1, 0), (0, 0, 1)), ((-1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        ((-1, 1, 0), (1, -2, 0), (0, 0, 1)), ((1, -1, 0), (-1, 2, 0), (0, 0, 1)),
+        ((1, -1, 0), (0, -1, 0), (0, 0, 1)), ((1, 0, 0), (-1, -1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, -3, 0), (1, -2, 0), (0, 0, 1)),
+        ((2, 1, 0), (-3, -2, 0), (0, 0, 1)), ((2, 1, 0), (1, 1, 0), (0, 0, 1)),
+    ],
+    "unipotent": [
+        ((1, -2, 3), (0, -1, 3), (0, 0, 1)), ((1, -2, 3), (0, 1, -2), (0, 0, 1)),
+        ((1, -1, 1), (0, -1, 2), (0, 0, 1)), ((1, -1, 1), (0, 1, -1), (0, 0, 1)),
+        ((1, 0, 0), (0, -1, 1), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 1, 0), (0, -1, 0), (0, 0, 1)), ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+        ((1, 2, 1), (0, -1, -1), (0, 0, 1)), ((1, 2, 1), (0, 1, 2), (0, 0, 1)),
+        ((1, 3, 3), (0, -1, -2), (0, 0, 1)), ((1, 3, 3), (0, 1, 3), (0, 0, 1)),
+    ],
+    "golden-x+z": [
+        ((-2, -1, 0), (-1, -1, 0), (3, 1, 1)), ((-2, -1, 0), (3, 2, 0), (3, 1, 1)),
+        ((-2, 3, 0), (-1, 2, 0), (3, -3, 1)), ((-1, 0, 0), (0, -1, 0), (2, 0, 1)),
+        ((-1, 0, 0), (1, 1, 0), (2, 0, 1)), ((-1, 1, 0), (0, 1, 0), (2, -1, 1)),
+        ((-1, 1, 0), (1, -2, 0), (2, -1, 1)), ((1, -1, 0), (-1, 2, 0), (0, 1, 1)),
+        ((1, -1, 0), (0, -1, 0), (0, 1, 1)), ((1, 0, 0), (-1, -1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, -3, 0), (1, -2, 0), (-1, 3, 1)),
+        ((2, 1, 0), (-3, -2, 0), (-1, -1, 1)), ((2, 1, 0), (1, 1, 0), (-1, -1, 1)),
+    ],
+}
+PINNED_COUNTS = {"golden": (6, 10, 14), "unipotent": (5, 8, 12), "golden-x+z": (3, 9, 14)}
+
+
+@pytest.fixture
+def pinned_problems(golden_cubic, unipotent_cubic, L_z):
+    # The golden cubic pulled back by P = [[1,0,0],[0,1,0],[1,0,1]], so that
+    # L = z becomes L∘P = x + z.
+    golden_x_plus_z = TrilinearForm.from_cubic_coefficients(
+        {"x3": 1, "x2y": -1, "x2z": 1, "xy2": -1, "xyz": -1, "y2z": -1}
+    )
+    return {
+        "golden": (golden_cubic, L_z),
+        "unipotent": (unipotent_cubic, L_z),
+        "golden-x+z": (golden_x_plus_z, LinearForm(1, 0, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BOUND_3))
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_enumeration_matches_seed_pins(name, bound, pinned_problems):
+    T, L = pinned_problems[name]
+    expected = [rows for rows in PINNED_BOUND_3[name]
+                if max(abs(x) for row in rows for x in row) <= bound]
+    assert len(expected) == PINNED_COUNTS[name][bound - 1]
+    assert [g.rows for g in enumerate_symmetries(T, L, bound)] == expected
+
+
 class TestAnalyzeGroup:
+    def test_negative_real_pair_generator(self, golden_cubic, L_z):
+        """diag(-1,-1,1)·g has s = -3: out of theory as an element, but of
+        infinite order, so the group still takes the hyperbolic route."""
+        h = LatticeMap([[-2, -1, 0], [-1, -1, 0], [0, 0, 1]])
+        assert preserves_pair(h, golden_cubic, L_z)
+        verdict = analyze_group(golden_cubic, L_z, [h])
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert isinstance(verdict.witness, CharacterWitness)
+
+    def test_closure_post_check_is_named(self, golden_cubic, L_z, monkeypatch):
+        import cy3.group_structure as gs
+
+        monkeypatch.setattr(gs, "finite_order", lambda g: None)
+        flip = LatticeMap([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        with pytest.raises(PostCheckFailed) as info:
+            analyze_group(golden_cubic, L_z, [flip])
+        assert info.value.check == "closure elements of finite order"
+
     def test_hyperbolic_verdict(self, golden_cubic, golden_generator, L_z):
         verdict = analyze_group(golden_cubic, L_z, [golden_generator])
         assert verdict.kind == "AlmostAbelianRankOne"

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cy3.core_arith import QuadSurd
 from cy3.errors import NotUnimodular, ZeroVector
 from cy3.lattice_forms import (
+    ENTRY_KEYS,
     LatticeMap,
     LinearForm,
     TrilinearForm,
@@ -221,3 +222,105 @@ def test_pullback_preserves_integrality(coeffs, seed):
     g = random_unimodular(random.Random(seed), steps=5)
     for value in transform_cubic(T, g).cubic_coefficients().values():
         assert value.denominator == 1
+
+
+# -- the integer kernel against a Fraction reference -------------------------------
+
+
+def fraction_pullback(T, g):
+    """Reference pullback T(g a, g b, g c) over Fractions, all 27 terms per entry."""
+    cols = [[g.rows[p][i] for p in range(3)] for i in range(3)]
+    return {
+        (i, j, k): sum(
+            (T.entry(p + 1, q + 1, r + 1) * cols[i - 1][p] * cols[j - 1][q] * cols[k - 1][r]
+             for p in range(3) for q in range(3) for r in range(3)),
+            start=Fraction(0),
+        )
+        for i in (1, 2, 3) for j in range(i, 4) for k in range(j, 4)
+    }
+
+
+def fraction_preserves(g, T, L):
+    return L.compose(g) == L and fraction_pullback(T, g) == T.entries()
+
+
+# Cubics with a known automorph fixing L = z (from the test fixtures).
+AUTOMORPHED = (
+    ({"x2z": 1, "xyz": -1, "y2z": -1}, ((2, 1, 0), (1, 1, 0), (0, 0, 1))),
+    ({"x2z": 1, "xyz": -1, "y2z": -1, "z3": 1}, ((-1, 0, 0), (1, 1, 0), (0, 0, 1))),
+    ({"z3": 1, "xz2": 6, "y2z": -3, "yz2": 3}, ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
+    ({"x2z": 1, "y2z": 1, "z3": 1}, ((0, -1, 0), (1, 0, 0), (0, 0, 1))),
+)
+
+
+def pair_and_map(seed: int, coeffs: dict, l: tuple, perturb: bool):
+    """A (g, T, L) triple: half the time a known automorph conjugated by a
+    random unimodular P (so g preserves the pulled-back pair), otherwise a
+    random word against the given cubic and L; optionally times a shear."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        base, h = AUTOMORPHED[rng.randrange(len(AUTOMORPHED))]
+        P = random_unimodular(rng, steps=rng.randint(0, 3))
+        T = TrilinearForm(fraction_pullback(TrilinearForm.from_cubic_coefficients(base), P))
+        L = LinearForm(0, 0, 1).compose(P)
+        g = P.inverse() @ LatticeMap(h) ** rng.choice((1, 2, -1)) @ P
+    else:
+        T = TrilinearForm.from_cubic_coefficients(coeffs)
+        L = LinearForm(*l)
+        g = random_unimodular(rng, steps=rng.randint(1, 4))
+    if perturb:
+        g = g @ random_unimodular(rng, steps=1)
+    return g, T, L
+
+
+nonzero_l = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+
+@given(st.integers(0, 2**32 - 1), coeff_strategy, nonzero_l, st.booleans())
+def test_integer_preserves_pair_matches_fraction_reference(seed, coeffs, l, perturb):
+    g, T, L = pair_and_map(seed, coeffs, l, perturb)
+    assert preserves_pair(g, T, L) == fraction_preserves(g, T, L)
+    assert transform_cubic(T, g).entries() == fraction_pullback(T, g)
+
+
+def test_reference_inputs_cover_both_outcomes():
+    """The generator of the property above yields preserving and
+    non-preserving maps alike."""
+    outcomes = {fraction_preserves(*pair_and_map(seed, {"x2z": 1}, (0, 0, 1), seed % 3 == 0))
+                for seed in range(40)}
+    assert outcomes == {True, False}
+
+
+def test_non_integral_form_roundtrips_exactly():
+    """Entries in (1/7)Z keep D = 7 and survive a pullback and its inverse."""
+    rng = random.Random(77)
+    T = TrilinearForm({key: Fraction(rng.randint(-9, 9), 7) for key in ENTRY_KEYS})
+    assert T.scale == 7
+    assert any(value.denominator == 7 for value in T.entries().values())
+    for _ in range(20):
+        g = random_unimodular(rng, steps=4)
+        pulled = transform_cubic(T, g)
+        assert pulled.entries() == fraction_pullback(T, g)
+        assert transform_cubic(pulled, g.inverse()) == T
+        assert preserves_pair(g, T, LinearForm(0, 0, 1)) == fraction_preserves(
+            g, T, LinearForm(0, 0, 1))
+
+
+def test_scaled_tensor_is_the_integer_multiple():
+    T = TrilinearForm({(1, 1, 1): Fraction(1, 7), (1, 2, 3): Fraction(1, 6)})
+    assert T.scale == 42
+    assert T.scaled[0][0][0] == 6
+    assert T.scaled[2][0][1] == T.scaled[1][2][0] == 7
+    assert TrilinearForm.from_cubic_coefficients({"z3": 1}).scale == 1
+
+
+@pytest.mark.parametrize("key", ENTRY_KEYS)
+def test_every_entry_is_compared(key):
+    """A sign flip that negates exactly one monomial is caught by that entry."""
+    odd = next(i for i in key if key.count(i) % 2 == 1)
+    flip = LatticeMap([[-1 if i == odd and i == j else int(i == j) for j in (1, 2, 3)]
+                       for i in (1, 2, 3)])
+    T = TrilinearForm({key: Fraction(1, multinomial(*key))})
+    L = LinearForm(0, 0, 0)
+    assert not fraction_preserves(flip, T, L)
+    assert not preserves_pair(flip, T, L)
