@@ -48,6 +48,7 @@ from .errors import (
     GeometricInconsistency,
     NotUnimodular,
     ParseError,
+    PostCheckFailed,
     RelationsNotVerified,
     ValidationError,
 )
@@ -204,8 +205,9 @@ def render_class(cls) -> dict:
             "rank_of_g_minus_id": cls.rank_of_g_minus_id,
             "note": FULL_JORDAN,
         }
-    assert isinstance(cls, OutOfTheory)
-    return {"kind": "OutOfTheory", "reason": cls.reason}
+    if isinstance(cls, OutOfTheory):
+        return {"kind": "OutOfTheory", "reason": cls.reason}
+    raise PostCheckFailed("known element class", type(cls).__name__)
 
 
 def render_factorization(fact) -> dict:
@@ -231,7 +233,8 @@ def render_factorization(fact) -> dict:
             "tangency_points": [render_vector(p) for p in fact.tangency_points],
             "tangent": fact.tangent,
         }
-    assert isinstance(fact, UnipotentSplit)
+    if not isinstance(fact, UnipotentSplit):
+        raise PostCheckFailed("known factorization", type(fact).__name__)
     return {
         "kind": "QuadricLine",
         "frame": [list(col) for col in fact.frame],

@@ -4,6 +4,15 @@ and monic-up-to-sign integer cubics.
 Every comparison is decided by exact sign analysis; no floating point enters any
 result. Rationals are `fractions.Fraction`; a surd with d in {0, 1} collapses to
 a rational, so a single scalar type flows through the whole library.
+
+Every `QuadSurd` satisfies one invariant: `a` and `b` are `Fraction`s, `d` is 0
+or a squarefree integer > 1, and `b == 0` exactly when `d == 0`. The radicand is
+made squarefree only where a field is entered: the public constructor
+`QuadSurd(a, b, d)` runs `squarefree_decompose` on an untrusted `d`, and
+`solve_unit_quadratic` decomposes the two factors of s^2 - 4. Arithmetic inside a
+field (`+ - * /`, `inverse`, `conjugate`, `**`) keeps the already canonical `d`
+and builds its results with the trusted `QuadSurd._canonical`, which never
+decomposes.
 """
 
 from __future__ import annotations
@@ -11,24 +20,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, isqrt
 
 from .errors import ComplexRoots, IncompatibleFields
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = s * f**2 with s squarefree; returns (s, f). Requires n >= 0."""
+    """Write n = s * f**2 with s squarefree; returns (s, f). Requires n >= 0.
+
+    Trial division runs only while p**3 <= m, the cofactor left after removing
+    every prime below p, so it costs O(n**(1/3)) steps. The m left then has at
+    most two prime factors, all >= p: it is 1, q, q*r or q**2, and a single
+    `isqrt` tells the square apart. No floating point is used."""
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return n, 1
-    s, f = n, 1
+    s, f, m = 1, 1, n
     p = 2
-    while p * p <= s:
-        while s % (p * p) == 0:
-            s //= p * p
-            f *= p
-        p += 1
+    while p * p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            f *= p ** (e // 2)
+            if e & 1:
+                s *= p
+        p += 1 if p == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        f *= r
+    else:
+        s *= m
     return s, f
+
+
+_ZERO = Fraction(0)
 
 
 @total_ordering
@@ -36,7 +64,8 @@ class QuadSurd:
     """a + b*sqrt(d) with a, b rational and d a squarefree nonnegative integer.
 
     Canonical form: square factors of d are pulled into b, and d <= 1 collapses
-    to a rational (b = 0, d = 0). Instances are immutable by convention.
+    to a rational (b = 0, d = 0). Instances are immutable by convention. The
+    public constructor accepts any d >= 0; `_canonical` is the trusted one.
     """
 
     __slots__ = ("a", "b", "d")
@@ -65,6 +94,15 @@ class QuadSurd:
         self.b = b
         self.d = d
 
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "QuadSurd":
+        """Trusted constructor: `a`, `b` are Fractions and `d` is 0 or an
+        already squarefree integer > 1 (a field's radicand). Only the
+        `b == 0 <=> d == 0` half of the invariant is restored here."""
+        obj = object.__new__(cls)
+        obj.a, obj.b, obj.d = a, b, (d if b else 0)
+        return obj
+
     # -- coercion ----------------------------------------------------------
 
     @staticmethod
@@ -72,7 +110,7 @@ class QuadSurd:
         if isinstance(x, QuadSurd):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadSurd(x)
+            return QuadSurd._canonical(Fraction(x), _ZERO, 0)
         return None
 
     def _common_d(self, other: "QuadSurd") -> int:
@@ -112,7 +150,7 @@ class QuadSurd:
         return self.a * self.a - self.b * self.b * self.d
 
     def conjugate(self) -> "QuadSurd":
-        return QuadSurd(self.a, -self.b, self.d)
+        return QuadSurd._canonical(self.a, -self.b, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -121,12 +159,12 @@ class QuadSurd:
         if other is None:
             return NotImplemented
         d = self._common_d(other)
-        return QuadSurd(self.a + other.a, self.b + other.b, d)
+        return QuadSurd._canonical(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadSurd(-self.a, -self.b, self.d)
+        return QuadSurd._canonical(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -142,7 +180,7 @@ class QuadSurd:
         if other is None:
             return NotImplemented
         d = self._common_d(other)
-        return QuadSurd(
+        return QuadSurd._canonical(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -154,7 +192,7 @@ class QuadSurd:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("surd has zero norm")
-        return QuadSurd(self.a / n, -self.b / n, self.d)
+        return QuadSurd._canonical(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -241,14 +279,24 @@ def surd_compare(x: QuadSurd, y: QuadSurd) -> int:
 def solve_unit_quadratic(s: int) -> tuple[QuadSurd, QuadSurd]:
     """The two real roots (alpha, 1/alpha) of t^2 - s*t + 1, alpha >= 1/alpha.
 
-    Raises ComplexRoots when s^2 < 4 (the finite-order candidate range)."""
-    disc = s * s - 4
-    if disc < 0:
+    The discriminant s^2 - 4 = (|s| - 2)(|s| + 2) is made squarefree factor by
+    factor, each about the size of |s|, so the field is entered with two
+    decompositions of cost O(|s|**(1/3)). Raises ComplexRoots when s^2 < 4 (the
+    finite-order candidate range)."""
+    if s * s < 4:
         raise ComplexRoots(f"t^2 - {s}t + 1 has complex roots")
     half = Fraction(s, 2)
-    alpha = QuadSurd(half, Fraction(1, 2), disc)
-    beta = QuadSurd(half, Fraction(-1, 2), disc)
-    return alpha, beta
+    if s in (2, -2):
+        root = QuadSurd(half)  # double root s/2 = +-1
+        return root, root
+    d1, f1 = squarefree_decompose(abs(s) - 2)
+    d2, f2 = squarefree_decompose(abs(s) + 2)
+    g = gcd(d1, d2)
+    # d1/g and d2/g are coprime squarefree, so their product is squarefree; it
+    # is > 1 because s^2 - 4 is a square only for s = +-2.
+    d, f = (d1 // g) * (d2 // g), f1 * f2 * g
+    b = Fraction(f, 2)
+    return QuadSurd._canonical(half, b, d), QuadSurd._canonical(half, -b, d)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from cy3.cli import (
     EXIT_OK,
     main,
     parse_problem,
+    render_class,
+    render_factorization,
     run,
 )
-from cy3.errors import ParseError, ValidationError
+from cy3.errors import ParseError, PostCheckFailed, ValidationError
 
 GOLDEN = {
     "cubic": {"x2z": 1, "xyz": -1, "y2z": -1},
@@ -240,6 +242,21 @@ class TestEnumerateCommand:
         data = {"cubic": GOLDEN["cubic"], "c2": [0, 0, 1], "bound": 7}
         report, code = run(problem(data), "enumerate", bound=1)
         assert code == EXIT_OK
+
+
+class TestRenderDispatch:
+    """An object the renderers do not know raises a named error, also under
+    python -O, which would strip a bare assert."""
+
+    def test_unknown_element_class(self):
+        with pytest.raises(PostCheckFailed) as info:
+            render_class(object())
+        assert info.value.check == "known element class"
+
+    def test_unknown_factorization(self):
+        with pytest.raises(PostCheckFailed) as info:
+            render_factorization(object())
+        assert info.value.check == "known factorization"
 
 
 class TestMain:

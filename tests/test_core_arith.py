@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import mpmath
 import pytest
@@ -22,6 +23,60 @@ def test_squarefree_decompose():
     assert squarefree_decompose(5) == (5, 1)
     assert squarefree_decompose(0) == (0, 1)
     assert squarefree_decompose(360) == (10, 6)
+
+
+def _brute_squarefree(n):
+    """Reference split: the largest f with f^2 | n, found by trying every f."""
+    f = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+    return n // (f * f), f
+
+
+def _is_squarefree(n):
+    return n >= 1 and all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+@given(st.integers(1, 10**8 - 1))
+def test_squarefree_decompose_matches_brute_force(n):
+    s, f = squarefree_decompose(n)
+    assert s * f * f == n
+    assert _is_squarefree(s)
+    assert (s, f) == _brute_squarefree(n)
+
+
+class TestSquarefreeCubeRootBoundary:
+    """Trial division stops once p^3 exceeds the cofactor; these cases leave
+    1, q, q*r or q^2 behind at exactly that point."""
+
+    # q, r, t are primes just above the cube roots of the products below.
+    Q, R, T = 101, 103, 107
+    BIG, BIG2 = 1000003, 1000033
+
+    @pytest.mark.parametrize("n, expected", [
+        (Q * Q, (1, Q)),
+        (Q * R, (Q * R, 1)),
+        (Q**3, (Q, Q)),
+        (Q * R * T, (Q * R * T, 1)),
+        (Q * Q * R, (R, Q)),
+        (R * R * Q, (Q, R)),
+        (Q**4, (1, Q * Q)),
+        (Q**5, (Q, Q * Q)),
+        (BIG * BIG, (1, BIG)),
+        (BIG * BIG2, (BIG * BIG2, 1)),
+        (BIG**3, (BIG, BIG)),
+        (3 * BIG * BIG, (3, BIG)),
+        (4 * BIG, (BIG, 2)),
+        (2 * 3 * BIG2 * BIG2, (6, BIG2)),
+    ])
+    def test_pinned(self, n, expected):
+        assert squarefree_decompose(n) == expected
+
+    @pytest.mark.parametrize("k", range(0, 41))
+    def test_powers_of_two(self, k):
+        assert squarefree_decompose(2**k) == (2 ** (k % 2), 2 ** (k // 2))
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            squarefree_decompose(-4)
 
 
 class TestNormalize:
@@ -73,6 +128,44 @@ class TestUnitQuadratic:
         assert alpha * beta == 1
         assert alpha + beta == s
         assert alpha >= beta
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, isqrt(n) + 1))
+
+
+# s = 10^12 + 39: s - 2 and s + 2 are products of eight distinct primes, so
+# s^2 - 4 itself is squarefree.
+BIG_S = 10**12 + 39
+BIG_S_FACTORS = ((53, 59, 349, 916319), (3, 7, 179, 266028199))
+
+
+class TestUnitQuadraticSplit:
+    """solve_unit_quadratic makes s^2 - 4 squarefree from its two factors
+    |s| - 2 and |s| + 2; its roots must equal what the public constructor
+    makes of the whole discriminant."""
+
+    @pytest.mark.parametrize("s", [2, -2, 4, -4, 6, 7, 10, 18, -3, -18, 1442, -1442])
+    def test_matches_public_constructor(self, s):
+        alpha, beta = solve_unit_quadratic(s)
+        ref_alpha = QuadSurd(Fraction(s, 2), Fraction(1, 2), s * s - 4)
+        ref_beta = QuadSurd(Fraction(s, 2), Fraction(-1, 2), s * s - 4)
+        assert (alpha.a, alpha.b, alpha.d) == (ref_alpha.a, ref_alpha.b, ref_alpha.d)
+        assert (beta.a, beta.b, beta.d) == (ref_beta.a, ref_beta.b, ref_beta.d)
+        _assert_canonical(alpha)
+        _assert_canonical(beta)
+
+    @pytest.mark.parametrize("s", [BIG_S, -BIG_S])
+    def test_trace_1e12(self, s):
+        primes = BIG_S_FACTORS[0] + BIG_S_FACTORS[1]
+        assert (prod(BIG_S_FACTORS[0]), prod(BIG_S_FACTORS[1])) == (BIG_S - 2, BIG_S + 2)
+        assert len(set(primes)) == 8 and all(_is_prime(p) for p in primes)
+        alpha, beta = solve_unit_quadratic(s)
+        assert (alpha.a, alpha.b, alpha.d) == (Fraction(s, 2), Fraction(1, 2), s * s - 4)
+        assert beta == alpha.conjugate()
+        assert alpha * beta == 1
+        assert alpha + beta == s
+        assert alpha > beta
 
 
 class TestCompare:
@@ -149,6 +242,31 @@ def test_powers_match_repeated_multiplication(a, b, d, n):
     for _ in range(abs(n)):
         expected = expected * base
     assert q**n == expected
+
+
+def _assert_canonical(r):
+    """The QuadSurd invariant, and agreement with the public constructor."""
+    assert type(r.a) is Fraction and type(r.b) is Fraction
+    assert (r.b == 0) == (r.d == 0)
+    assert r.d == 0 or (r.d > 1 and _is_squarefree(r.d))
+    c = QuadSurd(r.a, r.b, r.d)
+    assert (r.a, r.b, r.d) == (c.a, c.b, c.d)
+
+
+@given(small_fractions, small_fractions, small_fractions, small_fractions,
+       st.integers(0, 10**6), st.integers(-4, 4), st.integers(-5, 5))
+def test_field_results_are_canonical(a1, b1, a2, b2, d, n, k):
+    """Every result of arithmetic inside one field is already canonical: it
+    equals, field by field, what the public constructor makes of it."""
+    x = QuadSurd(a1, b1, d)
+    y = QuadSurd(a2, b2, d)
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x + k, k - x, k * x]
+    if y:
+        results += [x / y, y.inverse(), k / y]
+    if x or n >= 0:
+        results.append(x**n)
+    for r in results:
+        _assert_canonical(r)
 
 
 class TestCubicPolyZ:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GOLDEN_ALPHA
+from cy3 import core_arith
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import (
     FiniteOrder,
@@ -198,6 +199,49 @@ class TestGuards:
         verdict = classify(g, L_z)
         assert isinstance(verdict, Hyperbolic)
         assert verdict.alpha > 1
+
+
+def _companion(s):
+    """Hyperbolic companion block of t^2 - s*t + 1 next to the fixed vector z."""
+    return LatticeMap([[0, -1, 0], [1, s, 0], [0, 0, 1]])
+
+
+# Unimodular, with last row (0, 0, 1): conjugating by it keeps L = z fixed.
+FRAME_CHANGE = LatticeMap([[2, 1, 1], [1, 1, -3], [0, 0, 1]])
+
+
+class TestLargeTrace:
+    """A hyperbolic classify enters its quadratic field once: it splits |s| - 2
+    and |s| + 2 into squarefree parts and never decomposes a radicand inside
+    the field arithmetic, so its cost no longer grows like sqrt(s)."""
+
+    @pytest.mark.parametrize("s", [3, 18, 1442, 99_991, 10**12 + 39])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_at_most_two_squarefree_splits(self, s, conjugate, L_z, monkeypatch):
+        g = _companion(s)
+        if conjugate:
+            g = FRAME_CHANGE.inverse() @ g @ FRAME_CHANGE
+        calls = []
+        original = core_arith.squarefree_decompose
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(core_arith, "squarefree_decompose", counted)
+        verdict = classify(g, L_z)
+        assert isinstance(verdict, Hyperbolic)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("s", [10**9 + 11, 10**12 + 39])
+    def test_large_trace_is_hyperbolic(self, s, L_z):
+        verdict = classify(_companion(s), L_z)
+        assert isinstance(verdict, Hyperbolic)
+        assert verdict.s == s
+        alpha, beta = verdict.alpha, verdict.alpha.conjugate()
+        assert alpha * beta == 1
+        assert alpha + beta == s
+        assert alpha > 1
 
 
 class TestPostChecks:
