@@ -22,7 +22,10 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt
 
-from .errors import ComplexRoots, IncompatibleFields
+from .errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
+
+# Largest trial divisor: exact for every radicand below 2**60.
+TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -31,7 +34,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     Trial division runs only while p**3 <= m, the cofactor left after removing
     every prime below p, so it costs O(n**(1/3)) steps. The m left then has at
     most two prime factors, all >= p: it is 1, q, q*r or q**2, and a single
-    `isqrt` tells the square apart. No floating point is used."""
+    `isqrt` tells the square apart. No floating point is used. A cofactor that
+    would need a divisor past TRIAL_DIVISION_LIMIT raises RadicandTooLarge."""
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
@@ -39,6 +43,11 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     s, f, m = 1, 1, n
     p = 2
     while p * p * p <= m:
+        if p > TRIAL_DIVISION_LIMIT:
+            raise RadicandTooLarge(
+                f"a {n.bit_length()}-bit radicand needs trial division past "
+                f"TRIAL_DIVISION_LIMIT = {TRIAL_DIVISION_LIMIT}"
+            )
         if m % p == 0:
             e = 0
             while m % p == 0:

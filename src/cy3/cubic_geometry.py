@@ -427,8 +427,9 @@ def singular_locus(fact: Factorization) -> list[tuple]:
         for e in basis:
             grad_component = trilinear_eval(fact.cubic, pt, pt, e)
             if grad_component:
-                raise ArithmeticError(
-                    f"gradient does not vanish on claimed singular line {pt}"
+                raise PostCheckFailed(
+                    "singular-locus gradient",
+                    f"gradient does not vanish on claimed singular line {pt}",
                 )
         out.append(pt)
     return out

@@ -20,6 +20,7 @@ from .errors import (
 from .lattice_forms import (
     LatticeMap,
     LinearForm,
+    _int_pairs,
     cross,
     primitive_part,
     projective_normalize,
@@ -160,18 +161,30 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
     raise ArithmeticError("eigenspace for 1 is not one-dimensional")
 
 
-def _eigenvector_surd(g: LatticeMap, lam: QuadSurd) -> tuple:
-    """Projective kernel vector of (g - lam*id) over the quadratic field."""
-    rows = [
-        tuple(QuadSurd(g.rows[i][j]) - (lam if i == j else QuadSurd(0)) for j in range(3))
-        for i in range(3)
-    ]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c = cross(rows[i], rows[j])
-            if any(c):
-                return projective_normalize(c)
-    raise ArithmeticError(f"eigenspace for {lam} is not one-dimensional")
+def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
+    """Projective kernel vector of 2g - (s + f√d)·id, the eigenline of
+    (s + f√d)/2. Its rows are n_i - f√d·e_i with n = 2g - s·id, so the cross
+    product of two rows is p + q√d for integer vectors p and q."""
+    n = [[2 * x - s * (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.rows)]
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        p = [x + f * f * d * y for x, y in zip(cross(n[i], n[j]), cross(e[i], e[j]))]
+        q = [-f * (x + y) for x, y in zip(cross(n[i], e[j]), cross(e[i], n[j]))]
+        if any(p) or any(q):
+            return projective_normalize(
+                [QuadSurd._canonical(Fraction(x), Fraction(y), d) for x, y in zip(p, q)])
+    raise ArithmeticError(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+
+
+def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int,
+                                 check: str) -> None:
+    """2·g·X = (s + f√d)·X on the integer pairs X = (p + q√d)/den of x."""
+    dx, _, p, q = _int_pairs(x)
+    if dx not in (0, d) or any(
+        2 * gp != s * pi + f * d * qi or 2 * gq != s * qi + f * pi
+        for gp, gq, pi, qi in zip(g.apply(p), g.apply(q), p, q)
+    ):
+        raise PostCheckFailed(check)
 
 
 def finite_eigenvalue_tag(g: LatticeMap) -> str:
@@ -200,14 +213,12 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     |alpha| < 1. The eigen-equations are checked before returning."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
-    u = _eigenvector_surd(g, beta)
-    v = _eigenvector_surd(g, alpha)
+    f, d = int(2 * alpha.b), alpha.d  # 2·alpha = s + f√d
+    u = _eigenvector_real_pair(g, s, -f, d)
+    v = _eigenvector_real_pair(g, s, f, d)
     w = _eigenvector_1(g)
-    inv_alpha = alpha.inverse()
-    if g.apply(u) != tuple(x * inv_alpha for x in u):
-        raise PostCheckFailed("eigen-equation g u = u / alpha")
-    if g.apply(v) != tuple(x * alpha for x in v):
-        raise PostCheckFailed("eigen-equation g v = alpha v")
+    _check_real_pair_eigenvector(g, u, s, -f, d, "eigen-equation g u = u / alpha")
+    _check_real_pair_eigenvector(g, v, s, f, d, "eigen-equation g v = alpha v")
     if g.apply(w) != w:
         raise PostCheckFailed("eigen-equation g w = w")
     if not (alpha * beta == 1 and alpha + beta == s):

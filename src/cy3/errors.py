@@ -9,6 +9,10 @@ class IncompatibleFields(Cy3Error):
     """Two surds live in distinct real quadratic fields."""
 
 
+class RadicandTooLarge(Cy3Error):
+    """A squarefree split needs trial division past TRIAL_DIVISION_LIMIT."""
+
+
 class ComplexRoots(Cy3Error):
     """t^2 - s*t + 1 has no real roots (|s| < 2)."""
 

@@ -357,7 +357,8 @@ def _exact_kth_root(value: QuadSurd, k: int) -> QuadSurd | None:
             num, den = disc.numerator, disc.denominator
             candidates.append(QuadSurd(s / 2, Fraction(1, 2 * den), num * den))
     for cand in candidates:
-        if not cand > 1:
+        # A power of an irrational unit > 1 stays irrational and in its field.
+        if cand.d != value.d or not cand > 1:
             continue
         try:
             if cand ** k == value:

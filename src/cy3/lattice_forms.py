@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core_arith import QuadSurd
-from .errors import NotUnimodular, ZeroVector
+from .errors import IncompatibleFields, NotUnimodular, ZeroVector
 
 # Monomial key -> sorted index triple (1-based: 1=x, 2=y, 3=z).
 MONOMIAL_INDICES: dict[str, tuple[int, int, int]] = {
@@ -129,10 +128,7 @@ class LinearForm:
         return (self.l1, self.l2, self.l3)
 
     def __call__(self, v: Sequence):
-        c = self.coefficients()
-        return sum((x * ci for x, ci in zip(v, c)), start=QuadSurd(0)) \
-            if any(isinstance(x, QuadSurd) for x in v) \
-            else sum(x * ci for x, ci in zip(v, c))
+        return sum(x * c for x, c in zip(v, self.coefficients()))
 
     def is_zero(self) -> bool:
         return self.coefficients() == (0, 0, 0)
@@ -241,33 +237,45 @@ def _as_surd(x) -> QuadSurd:
     return x if isinstance(x, QuadSurd) else QuadSurd(x)
 
 
+def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(d, den, p, q) with v = (p + q·√d)/den coordinatewise, in plain ints,
+    for a vector of ints, Fractions and surds over one field ℚ(√d)."""
+    pairs = [(x.a, x.b) if isinstance(x, QuadSurd)
+             else (x if isinstance(x, (int, Fraction)) else Fraction(x), 0) for x in v]
+    fields = {x.d for x in v if isinstance(x, QuadSurd) and x.d}
+    if len(fields) > 1:
+        raise IncompatibleFields(f"radicands {sorted(fields)} in one vector")
+    den = lcm(*(y.denominator for pair in pairs for y in pair))
+    p = tuple(a.numerator * (den // a.denominator) for a, _ in pairs)
+    q = tuple(b.numerator * (den // b.denominator) for _, b in pairs)
+    return max(fields, default=0), den, p, q
+
+
 def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> QuadSurd:
-    """Fully symmetric exact evaluation T(a, b, c)."""
-    a = tuple(_as_surd(x) for x in a)
-    b = tuple(_as_surd(x) for x in b)
-    c = tuple(_as_surd(x) for x in c)
-    total = QuadSurd(0)
-    for i, j, k in product(range(3), repeat=3):
-        t = T.entry(i + 1, j + 1, k + 1)
-        if t:
-            total = total + a[i] * b[j] * c[k] * t
-    return total
+    """Fully symmetric exact evaluation T(a, b, c).
+
+    Each vector is cleared to integer pairs (p + q·√d)/den over one field, the
+    pairs are contracted with the integer tensor D·T, and one surd is built for
+    the result."""
+    (da, den_a, p_a, q_a), (db, den_b, p_b, q_b), (dc, den_c, p_c, q_c) = (
+        _int_pairs(a), _int_pairs(b), _int_pairs(c))
+    if len({da, db, dc} - {0}) > 1:
+        raise IncompatibleFields(f"radicands {da}, {db}, {dc}")
+    d = da or db or dc
+    m_p, m_q = T.contract(p_a), T.contract(q_a)
+    sp = tuple(x + d * y for x, y in zip(_matvec(m_p, p_b), _matvec(m_q, q_b)))
+    sq = tuple(x + y for x, y in zip(_matvec(m_p, q_b), _matvec(m_q, p_b)))
+    den = T.scale * den_a * den_b * den_c
+    return QuadSurd._canonical(
+        Fraction(_dot(sp, p_c) + d * _dot(sq, q_c), den),
+        Fraction(_dot(sp, q_c) + _dot(sq, p_c), den),
+        d,
+    )
 
 
 def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
-    """C(v) = T(v, v, v), evaluated via the monomial coefficients."""
-    x, y, z = (_as_surd(c) for c in v)
-    mono = {
-        "x3": x * x * x, "x2y": x * x * y, "x2z": x * x * z,
-        "xy2": x * y * y, "xyz": x * y * z, "xz2": x * z * z,
-        "y3": y * y * y, "y2z": y * y * z, "yz2": y * z * z,
-        "z3": z * z * z,
-    }
-    total = QuadSurd(0)
-    for name, coeff in T.cubic_coefficients().items():
-        if coeff:
-            total = total + mono[name] * coeff
-    return total
+    """C(v) = T(v, v, v)."""
+    return trilinear_eval(T, v, v, v)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

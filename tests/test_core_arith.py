@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cy3.core_arith import (
+    TRIAL_DIVISION_LIMIT,
     CubicPolyZ,
     QuadSurd,
     solve_unit_quadratic,
@@ -14,7 +15,7 @@ from cy3.core_arith import (
     surd_compare,
     surd_normalize,
 )
-from cy3.errors import ComplexRoots, IncompatibleFields
+from cy3.errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
 
 
 def test_squarefree_decompose():
@@ -77,6 +78,28 @@ class TestSquarefreeCubeRootBoundary:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             squarefree_decompose(-4)
+
+
+class TestTrialDivisionLimit:
+    """Trial division stops at TRIAL_DIVISION_LIMIT = 2^20 with a named error;
+    every radicand below 2^60 is still decomposed exactly."""
+
+    # The three largest primes below 2^20 and the least prime above it.
+    BELOW = (1048559, 1048571, 1048573)
+    ABOVE = 1048583
+
+    def test_limit(self):
+        assert TRIAL_DIVISION_LIMIT == 1 << 20
+
+    def test_exact_just_below_two_to_the_sixty(self):
+        q, r, t = self.BELOW
+        assert q * r * t < 2**60
+        assert squarefree_decompose(q * r * t) == (q * r * t, 1)
+        assert squarefree_decompose(q * q * t) == (t, q)
+
+    def test_cube_of_a_prime_past_the_limit_raises(self):
+        with pytest.raises(RadicandTooLarge, match="61-bit radicand"):
+            squarefree_decompose(self.ABOVE**3)
 
 
 class TestNormalize:

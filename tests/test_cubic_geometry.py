@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import surd
+from cy3 import cubic_geometry
+from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
     FULL_JORDAN,
     HODGE_INDEX,
@@ -26,6 +28,7 @@ from cy3.element_classify import Hyperbolic, UnipotentFull, classify
 from cy3.errors import (
     GeometricInconsistency,
     NotOnQuadric,
+    PostCheckFailed,
     RelationsNotVerified,
     SingularPoint,
 )
@@ -247,6 +250,16 @@ class TestReconstructionAndSingularLocus:
         fact = hyperbolic_factorization(golden_cubic_quadric, u, v, w)
         lines = singular_locus(fact)
         assert set(lines) == {projective_normalize(u), projective_normalize(v)}
+
+    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, monkeypatch):
+        """A claimed singular line on which the gradient does not vanish raises
+        the named post-check, not a bare ArithmeticError."""
+        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+        one = QuadSurd(1)
+        monkeypatch.setattr(cubic_geometry, "projective_normalize", lambda v: (one, one, one))
+        with pytest.raises(PostCheckFailed) as info:
+            singular_locus(fact)
+        assert info.value.check == "singular-locus gradient"
 
     def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors):
         w, w1, w2 = unipotent_frame_vectors

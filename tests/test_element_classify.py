@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GOLDEN_ALPHA
-from cy3 import core_arith
+from cy3 import core_arith, element_classify
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import (
     FiniteOrder,
@@ -28,6 +28,7 @@ from cy3.errors import (
     NotFiniteOrder,
     NotUnipotent,
     PostCheckFailed,
+    RadicandTooLarge,
 )
 from cy3.lattice_forms import LatticeMap, LinearForm
 from test_lattice_forms import random_unimodular
@@ -242,6 +243,69 @@ class TestLargeTrace:
         assert alpha * beta == 1
         assert alpha + beta == s
         assert alpha > 1
+
+    def test_huge_trace_raises_radicand_too_large(self, golden_generator, L_z):
+        """The 300th power of the golden generator has s ≈ 2.5e125: its
+        radicand needs trial division past the limit, so classify stops with a
+        named error instead of running for ever."""
+        with pytest.raises(RadicandTooLarge):
+            classify(golden_generator**300, L_z)
+
+
+def surd_apply(g, x):
+    """g·x for a surd vector x, by QuadSurd products (independent of cy3's
+    integer-pair eigen-check)."""
+    return tuple(sum((x[j] * g.rows[i][j] for j in range(3)), start=QuadSurd(0))
+                 for i in range(3))
+
+
+class TestRealPairEigenvectors:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_eigenvectors_in_a_random_frame(self, seed, L_z):
+        """Companion blocks conjugated by a random unimodular P, with L = z∘P."""
+        rng = random.Random(seed)
+        s = rng.choice([3, 4, 5, 7, 18, 123, 1442, 99_991])
+        P = random_unimodular(rng, steps=rng.randint(1, 5))
+        g = P.inverse() @ _companion(s) @ P
+        verdict = classify(g, L_z.compose(P))
+        assert isinstance(verdict, Hyperbolic)
+        alpha = verdict.alpha
+        assert surd_apply(g, verdict.v) == tuple(x * alpha for x in verdict.v)
+        assert surd_apply(g, verdict.u) == tuple(x / alpha for x in verdict.u)
+        assert next(x for x in verdict.u if x) == 1
+        assert next(x for x in verdict.v if x) == 1
+
+    @pytest.mark.parametrize("wrong", ["u", "v"])
+    def test_wrong_eigenvector_fails_the_post_check(self, wrong, golden_generator, L_z,
+                                                    monkeypatch):
+        original = element_classify._eigenvector_real_pair
+
+        def swapped(g, s, f, d):
+            # the eigenline of the other root in place of the requested one
+            if (f < 0) == (wrong == "u"):
+                return original(g, s, -f, d)
+            return original(g, s, f, d)
+
+        monkeypatch.setattr(element_classify, "_eigenvector_real_pair", swapped)
+        with pytest.raises(PostCheckFailed) as info:
+            classify(golden_generator, L_z)
+        assert info.value.check == {
+            "u": "eigen-equation g u = u / alpha", "v": "eigen-equation g v = alpha v"}[wrong]
+
+    @pytest.mark.parametrize("x", [
+        (QuadSurd(1), QuadSurd(0), QuadSurd(0)),
+        # For u (2·alpha^-1 = 3 - √5) the √5 half (2g - 3)q = -p holds for
+        # p + q√5 = 1 + √5 along w, but the rational half (2g - 3)p = -5q does not.
+        (QuadSurd(0), QuadSurd(0), QuadSurd(1, 1, 5)),
+    ])
+    def test_non_eigenvector_fails_the_post_check(self, x, golden_generator, L_z,
+                                                  monkeypatch):
+        original = element_classify._eigenvector_real_pair
+        monkeypatch.setattr(element_classify, "_eigenvector_real_pair",
+                            lambda g, s, f, d: x if f < 0 else original(g, s, f, d))
+        with pytest.raises(PostCheckFailed) as info:
+            classify(golden_generator, L_z)
+        assert info.value.check == "eigen-equation g u = u / alpha"
 
 
 class TestPostChecks:

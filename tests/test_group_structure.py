@@ -167,6 +167,23 @@ class TestCertifyDiscreteCyclic:
         with pytest.raises(ValueError):
             certify_discrete_cyclic([QuadSurd(-2)])
 
+    def test_only_candidates_in_the_value_field_are_powered(self, monkeypatch):
+        """k-th root candidates from another field can never match a unit of
+        Q(√5), so none of them is raised to the k-th power."""
+        gamma = surd(Fraction(1, 2), Fraction(1, 2), 5)
+        values = [gamma**8, gamma**12]
+        powered = []
+        original = QuadSurd.__pow__
+
+        def counted(self, n):
+            powered.append(self.d)
+            return original(self, n)
+
+        monkeypatch.setattr(QuadSurd, "__pow__", counted)
+        cert = certify_discrete_cyclic(values)
+        assert cert.generator == gamma and cert.exponents == (8, 12)
+        assert powered and set(powered) == {5}
+
     def test_exponent_bound_respected(self):
         cert = certify_discrete_cyclic([GOLDEN_ALPHA**4])
         assert cert.exponent_bound == EXPONENT_BOUND

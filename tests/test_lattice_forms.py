@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cy3.core_arith import QuadSurd
-from cy3.errors import NotUnimodular, ZeroVector
+from cy3.errors import IncompatibleFields, NotUnimodular, ZeroVector
 from cy3.lattice_forms import (
     ENTRY_KEYS,
     LatticeMap,
@@ -324,3 +325,66 @@ def test_every_entry_is_compared(key):
     L = LinearForm(0, 0, 0)
     assert not fraction_preserves(flip, T, L)
     assert not preserves_pair(flip, T, L)
+
+
+# -- trilinear evaluation on integer pairs against a QuadSurd reference ------------
+
+
+def surd_trilinear(T, a, b, c):
+    """Reference T(a, b, c): all 27 terms as QuadSurd products over Fractions."""
+    a, b, c = ([x if isinstance(x, QuadSurd) else QuadSurd(x) for x in v] for v in (a, b, c))
+    total = QuadSurd(0)
+    for i, j, k in product(range(3), repeat=3):
+        t = T.entry(i + 1, j + 1, k + 1)
+        if t:
+            total = total + a[i] * b[j] * c[k] * t
+    return total
+
+
+small = st.integers(-6, 6)
+rationals = st.builds(Fraction, small, st.integers(1, 5))
+
+
+@st.composite
+def cubics(draw):
+    """Integral cubics (entries in (1/6)Z) or forms with entries in (1/7)Z."""
+    if draw(st.booleans()):
+        return TrilinearForm.from_cubic_coefficients(draw(coeff_strategy))
+    return TrilinearForm({key: Fraction(draw(small), 7) for key in ENTRY_KEYS})
+
+
+def coordinates(d):
+    """ints, Fractions and surds over Q(√d), rational ones included."""
+    return st.one_of(
+        small, rationals,
+        st.builds(lambda a, b: QuadSurd(a, b, d), rationals, rationals),
+    )
+
+
+@st.composite
+def vectors_over(draw, d):
+    if draw(st.integers(0, 9)) == 0:
+        return (0, 0, 0)
+    return tuple(draw(coordinates(d)) for _ in range(3))
+
+
+@given(cubics(), st.sampled_from([2, 3, 5, 13]).flatmap(
+    lambda d: st.tuples(vectors_over(d), vectors_over(d), vectors_over(d))))
+def test_trilinear_eval_matches_surd_reference(T, vectors):
+    a, b, c = vectors
+    value = trilinear_eval(T, a, b, c)
+    expected = surd_trilinear(T, a, b, c)
+    assert value == expected
+    assert (value.a, value.b, value.d) == (expected.a, expected.b, expected.d)
+    assert isinstance(value.a, Fraction) and isinstance(value.b, Fraction)
+    assert trilinear_eval(T, c, a, b) == value
+
+
+@pytest.mark.parametrize("vectors", [
+    ((QuadSurd(0, 1, 2), 1, 0), (QuadSurd(0, 1, 3), 0, 1), (1, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (QuadSurd(1, 1, 2), QuadSurd(0, 1, 5), 0)),
+    ((QuadSurd(0, 1, 7), 0, 0), (1, 1, 1), (0, 0, QuadSurd(2, 1, 11))),
+])
+def test_trilinear_eval_rejects_mixed_fields(vectors, golden_cubic_quadric):
+    with pytest.raises(IncompatibleFields):
+        trilinear_eval(golden_cubic_quadric, *vectors)
