@@ -265,7 +265,6 @@ def render_verdict(verdict: GroupVerdict) -> dict:
             "generator": render_scalar(verdict.witness.generator),
             "exponents": list(verdict.witness.exponents),
             "values": [render_scalar(v) for v in verdict.witness.values],
-            "exponent_bound": verdict.witness.exponent_bound,
         }
     if verdict.reason:
         out["reason"] = verdict.reason

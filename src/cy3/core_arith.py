@@ -252,11 +252,6 @@ class QuadSurd:
 
     # -- display ----------------------------------------------------------
 
-    def __float__(self):
-        import math
-
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __repr__(self):
         return f"QuadSurd({self.a!r}, {self.b!r}, {self.d})"
 

@@ -365,7 +365,7 @@ def _surd_matrix_inverse(cols) -> tuple:
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
     if not det:
-        raise ArithmeticError("frame is degenerate")
+        raise PostCheckFailed("frame is degenerate")
     inv_det = det.inverse()
     cof = [[None] * 3 for _ in range(3)]
     for i in range(3):

@@ -158,7 +158,7 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
             c = cross(n[i], n[j])
             if any(c):
                 return primitive_part(c).vector
-    raise ArithmeticError("eigenspace for 1 is not one-dimensional")
+    raise PostCheckFailed("eigenspace for 1 is not one-dimensional")
 
 
 def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
@@ -173,7 +173,7 @@ def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
         if any(p) or any(q):
             return projective_normalize(
                 [QuadSurd._canonical(Fraction(x), Fraction(y), d) for x, y in zip(p, q)])
-    raise ArithmeticError(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+    raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
 
 
 def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int,

@@ -4,8 +4,8 @@ almost abelian of rank 1, with an explicit witness.
 
 The unipotent witness is the integer-valued homomorphism h -> p * a_h read off
 the frame matrix; the hyperbolic witness is the scaling character on the
-invariant plane, certified to land in a discrete cyclic group of quadratic
-units (within an explicit exponent bound).
+invariant plane, certified to land in the discrete cyclic group generated by
+the fundamental unit of a real quadratic field.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     ConstraintViolated,
     DoesNotPreserveL,
     GeometricInconsistency,
+    IncompatibleFields,
     LinesNotPreserved,
     NonIntegral,
     NonPreservingGenerator,
@@ -57,7 +58,6 @@ from .lattice_forms import (
 )
 
 ENUMERATION_BOUND_GUARD = 6
-EXPONENT_BOUND = 64
 CLOSURE_ELEMENT_CAP = 5000
 CLOSURE_WORD_CAP = 24
 
@@ -96,7 +96,6 @@ class CharacterWitness:
     generator: QuadSurd  # gamma > 1 generating the certified cyclic group
     exponents: tuple[int, ...]  # exponent of each generator's 4th-power value
     values: tuple[QuadSurd, ...]  # the 4th-power scaling values themselves
-    exponent_bound: int
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def restrict_to_plane(h: LatticeMap, L: LinearForm) -> RestrictedAction:
         image = h.apply(b)
         c1, c2 = _plane_coordinates(image, b1, b2)
         if c1.denominator != 1 or c2.denominator != 1:
-            raise ArithmeticError("restriction is not integral")
+            raise PostCheckFailed("restriction is not integral")
         cols.append((int(c1), int(c2)))
     matrix = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
     return RestrictedAction(matrix=matrix, basis=(b1, b2))
@@ -175,9 +174,9 @@ def _plane_coordinates(x: Sequence, b1: Sequence, b2: Sequence):
             # consistency on the remaining coordinate
             k = ({0, 1, 2} - {i, j}).pop()
             if b1[k] * c1 + b2[k] * c2 != x[k]:
-                raise ArithmeticError("vector is not in the plane")
+                raise PostCheckFailed("vector is not in the plane")
             return c1, c2
-    raise ArithmeticError("degenerate plane basis")
+    raise PostCheckFailed("degenerate plane basis")
 
 
 # -- scaling character ----------------------------------------------------------
@@ -245,127 +244,89 @@ class CyclicCertificate:
     kind: str  # "Finite" | "Cyclic" | "Inconclusive"
     generator: QuadSurd | None = None
     exponents: tuple[int, ...] = ()
-    exponent_bound: int = EXPONENT_BOUND
     reason: str | None = None
 
 
 def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     """Certify that positive quadratic units lie in one discrete cyclic group.
 
-    Returns the minimal gamma > 1 (searched through exact k-th roots, exponents
-    bounded by EXPONENT_BOUND) such that every value is an integer power of
-    gamma, together with the exponent of each input value.
+    Every positive unit of the ring of integers of K = Q(√d) is a power of the
+    fundamental unit eps > 1 (Dirichlet's unit theorem), so the generator is
+    eps itself, computed from one continued-fraction period, and the exponent
+    of each value is read off exactly and confirmed by eps**k == v. A value
+    that is not a unit of that ring (a rational value other than 1 included)
+    gives Inconclusive; values over two fields raise IncompatibleFields.
     """
     values = [v if isinstance(v, QuadSurd) else QuadSurd(v) for v in values]
     if any(not v > 0 for v in values):
         raise ValueError("character values must be positive")
     if all(v == 1 for v in values):
         return CyclicCertificate(kind="Finite")
-
-    one = QuadSurd(1)
-    normalized = [(v if v > one else v.inverse(), v > one or v == one) for v in values]
-    nontrivial = sorted({v for v, _ in normalized if v != one}, key=float)
-
-    gamma0 = nontrivial[0]
-    for v in nontrivial[1:]:
-        gamma0 = _unit_gcd(gamma0, v)
-        if gamma0 is None:
-            return CyclicCertificate(kind="Inconclusive",
-                                     reason="values generate no common cyclic group")
-
-    base_exponents = []
-    for v, positive in normalized:
-        k = _unit_log(v, gamma0)
-        if k is None:
+    fields = sorted({v.d for v in values if v.d})
+    if len(fields) > 1:
+        raise IncompatibleFields(f"sqrt({fields[0]}) vs sqrt({fields[1]})")
+    for v in values:
+        if v != 1 and ((2 * v.a).denominator != 1 or v.norm() not in (1, -1)):
             return CyclicCertificate(
                 kind="Inconclusive",
-                reason=f"exponent of {v} exceeds the bound {EXPONENT_BOUND}",
+                reason=f"{v} is not a unit of the ring of integers (norm {v.norm()})",
             )
-        base_exponents.append(k if positive else -k)
 
-    gamma, root_index = _deepest_root(gamma0, max(abs(k) for k in base_exponents))
-    exponents = tuple(k * root_index for k in base_exponents)
-    return CyclicCertificate(kind="Cyclic", generator=gamma, exponents=exponents)
-
-
-def _unit_gcd(a: QuadSurd, b: QuadSurd) -> QuadSurd | None:
-    """Multiplicative Euclid on units > 1; None if it fails to terminate.
-
-    Incommensurable inputs never terminate and their coordinates roughly double
-    in digit count each round, so the loop also bails out on coefficient size."""
-
-    def too_large(x: QuadSurd) -> bool:
-        return max(
-            x.a.numerator.bit_length(), x.a.denominator.bit_length(),
-            x.b.numerator.bit_length(), x.b.denominator.bit_length(),
-        ) > 1 << 16
-
-    for _ in range(4 * EXPONENT_BOUND):
-        if a == b:
-            return a
-        if a < b:
-            a, b = b, a
-        while a >= b:
-            a = a / b
-        if a == 1:
-            return b
-        if too_large(a) or too_large(b):
-            return None
-        a, b = b, a
-    return None
+    d = fields[0]
+    # Each value as u**sign with u >= 1.
+    above = [(v, 1) if v > 1 else (v.inverse(), -1) for v in values]
+    smallest = min(u for u, _ in above if u != 1)
+    eps = _fundamental_unit(d, (int(2 * smallest.a), int(2 * smallest.b)))
+    generator = QuadSurd._canonical(Fraction(eps[0], 2), Fraction(eps[1], 2), d)
+    exponents = []
+    for v, (u, sign) in zip(values, above):
+        ux, uy = int(2 * u.a), int(2 * u.b)
+        x, y, k = 2, 0, 0  # eps**k = (x + y√d)/2, stepped up to u
+        while _pair_sign(ux - x, uy - y, d) > 0:
+            x, y = (x * eps[0] + d * y * eps[1]) // 2, (x * eps[1] + y * eps[0]) // 2
+            k += 1
+        if generator ** (sign * k) != v:
+            raise PostCheckFailed("character value is a power of the fundamental unit",
+                                  f"{generator} ** {sign * k} != {v}")
+        exponents.append(sign * k)
+    return CyclicCertificate(kind="Cyclic", generator=generator, exponents=tuple(exponents))
 
 
-def _unit_log(v: QuadSurd, base: QuadSurd) -> int | None:
-    """Exact k with v = base**k, 0 <= k <= EXPONENT_BOUND, else None."""
-    acc = QuadSurd(1)
-    for k in range(EXPONENT_BOUND + 1):
-        if acc == v:
-            return k
-        acc = acc * base
-    return None
+def _fundamental_unit(d: int, ceiling: tuple[int, int]) -> tuple[int, int]:
+    """(x, y) with eps = (x + y√d)/2 > 1 the fundamental unit of Q(√d), for a
+    squarefree d > 1, in plain integers.
+
+    The complete quotients (P + √d)/Q of omega = (1 + √d)/2 if d = 1 (mod 4),
+    else omega = √d, are reduced from the first step on and purely periodic,
+    and their product over one period is eps (Cohen, GTM 138, §5.7). No unit
+    > 1 is below eps, so a running product that passes `ceiling`, a unit > 1
+    given as (x, y), fails a post-check; the loop takes O(log ceiling) steps."""
+    r = math.isqrt(d)
+
+    def step(p, q):
+        p = (p + r) // q * q - p
+        return p, (d - p * p) // q
+
+    p, q = first = step(*((1, 2) if d % 4 == 1 else (0, 1)))
+    x, y, den = 1, 0, 1  # running product (x + y√d)/den
+    while True:
+        x, y, den = x * p + y * d, x + y * p, den * q
+        g = math.gcd(x, y, den)
+        x, y, den = x // g, y // g, den // g
+        if _pair_sign(2 * x - ceiling[0] * den, 2 * y - ceiling[1] * den, d) > 0:
+            raise PostCheckFailed("fundamental unit below every unit > 1",
+                                  f"the period of √{d} passes {ceiling}")
+        p, q = step(p, q)
+        if (p, q) == first:
+            return 2 * x // den, 2 * y // den
 
 
-def _deepest_root(gamma0: QuadSurd, max_exp: int) -> tuple[QuadSurd, int]:
-    """Largest k with an exact k-th root of gamma0 in its field, subject to the
-    overall exponent bound; float approximations only propose candidates, the
-    acceptance test is exact."""
-    top = EXPONENT_BOUND // max(max_exp, 1)
-    for k in range(top, 1, -1):
-        root = _exact_kth_root(gamma0, k)
-        if root is not None:
-            return root, k
-    return gamma0, 1
-
-
-def _exact_kth_root(value: QuadSurd, k: int) -> QuadSurd | None:
-    try:
-        approx = float(value) ** (1.0 / k)
-    except OverflowError:
-        return None
-    candidates = []
-    for norm_sign in (1, -1):
-        t = approx + norm_sign / approx
-        for denom in (1, 2):
-            s = Fraction(round(t * denom), denom)
-            disc = s * s - 4 * norm_sign
-            if disc < 0:
-                continue
-            if disc == 0:
-                candidates.append(QuadSurd(s / 2))
-                continue
-            # (s + sqrt(disc))/2 with disc rational: scale to an integer radicand
-            num, den = disc.numerator, disc.denominator
-            candidates.append(QuadSurd(s / 2, Fraction(1, 2 * den), num * den))
-    for cand in candidates:
-        # A power of an irrational unit > 1 stays irrational and in its field.
-        if cand.d != value.d or not cand > 1:
-            continue
-        try:
-            if cand ** k == value:
-                return cand
-        except Exception:
-            continue
-    return None
+def _pair_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q√d for integers p, q and a non-square d > 1."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > q * q * d else sq
 
 
 # -- unipotent constraints -------------------------------------------------------
@@ -380,7 +341,7 @@ def _frame_matrix_inverse(frame):
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
     if det == 0:
-        raise ArithmeticError("degenerate frame")
+        raise PostCheckFailed("degenerate frame")
     inv = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -675,7 +636,6 @@ def _hyperbolic_route(T, L, generators, lines, reductions) -> GroupVerdict:
         generator=cert.generator,
         exponents=cert.exponents,
         values=tuple(values),
-        exponent_bound=cert.exponent_bound,
     )
     return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness,
                         reductions=tuple(reductions))

@@ -196,7 +196,18 @@ class TestAnalyzeCommand:
         assert w["type"] == "character"
         assert w["generator"] == "1/2 + 1/2√5"
         assert w["exponents"] == [8]
-        assert w["exponent_bound"] == 64
+        assert "exponent_bound" not in w
+
+    def test_hyperbolic_power_keeps_the_fundamental_unit(self):
+        """g**40 has alpha = phi**80, so its character value is phi**320."""
+        a, b = 1, 0
+        for _ in range(80):
+            a, b = a + b, a
+        data = dict(GOLDEN, matrices=[[[a, b, 0], [b, a - b, 0], [0, 0, 1]]])
+        report, code = run(problem(data), "analyze")
+        assert code == EXIT_OK
+        w = report["verdict"]["witness"]
+        assert (w["generator"], w["exponents"]) == ("1/2 + 1/2√5", [320])
 
     def test_unipotent_dichotomy(self):
         report, code = run(problem(UNIPOTENT), "analyze")

@@ -1,23 +1,27 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import GOLDEN_ALPHA, surd
-from cy3.core_arith import QuadSurd
+from cy3 import group_structure
+from cy3.core_arith import QuadSurd, squarefree_decompose
 from cy3.element_classify import UnipotentFull, classify
 from cy3.errors import (
     BoundTooLarge,
     ConstraintViolated,
     DoesNotPreserveL,
     GeometricInconsistency,
+    IncompatibleFields,
     NonPreservingGenerator,
     NotUnipotentInFrame,
     PostCheckFailed,
 )
 from cy3.group_structure import (
     CharacterWitness,
-    EXPONENT_BOUND,
     TauWitness,
     analyze_group,
     certify_discrete_cyclic,
@@ -153,10 +157,10 @@ class TestCertifyDiscreteCyclic:
         assert cert.generator ** cert.exponents[1] == gamma**-4
 
     def test_rational_powers_of_two(self):
+        """4 and 8 are not units, so they generate no group of units."""
         cert = certify_discrete_cyclic([QuadSurd(4), QuadSurd(8)])
-        assert cert.kind == "Cyclic"
-        assert cert.generator == 2
-        assert cert.exponents == (2, 3)
+        assert cert.kind == "Inconclusive"
+        assert "4 is not a unit" in cert.reason
 
     def test_incommensurable_units_inconclusive(self):
         # 4 and 3 + sqrt3 share no common multiplicative base
@@ -184,10 +188,95 @@ class TestCertifyDiscreteCyclic:
         assert cert.generator == gamma and cert.exponents == (8, 12)
         assert powered and set(powered) == {5}
 
-    def test_exponent_bound_respected(self):
-        cert = certify_discrete_cyclic([GOLDEN_ALPHA**4])
-        assert cert.exponent_bound == EXPONENT_BOUND
-        assert max(abs(k) for k in cert.exponents) <= EXPONENT_BOUND
+    def test_large_exponent_has_no_bound(self):
+        phi = surd(Fraction(1, 2), Fraction(1, 2), 5)
+        cert = certify_discrete_cyclic([phi**3000])
+        assert (cert.kind, cert.generator, cert.exponents) == ("Cyclic", phi, (3000,))
+
+    @pytest.mark.parametrize("eps", [surd(Fraction(1, 2), Fraction(1, 2), 5), surd(1, 1, 2)])
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_the_fundamental_unit_and_its_inverse(self, eps, k):
+        """The rational part of phi = (1 + √5)/2 is below that of phi**0 = 1,
+        so only the exact sign of the difference finds the exponent 1."""
+        cert = certify_discrete_cyclic([eps**k])
+        assert (cert.kind, cert.generator, cert.exponents) == ("Cyclic", eps, (k,))
+
+    def test_generator_is_the_fundamental_unit_not_a_power(self):
+        phi = surd(Fraction(1, 2), Fraction(1, 2), 5)
+        cert = certify_discrete_cyclic([(phi**2) ** 132])
+        assert (cert.generator, cert.exponents) == (phi, (264,))
+
+    @pytest.mark.parametrize("values", [
+        [surd(4), surd(3, 1, 3)],
+        [surd(Fraction(5, 4), Fraction(1, 4), 5)],  # norm 5/4
+        [surd(Fraction(11, 7), Fraction(6, 7), 2)],  # norm 1, not integral
+    ])
+    def test_non_units_are_rejected_at_once(self, values):
+        start = time.perf_counter()
+        cert = certify_discrete_cyclic(values)
+        assert time.perf_counter() - start < 0.05
+        assert cert.kind == "Inconclusive"
+        assert f"{values[0]} is not a unit" in cert.reason
+        assert f"norm {values[0].norm()}" in cert.reason
+
+    def test_values_over_two_fields_are_incompatible(self):
+        with pytest.raises(IncompatibleFields):
+            certify_discrete_cyclic([surd(Fraction(1, 2), Fraction(1, 2), 5), surd(1, 1, 2)])
+
+    def test_wrong_exponent_fails_the_named_post_check(self, monkeypatch):
+        """With phi**2 posing as the fundamental unit of Q(√5), phi reads
+        exponent 1 and the exact check phi**2 == phi fails."""
+        monkeypatch.setattr(group_structure, "_fundamental_unit", lambda d, ceiling: (3, 1))
+        with pytest.raises(PostCheckFailed) as exc:
+            certify_discrete_cyclic([surd(Fraction(1, 2), Fraction(1, 2), 5)])
+        assert exc.value.check == "character value is a power of the fundamental unit"
+
+    @given(st.sampled_from([d for d in range(2, 501) if squarefree_decompose(d)[0] == d]),
+           st.integers(-100, 100), st.integers(-100, 100))
+    def test_powers_of_the_fundamental_unit(self, d, k1, k2):
+        x, y = group_structure._fundamental_unit(d, (1 << 4096, 0))
+        eps = surd(Fraction(x, 2), Fraction(y, 2), d)
+        cert = certify_discrete_cyclic([eps**k1, eps**k2])
+        if k1 == k2 == 0:
+            assert cert.kind == "Finite"
+        else:
+            assert (cert.kind, cert.generator, cert.exponents) == ("Cyclic", eps, (k1, k2))
+
+
+def _least_unit(d):
+    """Test-local brute force: the least y >= 1 with x^2 - D*y^2 = -4 or 4,
+    D the discriminant of Q(√d), as (x, y) with (x + y√d)/2 the unit."""
+    D = d if d % 4 == 1 else 4 * d
+    y = 1
+    while True:
+        for n in (-4, 4):  # at equal y the norm -1 unit is the smaller one
+            x = math.isqrt(max(D * y * y + n, 0))
+            if x * x == D * y * y + n:
+                return (x, y) if D == d else (x, 2 * y)
+        y += 1
+
+
+class TestFundamentalUnit:
+    def test_matches_brute_force_for_squarefree_d_up_to_100(self):
+        for d in range(2, 101):
+            if squarefree_decompose(d)[0] == d:
+                unit = _least_unit(d)
+                assert group_structure._fundamental_unit(d, unit) == unit, d
+
+    @pytest.mark.parametrize("d, unit", [
+        (94, (2 * 2143295, 2 * 221064)),
+        (331, (2 * 2785589801443970, 2 * 153109862634573)),
+    ])
+    def test_long_period_fields(self, d, unit):
+        assert group_structure._fundamental_unit(d, (1 << 256, 0)) == unit
+        x, y = unit
+        assert x * x - d * y * y in (4, -4)
+
+    def test_period_passing_the_ceiling_fails_the_post_check(self):
+        """2143295 + 221064√94 is the least unit > 1, so no unit lies below it."""
+        with pytest.raises(PostCheckFailed) as exc:
+            group_structure._fundamental_unit(94, (2 * 2143295, 2 * 221063))
+        assert exc.value.check == "fundamental unit below every unit > 1"
 
 
 class TestUnipotentConstraints:
@@ -334,6 +423,25 @@ class TestAnalyzeGroup:
         with pytest.raises(PostCheckFailed) as info:
             analyze_group(golden_cubic, L_z, [flip])
         assert info.value.check == "closure elements of finite order"
+
+    def test_plane_post_check_is_named(self, golden_cubic, golden_generator, L_z,
+                                       monkeypatch):
+        """A plane basis missing the eigenline u of the golden generator."""
+        monkeypatch.setattr(group_structure, "plane_basis", lambda L: ((1, 0, 0), (0, 0, 1)))
+        with pytest.raises(PostCheckFailed) as info:
+            analyze_group(golden_cubic, L_z, [golden_generator])
+        assert info.value.check == "vector is not in the plane"
+
+    def test_restriction_post_check_is_named(self, golden_cubic, golden_generator, L_z,
+                                             monkeypatch):
+        """Halved plane coordinates make the restricted golden generator
+        non-integral."""
+        coordinates = group_structure._plane_coordinates
+        monkeypatch.setattr(group_structure, "_plane_coordinates",
+                            lambda x, b1, b2: tuple(c / 2 for c in coordinates(x, b1, b2)))
+        with pytest.raises(PostCheckFailed) as info:
+            analyze_group(golden_cubic, L_z, [golden_generator])
+        assert info.value.check == "restriction is not integral"
 
     def test_hyperbolic_verdict(self, golden_cubic, golden_generator, L_z):
         verdict = analyze_group(golden_cubic, L_z, [golden_generator])
