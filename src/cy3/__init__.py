@@ -8,7 +8,6 @@ from .core_arith import (
     QuadSurd,
     solve_unit_quadratic,
     surd_compare,
-    surd_normalize,
 )
 from .cubic_geometry import (
     QuadraticForm,

@@ -25,12 +25,7 @@ from .cubic_geometry import (
     RelationReport,
     ThreeLines,
     UnipotentSplit,
-    check_hyperbolic_relations,
-    check_unipotent_relations,
-    hyperbolic_factorization,
     quadric_signature,
-    singular_locus,
-    unipotent_factorization,
 )
 from .element_classify import (
     FiniteOrder,
@@ -49,7 +44,6 @@ from .errors import (
     NotUnimodular,
     ParseError,
     PostCheckFailed,
-    RelationsNotVerified,
     ValidationError,
 )
 from .group_structure import (
@@ -57,6 +51,7 @@ from .group_structure import (
     GroupVerdict,
     TauWitness,
     analyze_group,
+    certify_seed,
     enumerate_symmetries,
 )
 from .lattice_forms import (
@@ -384,33 +379,15 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
             "reason": "no infinite-order generator to factor against",
         }
         return report, EXIT_INCONCLUSIVE
-    if not isinstance(seed, UnipotentFull):
-        rel = check_hyperbolic_relations(T, L, *seed)
-        report["relations"].append(render_relation_report(rel))
-        if not rel.overall:
-            failing = [r.name for r in rel.rows if not r.holds]
-            report["verdict"] = {
-                "kind": "Inconclusive",
-                "reason": f"hyperbolic relations failed: {failing}",
-            }
-            return report, EXIT_INCONCLUSIVE
-        fact = hyperbolic_factorization(T, *seed, relation_report=rel)
-    else:
-        frame = (seed.w, seed.w1, seed.w2)
-        rel = check_unipotent_relations(T, L, *frame)
-        report["relations"].append(render_relation_report(rel))
-        try:
-            # the Lefschetz E = 0 check fires before the relation gate
-            fact = unipotent_factorization(T, *frame, relation_report=rel)
-        except RelationsNotVerified:
-            failing = [r.name for r in rel.rows if not r.holds]
-            report["verdict"] = {
-                "kind": "Inconclusive",
-                "reason": f"unipotent relations failed: {failing}",
-            }
-            return report, EXIT_INCONCLUSIVE
-    rendered = render_factorization(fact)
-    rendered["singular_locus"] = [render_vector(line) for line in singular_locus(fact)]
+    cert = certify_seed(T, L, seed)
+    report["relations"].append(render_relation_report(cert.relations))
+    if cert.inconsistency is not None:
+        raise cert.inconsistency
+    if cert.reason is not None:
+        report["verdict"] = {"kind": "Inconclusive", "reason": cert.reason}
+        return report, EXIT_INCONCLUSIVE
+    rendered = render_factorization(cert.factorization)
+    rendered["singular_locus"] = [render_vector(line) for line in cert.singular_lines]
     report["factorization"] = rendered
     report["verdict"] = {"kind": "Factorized"}
     return report, EXIT_OK

@@ -131,10 +131,6 @@ class QuadSurd:
 
     # -- predicates ---------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.d == 0
-
     def to_fraction(self) -> Fraction:
         if self.d != 0:
             raise ValueError(f"{self} is irrational")
@@ -265,11 +261,6 @@ class QuadSurd:
             return tail if self.b > 0 else f"-{tail}"
         op = "+" if self.b > 0 else "-"
         return f"{self.a} {op} {tail}"
-
-
-def surd_normalize(a, b, d: int) -> QuadSurd:
-    """Canonical surd: square factors of d pulled into b, d <= 1 made rational."""
-    return QuadSurd(a, b, d)
 
 
 def surd_compare(x: QuadSurd, y: QuadSurd) -> int:

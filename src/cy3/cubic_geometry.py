@@ -2,15 +2,17 @@
 
 A hyperbolic frame (u, v, w) splits the cubic as z(A z^2 + 6 B x y) in frame
 coordinates; a full unipotent frame (w, w1, w2) splits it as
-z(F z^2 + 2 E x z - E y^2 + E y z). Both certificates carry the frame so the
-split can be re-expanded and compared against the original coefficients.
+z(F z^2 + 2 E x z - E y^2 + E y z). Both certificates carry the frame, so the
+split is checked forward: the original cubic evaluated on the frame vectors
+must give the split's entries, which for a basis is the same as re-expanding
+the factors in standard coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Sequence
 
 from .core_arith import QuadSurd
@@ -26,6 +28,7 @@ from .lattice_forms import (
     LinearForm,
     TrilinearForm,
     _as_surd,
+    _det3,
     projective_normalize,
     trilinear_eval,
 )
@@ -96,14 +99,6 @@ class QuadraticForm:
         return tuple(
             sum((self.m[i][j] * v[j] * 2 for j in range(3)), start=QuadSurd(0))
             for i in range(3)
-        )
-
-    def det(self) -> QuadSurd:
-        m = self.m
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
 
     def __eq__(self, other):
@@ -356,55 +351,15 @@ def _frame_entries(fact: Factorization) -> dict[tuple[int, int, int], QuadSurd]:
     return entries
 
 
-def _surd_matrix_inverse(cols) -> tuple:
-    """Inverse of the 3x3 matrix whose columns are the given surd vectors."""
-    m = tuple(tuple(_as_surd(cols[j][i]) for j in range(3)) for i in range(3))
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if not det:
-        raise PostCheckFailed("frame is degenerate")
-    inv_det = det.inverse()
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            sign = 1 if (i + j) % 2 == 0 else -1
-            cof[j][i] = minor * sign * inv_det  # adjugate transpose
-    return tuple(tuple(row) for row in cof)
-
-
-def reconstructed_entries(fact: Factorization) -> dict[tuple[int, int, int], QuadSurd]:
-    """Expand the factorization in frame coordinates and change basis back to
-    the standard one: the result must match the original trilinear entries."""
-    frame_t = _frame_entries(fact)
-    minv = _surd_matrix_inverse(fact.frame)
-    # columns of minv are the frame coordinates of the standard basis vectors
-    coords = [tuple(minv[i][j] for i in range(3)) for j in range(3)]
-
-    def t_frame(p, q, r):
-        return frame_t[tuple(sorted((p, q, r)))]
-
-    out = {}
-    for i, j, k in combinations_with_replacement((1, 2, 3), 3):
-        total = QuadSurd(0)
-        for p, q, r in product(range(3), repeat=3):
-            t = t_frame(p + 1, q + 1, r + 1)
-            if t:
-                total = total + t * coords[i - 1][p] * coords[j - 1][q] * coords[k - 1][r]
-        out[(i, j, k)] = total
-    return out
-
-
 def reconstruction_matches(fact: Factorization) -> bool:
-    """True iff re-expanding the factors reproduces all 10 original entries."""
-    rebuilt = reconstructed_entries(fact)
-    original = fact.cubic.entries()
-    return all(rebuilt[key] == QuadSurd(original[key]) for key in ENTRY_KEYS)
+    """True iff the cubic evaluated on the frame vectors gives all 10 entries
+    of the split. The frame is a basis M, so T∘M equals the split exactly when
+    re-expanding the factors in standard coordinates gives back T."""
+    if not _det3(fact.frame):
+        raise PostCheckFailed("frame is degenerate")
+    f, split = fact.frame, _frame_entries(fact)
+    return all(trilinear_eval(fact.cubic, f[i - 1], f[j - 1], f[k - 1]) == split[i, j, k]
+               for i, j, k in ENTRY_KEYS)
 
 
 def singular_locus(fact: Factorization) -> list[tuple]:

@@ -19,6 +19,8 @@ from typing import Sequence
 from .core_arith import QuadSurd
 from .cubic_geometry import (
     FULL_JORDAN,
+    Factorization,
+    RelationReport,
     UnipotentSplit,
     check_hyperbolic_relations,
     check_unipotent_relations,
@@ -45,11 +47,14 @@ from .errors import (
     NonPreservingGenerator,
     NotUnipotentInFrame,
     PostCheckFailed,
+    RelationsNotVerified,
 )
 from .lattice_forms import (
     LatticeMap,
     LinearForm,
     TrilinearForm,
+    _adjugate3,
+    _det3,
     _dot,
     _matvec,
     cross,
@@ -207,11 +212,10 @@ def scaling_character(h2: RestrictedAction, line1: Sequence, line2: Sequence) ->
         or (_same_line_2d(img1, line2) and _same_line_2d(img2, line1))
     ):
         raise LinesNotPreserved("restricted action does not permute the two lines")
-    m4 = _mat2_pow(m, 4)
-    img = _apply2(m4, line1)
+    img = _apply2(_mat2_pow(m, 4), line1)
     pivot = 0 if line1[0] else 1
     beta = img[pivot] / line1[pivot]
-    if _apply2(m4, line1) != tuple(x * beta for x in line1):
+    if img != tuple(x * beta for x in line1):
         raise LinesNotPreserved("4th power does not fix line1")
     if not beta > 0:
         raise LinesNotPreserved("4th-power scalar is not positive")
@@ -332,33 +336,16 @@ def _pair_sign(p: int, q: int, d: int) -> int:
 # -- unipotent constraints -------------------------------------------------------
 
 
-def _frame_matrix_inverse(frame):
-    cols = frame
-    m = [[Fraction(cols[j][i]) for j in range(3)] for i in range(3)]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def frame_coordinates_matrix(h: LatticeMap, frame) -> list[list[Fraction]]:
+    """h expressed in the (w, w1, w2) frame basis, exact rational entries:
+    adj(M)·(h·M)/det(M) on integers, M holding the frame vectors as columns."""
+    m = tuple(zip(*frame))
+    det = _det3(m)
     if det == 0:
         raise PostCheckFailed("degenerate frame")
-    inv = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [a for a in range(3) if a != i]
-            c = [a for a in range(3) if a != j]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            inv[j][i] = minor / det if (i + j) % 2 == 0 else -minor / det
-    return inv, m
-
-
-def frame_coordinates_matrix(h: LatticeMap, frame) -> list[list[Fraction]]:
-    """h expressed in the (w, w1, w2) frame basis, exact rational entries."""
-    inv, m = _frame_matrix_inverse(frame)
-    hm = [[sum(Fraction(h.rows[i][k]) * m[k][j] for k in range(3)) for j in range(3)]
-          for i in range(3)]
-    return [[sum(inv[i][k] * hm[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
+    hm = [[_dot(row, col) for col in frame] for row in h.rows]
+    return [[Fraction(sum(a[k] * hm[k][j] for k in range(3)), det) for j in range(3)]
+            for a in _adjugate3(m)]
 
 
 def verify_unipotent_constraints(
@@ -470,6 +457,47 @@ def enumerate_symmetries(
     return found
 
 
+# -- seed certification ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SeedCertificate:
+    """The relation report of one infinite-order seed, then either the
+    factorization of C with its singular lines, or the reason the relation gate
+    gave, or the inconsistency the factorization found."""
+
+    relations: RelationReport
+    factorization: Factorization | None = None
+    singular_lines: tuple = ()
+    reason: str | None = None
+    inconsistency: GeometricInconsistency | None = None
+
+
+def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
+    """Check the intersection relations of a seed's frame and factor C along L.
+
+    The seed is a UnipotentFull class or the eigenlines (u, v, w) of a real
+    pair. Each factorization keeps its own order of checks: the hyperbolic
+    relation gate comes before B = 0, the unipotent E = 0 before the gate. The
+    singular lines are post-checked against the gradient of C."""
+    if isinstance(seed, UnipotentFull):
+        kind, frame = "unipotent", (seed.w, seed.w1, seed.w2)
+        relations = check_unipotent_relations(T, L, *frame)
+        factor = unipotent_factorization
+    else:
+        kind, frame = "hyperbolic", seed
+        relations = check_hyperbolic_relations(T, L, *frame)
+        factor = hyperbolic_factorization
+    try:
+        fact = factor(T, *frame, relation_report=relations)
+    except RelationsNotVerified:
+        failing = [r.name for r in relations.rows if not r.holds]
+        return SeedCertificate(relations, reason=f"{kind} relations failed: {failing}")
+    except GeometricInconsistency as exc:
+        return SeedCertificate(relations, inconsistency=exc)
+    return SeedCertificate(relations, fact, tuple(singular_locus(fact)))
+
+
 # -- the dichotomy pipeline -------------------------------------------------------
 
 
@@ -517,7 +545,7 @@ def analyze_group(
             return GroupVerdict(kind="Inconclusive", reason=cls.reason,
                                 reductions=tuple(reductions))
 
-    unipotents = [(g, c) for g, c in zip(generators, classes) if isinstance(c, UnipotentFull)]
+    unipotents = [c for c in classes if isinstance(c, UnipotentFull)]
     hyperbolics = [real_pair for real_pair in lines if real_pair is not None]
 
     if unipotents and hyperbolics:
@@ -530,9 +558,15 @@ def analyze_group(
     if not unipotents and not hyperbolics:
         return _finite_closure(generators, reductions)
 
+    cert = certify_seed(T, L, unipotents[0] if unipotents else hyperbolics[0])
+    if cert.inconsistency is not None:
+        raise cert.inconsistency
+    if cert.reason is not None:
+        return GroupVerdict(kind="Inconclusive", reason=cert.reason,
+                            reductions=tuple(reductions))
     if unipotents:
-        return _unipotent_route(T, L, generators, unipotents[0], reductions)
-    return _hyperbolic_route(T, L, generators, hyperbolics[0], reductions)
+        return _unipotent_route(generators, cert.factorization, reductions)
+    return _hyperbolic_route(L, generators, cert.factorization, reductions)
 
 
 def _finite_closure(generators, reductions) -> GroupVerdict:
@@ -564,12 +598,9 @@ def _finite_closure(generators, reductions) -> GroupVerdict:
     )
 
 
-def _unipotent_route(T, L, generators, seed, reductions) -> GroupVerdict:
-    g0, cls = seed
-    frame = (cls.w, cls.w1, cls.w2)
-    report = check_unipotent_relations(T, L, *frame)
-    split = unipotent_factorization(T, *frame, relation_report=report)
-    p = primitive_part(cls.w).scale
+def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerdict:
+    frame = split.frame
+    p = primitive_part(frame[0]).scale
     taus = []
     for h in generators:
         h_eff = h
@@ -601,19 +632,9 @@ def _unipotent_route(T, L, generators, seed, reductions) -> GroupVerdict:
                         reductions=tuple(reductions))
 
 
-def _hyperbolic_route(T, L, generators, lines, reductions) -> GroupVerdict:
-    u, v, w = lines
-    report = check_hyperbolic_relations(T, L, u, v, w)
-    if not report.overall:
-        failing = [r.name for r in report.rows if not r.holds]
-        return GroupVerdict(kind="Inconclusive",
-                            reason=f"hyperbolic relations failed: {failing}",
-                            reductions=tuple(reductions))
-    fact = hyperbolic_factorization(T, u, v, w, relation_report=report)
-    singular_locus(fact)  # gradient post-check on the certified lines
+def _hyperbolic_route(L, generators, fact: Factorization, reductions) -> GroupVerdict:
     b1, b2 = plane_basis(L)
-    u_plane = _plane_coordinates(u, b1, b2)
-    v_plane = _plane_coordinates(v, b1, b2)
+    u_plane, v_plane = (_plane_coordinates(x, b1, b2) for x in fact.frame[:2])
     values = []
     for h in generators:
         restricted = restrict_to_plane(h, L)

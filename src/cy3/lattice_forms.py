@@ -198,9 +198,6 @@ class LatticeMap:
             n >>= 1
         return out
 
-    def transpose(self) -> "LatticeMap":
-        return LatticeMap(tuple(zip(*self.rows)))
-
     def is_identity(self) -> bool:
         return self.rows == LatticeMap.identity().rows
 

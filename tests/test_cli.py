@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from cy3 import group_structure
 from cy3.cli import (
     EXIT_GEOMETRIC,
     EXIT_INCONCLUSIVE,
@@ -13,6 +15,7 @@ from cy3.cli import (
     render_factorization,
     run,
 )
+from cy3.cubic_geometry import LEFSCHETZ, RelationReport
 from cy3.errors import ParseError, PostCheckFailed, ValidationError
 
 GOLDEN = {
@@ -184,6 +187,42 @@ class TestFactorCommand:
         report, code = run(problem(data), "factor")
         assert code == EXIT_INCONCLUSIVE
         assert report["verdict"]["kind"] == "Inconclusive"
+
+
+class TestSeedCertificate:
+    @pytest.mark.parametrize("data, check, row, kind", [
+        (GOLDEN, "check_hyperbolic_relations", "u^3", "hyperbolic"),
+        (UNIPOTENT, "check_unipotent_relations", "w1^3", "unipotent"),
+    ])
+    def test_factor_and_analyze_give_one_relation_reason(self, monkeypatch, data, check,
+                                                         row, kind):
+        """A failing relation row is the same Inconclusive from both commands;
+        analyze used to let the unipotent RelationsNotVerified escape."""
+        relations = getattr(group_structure, check)
+
+        def failing(*args):
+            return RelationReport.from_rows(
+                dataclasses.replace(r, holds=False) if r.name == row else r
+                for r in relations(*args).rows
+            )
+
+        monkeypatch.setattr(group_structure, check, failing)
+        for command in ("factor", "analyze"):
+            report, code = run(problem(data), command)
+            assert code == EXIT_INCONCLUSIVE
+            assert report["verdict"]["reason"] == f"{kind} relations failed: ['{row}']"
+        report, _ = run(problem(data), "factor")
+        assert report["relations"][0]["overall"] is False
+        assert report["factorization"] is None
+
+    def test_lefschetz_report_carries_its_relations(self):
+        """E = 0 comes before the relation gate, and the report keeps the
+        relation rows that were checked."""
+        report, code = run(problem(SPLIT), "factor")
+        assert code == EXIT_GEOMETRIC
+        assert report["verdict"]["mechanism"] == LEFSCHETZ
+        rows = {r["name"]: r["holds"] for r in report["relations"][0]["rows"]}
+        assert rows["w·w2^2 ≠ 0"] is False
 
 
 class TestAnalyzeCommand:

@@ -13,7 +13,6 @@ from cy3.core_arith import (
     solve_unit_quadratic,
     squarefree_decompose,
     surd_compare,
-    surd_normalize,
 )
 from cy3.errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
 
@@ -104,20 +103,20 @@ class TestTrialDivisionLimit:
 
 class TestNormalize:
     def test_square_factor_pulled_into_b(self):
-        q = surd_normalize(0, 1, 8)
+        q = QuadSurd(0, 1, 8)
         assert (q.a, q.b, q.d) == (0, 2, 2)
 
     def test_zero_b_kills_surd(self):
-        q = surd_normalize(3, 0, 5)
+        q = QuadSurd(3, 0, 5)
         assert (q.a, q.b, q.d) == (3, 0, 0)
 
     def test_perfect_square_radicand(self):
-        q = surd_normalize(Fraction(1, 2), Fraction(1, 2), 9)
+        q = QuadSurd(Fraction(1, 2), Fraction(1, 2), 9)
         assert (q.a, q.b, q.d) == (2, 0, 0)
 
     def test_idempotent(self):
-        q = surd_normalize(Fraction(1, 3), Fraction(-5, 7), 12)
-        again = surd_normalize(q.a, q.b, q.d)
+        q = QuadSurd(Fraction(1, 3), Fraction(-5, 7), 12)
+        again = QuadSurd(q.a, q.b, q.d)
         assert q == again
 
     def test_negative_radicand_rejected(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -265,6 +266,25 @@ class TestReconstructionAndSingularLocus:
         w, w1, w2 = unipotent_frame_vectors
         fact = unipotent_factorization(unipotent_cubic, w, w1, w2)
         assert singular_locus(fact) == [projective_normalize(w)]
+
+    def test_tampered_factorizations_do_not_reconstruct(
+        self, golden_cubic, golden_cubic_quadric, golden_frame, unipotent_cubic,
+        unipotent_frame_vectors,
+    ):
+        three = hyperbolic_factorization(golden_cubic, *golden_frame)
+        quadric = hyperbolic_factorization(golden_cubic_quadric, *golden_frame)
+        split = unipotent_factorization(unipotent_cubic, *unipotent_frame_vectors)
+        assert not reconstruction_matches(dataclasses.replace(three, b=three.b * 2))
+        assert not reconstruction_matches(dataclasses.replace(quadric, a=quadric.a + 1))
+        assert not reconstruction_matches(dataclasses.replace(split, f=split.f + 1))
+
+    def test_degenerate_frame_fails_the_named_post_check(self, golden_cubic, golden_frame):
+        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+        u, v, _ = fact.frame
+        flat = dataclasses.replace(fact, frame=(u, v, tuple(a + b for a, b in zip(u, v))))
+        with pytest.raises(PostCheckFailed) as info:
+            reconstruction_matches(flat)
+        assert info.value.check == "frame is degenerate"
 
     def test_reconstruction_survives_base_change(
         self, unipotent_cubic, unipotent_generator, L_z

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 from conftest import GOLDEN_ALPHA, surd
 from cy3 import group_structure
 from cy3.core_arith import QuadSurd, squarefree_decompose
-from cy3.element_classify import UnipotentFull, classify
+from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, ThreeLines
+from cy3.element_classify import UnipotentFull, classify, real_pair_lines
 from cy3.errors import (
     BoundTooLarge,
     ConstraintViolated,
@@ -25,7 +27,9 @@ from cy3.group_structure import (
     TauWitness,
     analyze_group,
     certify_discrete_cyclic,
+    certify_seed,
     enumerate_symmetries,
+    frame_coordinates_matrix,
     plane_basis,
     restrict_to_plane,
     scaling_character,
@@ -33,6 +37,25 @@ from cy3.group_structure import (
     verify_unipotent_constraints,
 )
 from cy3.lattice_forms import LatticeMap, LinearForm, TrilinearForm, preserves_pair
+from test_lattice_forms import random_unimodular
+
+
+def _rational_inverse(m):
+    """Gauss-Jordan inverse over Fraction, independent of the adjugate."""
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(3)]
+         for i, row in enumerate(m)]
+    for c in range(3):
+        pivot = next(r for r in range(c, 3) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(3):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[3:] for row in a]
+
+
+def _mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
 class TestPlaneBasis:
@@ -135,8 +158,9 @@ class TestCertifyDiscreteCyclic:
         assert cert.kind == "Finite"
 
     def test_singleton_refines_to_fundamental_root(self):
-        """alpha^4 = ((1+sqrt5)/2)^8: the certified generator is the deepest
-        exact root within the exponent bound."""
+        """alpha^4 = ((1+sqrt5)/2)^8: the certified generator is the
+        fundamental unit of Q(√5) from its continued-fraction period, and the
+        exponent 8 is read off by stepping its powers up to the value."""
         cert = certify_discrete_cyclic([GOLDEN_ALPHA**4])
         assert cert.kind == "Cyclic"
         assert cert.generator == surd(Fraction(1, 2), Fraction(1, 2), 5)
@@ -172,8 +196,9 @@ class TestCertifyDiscreteCyclic:
             certify_discrete_cyclic([QuadSurd(-2)])
 
     def test_only_candidates_in_the_value_field_are_powered(self, monkeypatch):
-        """k-th root candidates from another field can never match a unit of
-        Q(√5), so none of them is raised to the k-th power."""
+        """Every power taken is of the fundamental unit of Q(√5), the field of
+        the values: the exponent post-check eps**k == v raises nothing from
+        another field."""
         gamma = surd(Fraction(1, 2), Fraction(1, 2), 5)
         values = [gamma**8, gamma**12]
         powered = []
@@ -307,6 +332,26 @@ class TestUnipotentConstraints:
         with pytest.raises(NotUnipotentInFrame):
             verify_unipotent_constraints(golden_generator, frame, 1)
 
+    @given(st.randoms(use_true_random=False), st.integers(-3, 3))
+    def test_frame_coordinates_match_a_rational_inverse(self, rng, k):
+        """adj(M)·(h·M)/det(M) equals M⁻¹·h·M from a Gauss-Jordan inverse, on
+        the frame of a random unimodular conjugate of the unipotent example."""
+        p = random_unimodular(rng, steps=6)
+        g = p.inverse() @ LatticeMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) @ p
+        cls = classify(g, LinearForm(0, 0, 1).compose(p))
+        frame = (cls.w, cls.w1, cls.w2)
+        h = g**k @ random_unimodular(rng, steps=3)
+        m = [[frame[j][i] for j in range(3)] for i in range(3)]
+        expected = _mat_mul(_rational_inverse(m), _mat_mul(h.rows, m))
+        assert frame_coordinates_matrix(h, frame) == expected
+
+    def test_degenerate_frame_fails_the_named_post_check(self, unipotent_generator, L_z):
+        cls = classify(unipotent_generator, L_z)
+        frame = (cls.w, cls.w1, tuple(a + b for a, b in zip(cls.w, cls.w1)))
+        with pytest.raises(PostCheckFailed) as info:
+            frame_coordinates_matrix(unipotent_generator, frame)
+        assert info.value.check == "degenerate frame"
+
     def test_constraint_violation(self, unipotent_generator, L_z):
         cls = classify(unipotent_generator, L_z)
         frame = (cls.w, cls.w1, cls.w2)
@@ -403,6 +448,53 @@ def test_enumeration_matches_seed_pins(name, bound, pinned_problems):
                 if max(abs(x) for row in rows for x in row) <= bound]
     assert len(expected) == PINNED_COUNTS[name][bound - 1]
     assert [g.rows for g in enumerate_symmetries(T, L, bound)] == expected
+
+
+class TestCertifySeed:
+    def test_hyperbolic_seed(self, golden_cubic, golden_generator, L_z):
+        lines = real_pair_lines(golden_generator, classify(golden_generator, L_z))
+        cert = certify_seed(golden_cubic, L_z, lines)
+        assert cert.relations.overall
+        assert (cert.reason, cert.inconsistency) == (None, None)
+        assert isinstance(cert.factorization, ThreeLines)
+        assert len(cert.singular_lines) == 3
+
+    def test_unipotent_seed(self, unipotent_cubic, unipotent_generator, L_z):
+        cert = certify_seed(unipotent_cubic, L_z, classify(unipotent_generator, L_z))
+        assert cert.relations.overall
+        assert cert.factorization.e == 3
+        assert cert.singular_lines == ((1, 0, 0),)
+
+    def test_hodge_index_comes_after_the_relation_gate(self, golden_generator, L_z):
+        """z^3: every relation holds, then B = T(u, v, w) = 0 is returned."""
+        T = TrilinearForm.from_cubic_coefficients({"z3": 1})
+        lines = real_pair_lines(golden_generator, classify(golden_generator, L_z))
+        cert = certify_seed(T, L_z, lines)
+        assert cert.relations.overall
+        assert cert.factorization is None and cert.reason is None
+        assert cert.inconsistency.mechanism == HODGE_INDEX
+
+    def test_lefschetz_comes_before_the_relation_gate(self, split_cubic, unipotent_generator,
+                                                      L_z):
+        cert = certify_seed(split_cubic, L_z, classify(unipotent_generator, L_z))
+        assert not cert.relations.overall
+        assert cert.factorization is None and cert.reason is None
+        assert cert.inconsistency.mechanism == LEFSCHETZ
+
+    def test_analyze_runs_the_unipotent_singular_locus_post_check(
+            self, unipotent_cubic, unipotent_generator, L_z, monkeypatch):
+        """A split claiming w2 as its singular line fails the gradient
+        post-check inside analyze_group too, not only in cy3 factor."""
+        factor = group_structure.unipotent_factorization
+
+        def tampered(*args, **kwargs):
+            split = factor(*args, **kwargs)
+            return dataclasses.replace(split, frame=split.frame[::-1])
+
+        monkeypatch.setattr(group_structure, "unipotent_factorization", tampered)
+        with pytest.raises(PostCheckFailed) as info:
+            analyze_group(unipotent_cubic, L_z, [unipotent_generator])
+        assert info.value.check == "singular-locus gradient"
 
 
 class TestAnalyzeGroup:
