@@ -40,13 +40,11 @@ from .element_classify import (
 from .group_structure import (
     CharacterWitness,
     GroupVerdict,
-    RestrictedAction,
     TauWitness,
     UnipotentConstraintRecord,
     analyze_group,
     certify_discrete_cyclic,
     enumerate_symmetries,
-    restrict_to_plane,
     scaling_character,
     tau,
     verify_unipotent_constraints,

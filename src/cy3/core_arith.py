@@ -68,6 +68,15 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 _ZERO = Fraction(0)
 
 
+def _pair_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q√d for integers p, q and a non-square d > 1 (any d if
+    q = 0); squaring with sign tracking decides the opposite-sign case."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > q * q * d else sq
+
+
 @total_ordering
 class QuadSurd:
     """a + b*sqrt(d) with a, b rational and d a squarefree nonnegative integer.
@@ -137,18 +146,10 @@ class QuadSurd:
         return self.a
 
     def sign(self) -> int:
-        """Exact sign, by squaring with sign tracking; no floating point."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb if sa == 0 else sa
-        # a and b*sqrt(d) have opposite signs: compare a^2 against b^2*d
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        """Exact sign of the integer pair left after clearing both (positive)
+        denominators; no floating point."""
+        a, b = self.a, self.b
+        return _pair_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2*d."""

@@ -58,6 +58,11 @@ class RelationReport:
         rows = tuple(rows)
         return cls(rows=rows, overall=all(r.holds for r in rows))
 
+    @property
+    def failing(self) -> list[str]:
+        """Names of the rows that do not hold, in row order."""
+        return [r.name for r in self.rows if not r.holds]
+
 
 def _eq_row(name: str, left, right=QuadSurd(0)) -> RelationRow:
     left = _as_surd(left)
@@ -187,8 +192,7 @@ def hyperbolic_factorization(
     genuine geometric inputs and raises GeometricInconsistency.
     """
     if relation_report is not None and not relation_report.overall:
-        failing = [r.name for r in relation_report.rows if not r.holds]
-        raise RelationsNotVerified(f"failing relations: {failing}")
+        raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
     a = trilinear_eval(T, w, w, w)
     b = trilinear_eval(T, u, v, w)
     if not b:
@@ -305,8 +309,7 @@ def unipotent_factorization(
     if not e_surd:
         raise GeometricInconsistency(LEFSCHETZ, "E = 3·T(w, w2, w2)/2 = 0")
     if relation_report is not None and not relation_report.overall:
-        failing = [r.name for r in relation_report.rows if not r.holds]
-        raise RelationsNotVerified(f"failing relations: {failing}")
+        raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
     f_surd = trilinear_eval(T, w2, w2, w2)
     e = e_surd.to_fraction()
     f = f_surd.to_fraction()

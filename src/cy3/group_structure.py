@@ -3,9 +3,10 @@ of the symmetries of a pair (cubic, linear form), decide Finite versus
 almost abelian of rank 1, with an explicit witness.
 
 The unipotent witness is the integer-valued homomorphism h -> p * a_h read off
-the frame matrix; the hyperbolic witness is the scaling character on the
-invariant plane, certified to land in the discrete cyclic group generated by
-the fundamental unit of a real quadratic field.
+the frame matrix; the hyperbolic witness is the scaling character, the
+eigenvalue of h^4 on an eigenline in Z^3 read on integer pairs, certified to
+land in the discrete cyclic group generated by the fundamental unit of a real
+quadratic field.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .core_arith import QuadSurd
+from .core_arith import QuadSurd, _pair_sign
 from .cubic_geometry import (
     FULL_JORDAN,
     Factorization,
@@ -39,7 +40,6 @@ from .element_classify import (
 from .errors import (
     BoundTooLarge,
     ConstraintViolated,
-    DoesNotPreserveL,
     GeometricInconsistency,
     IncompatibleFields,
     LinesNotPreserved,
@@ -56,29 +56,17 @@ from .lattice_forms import (
     _adjugate3,
     _det3,
     _dot,
+    _int_pairs,
     _matvec,
     cross,
     preserves_pair,
     primitive_part,
+    same_line,
 )
 
 ENUMERATION_BOUND_GUARD = 6
 CLOSURE_ELEMENT_CAP = 5000
 CLOSURE_WORD_CAP = 24
-
-
-@dataclass(frozen=True)
-class RestrictedAction:
-    """Action of a symmetry on the invariant plane ker(L), in a deterministic
-    integral basis of ker(L) ∩ Z^3."""
-
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-    basis: tuple[tuple[int, int, int], tuple[int, int, int]]
-
-    @property
-    def det(self) -> int:
-        m = self.matrix
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 @dataclass(frozen=True)
@@ -112,132 +100,39 @@ class GroupVerdict:
     reason: str | None = None
 
 
-# -- plane restriction ----------------------------------------------------------
-
-
-def plane_basis(L: LinearForm) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Deterministic integral basis of ker(L) ∩ Z^3 for a nonzero covector."""
-    l1, l2, l3 = L.coefficients()
-    g = math.gcd(math.gcd(abs(l1), abs(l2)), abs(l3))
-    if g == 0:
-        raise ValueError("zero covector has no rank-2 kernel lattice")
-    l1, l2, l3 = l1 // g, l2 // g, l3 // g
-    if l2 == 0 and l3 == 0:
-        # l = (+-1, 0, 0)
-        return ((0, 1, 0), (0, 0, 1))
-    g1 = math.gcd(abs(l2), abs(l3))
-    x, y = _bezout(l2, l3)  # x*l2 + y*l3 = g1
-    b1 = (g1, -x * l1, -y * l1)
-    b2 = (0, l3 // g1, -l2 // g1)
-    return (_sign_fix(b1), _sign_fix(b2))
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
-def _sign_fix(v):
-    first = next((x for x in v if x != 0), 0)
-    return tuple(-x for x in v) if first < 0 else tuple(v)
-
-
-def restrict_to_plane(h: LatticeMap, L: LinearForm) -> RestrictedAction:
-    """Express h on the kernel-lattice basis of L; requires L∘h = L."""
-    if L.compose(h) != L:
-        raise DoesNotPreserveL(f"{h!r} does not fix {L}")
-    b1, b2 = plane_basis(L)
-    cols = []
-    for b in (b1, b2):
-        image = h.apply(b)
-        c1, c2 = _plane_coordinates(image, b1, b2)
-        if c1.denominator != 1 or c2.denominator != 1:
-            raise PostCheckFailed("restriction is not integral")
-        cols.append((int(c1), int(c2)))
-    matrix = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-    return RestrictedAction(matrix=matrix, basis=(b1, b2))
-
-
-def _plane_coordinates(x: Sequence, b1: Sequence, b2: Sequence):
-    """Solve x = c1*b1 + c2*b2 exactly; works for Fraction or surd coordinates."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = b1[i] * b2[j] - b1[j] * b2[i]
-        if det:
-            if isinstance(det, int):
-                det = Fraction(det)
-            c1 = (x[i] * b2[j] - x[j] * b2[i]) / det
-            c2 = (b1[i] * x[j] - b1[j] * x[i]) / det
-            # consistency on the remaining coordinate
-            k = ({0, 1, 2} - {i, j}).pop()
-            if b1[k] * c1 + b2[k] * c2 != x[k]:
-                raise PostCheckFailed("vector is not in the plane")
-            return c1, c2
-    raise PostCheckFailed("degenerate plane basis")
-
-
 # -- scaling character ----------------------------------------------------------
 
 
-def _same_line_2d(u, v) -> bool:
-    return u[0] * v[1] - u[1] * v[0] == 0
-
-
-def _apply2(m, v):
-    return (
-        v[0] * m[0][0] + v[1] * m[0][1],
-        v[0] * m[1][0] + v[1] * m[1][1],
-    )
-
-
-def scaling_character(h2: RestrictedAction, line1: Sequence, line2: Sequence) -> QuadSurd:
-    """Positive eigenvalue of h2^4 on line1.
+def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSurd:
+    """Positive eigenvalue of h^4 on line1, for a symmetry h that fixes or
+    swaps the eigenlines line1 and line2 in Z^3.
 
     Passing to 4th powers removes the finite ambiguity of line swaps and signs,
-    so the returned value is a multiplicative character on the group."""
-    line1 = tuple(x if isinstance(x, (Fraction, QuadSurd)) else Fraction(x) for x in line1)
-    line2 = tuple(x if isinstance(x, (Fraction, QuadSurd)) else Fraction(x) for x in line2)
-    m = h2.matrix
-    img1, img2 = _apply2(m, line1), _apply2(m, line2)
-    if not (
-        (_same_line_2d(img1, line1) and _same_line_2d(img2, line2))
-        or (_same_line_2d(img1, line2) and _same_line_2d(img2, line1))
-    ):
+    so the returned value is a multiplicative character on the group. Both
+    lines are cleared once to integer pairs p + q√d over one field; images and
+    same-line tests stay in plain ints, and one surd is built for the
+    eigenvalue."""
+    d, _, p, q = _int_pairs((*line1, *line2))
+    x1, x2 = (p[:3], q[:3]), (p[3:], q[3:])
+
+    def image(m, x):
+        return _matvec(m, x[0]), _matvec(m, x[1])
+
+    img1, img2 = image(h.rows, x1), image(h.rows, x2)
+    if not ((same_line(img1, x1, d) and same_line(img2, x2, d))
+            or (same_line(img1, x2, d) and same_line(img2, x1, d))):
         raise LinesNotPreserved("restricted action does not permute the two lines")
-    img = _apply2(_mat2_pow(m, 4), line1)
-    pivot = 0 if line1[0] else 1
-    beta = img[pivot] / line1[pivot]
-    if img != tuple(x * beta for x in line1):
+    img = image((h ** 4).rows, x1)
+    if not same_line(img, x1, d):
         raise LinesNotPreserved("4th power does not fix line1")
-    if not beta > 0:
+    # beta = (P + Q√d)/(a + b√d) at a pivot i of line1, times the conjugate a - b√d
+    i = next(i for i in range(3) if p[i] or q[i])
+    a, b, P, Q = p[i], q[i], img[0][i], img[1][i]
+    n = a * a - d * b * b
+    beta = QuadSurd._canonical(Fraction(P * a - d * Q * b, n), Fraction(Q * a - P * b, n), d)
+    if beta.sign() <= 0:
         raise LinesNotPreserved("4th-power scalar is not positive")
-    return beta if isinstance(beta, QuadSurd) else QuadSurd(beta)
-
-
-def _mat2_pow(m, n: int):
-    out = ((1, 0), (0, 1))
-    base = m
-    while n:
-        if n & 1:
-            out = _mat2_mul(out, base)
-        base = _mat2_mul(base, base)
-        n >>= 1
-    return out
-
-
-def _mat2_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+    return beta
 
 
 # -- discrete cyclic certification ----------------------------------------------
@@ -325,14 +220,6 @@ def _fundamental_unit(d: int, ceiling: tuple[int, int]) -> tuple[int, int]:
             return 2 * x // den, 2 * y // den
 
 
-def _pair_sign(p: int, q: int, d: int) -> int:
-    """Sign of p + q√d for integers p, q and a non-square d > 1."""
-    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
-    if sp * sq >= 0:
-        return sp or sq
-    return sp if p * p > q * q * d else sq
-
-
 # -- unipotent constraints -------------------------------------------------------
 
 
@@ -354,7 +241,11 @@ def verify_unipotent_constraints(
     """Check that h is unit upper triangular in the frame with a = c and
     d = a(a-1)/2; violations mean h does not belong to a group of the certified
     shape."""
-    hf = frame_coordinates_matrix(h, frame)
+    return _unipotent_constraints(frame_coordinates_matrix(h, frame))
+
+
+def _unipotent_constraints(hf) -> UnipotentConstraintRecord:
+    """The checks of `verify_unipotent_constraints` on the frame matrix hf."""
     if hf[1][0] != 0 or hf[2][0] != 0 or hf[2][1] != 0:
         raise NotUnipotentInFrame("not upper triangular in the frame basis")
     if hf[0][0] != 1 or hf[2][2] != 1:
@@ -491,8 +382,7 @@ def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
     try:
         fact = factor(T, *frame, relation_report=relations)
     except RelationsNotVerified:
-        failing = [r.name for r in relations.rows if not r.holds]
-        return SeedCertificate(relations, reason=f"{kind} relations failed: {failing}")
+        return SeedCertificate(relations, reason=f"{kind} relations failed: {relations.failing}")
     except GeometricInconsistency as exc:
         return SeedCertificate(relations, inconsistency=exc)
     return SeedCertificate(relations, fact, tuple(singular_locus(fact)))
@@ -566,7 +456,7 @@ def analyze_group(
                             reductions=tuple(reductions))
     if unipotents:
         return _unipotent_route(generators, cert.factorization, reductions)
-    return _hyperbolic_route(L, generators, cert.factorization, reductions)
+    return _hyperbolic_route(generators, cert.factorization, reductions)
 
 
 def _finite_closure(generators, reductions) -> GroupVerdict:
@@ -603,14 +493,14 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
     p = primitive_part(frame[0]).scale
     taus = []
     for h in generators:
-        h_eff = h
+        hf = frame_coordinates_matrix(h, frame)
         try:
-            record = verify_unipotent_constraints(h_eff, frame, p)
+            record = _unipotent_constraints(hf)
         except NotUnipotentInFrame as exc:
             # det(h|_L) = -1: pass to the square (index-2 reduction)
-            h_eff = h @ h
+            hf = frame_coordinates_matrix(h @ h, frame)
             try:
-                record = verify_unipotent_constraints(h_eff, frame, p)
+                record = _unipotent_constraints(hf)
             except NotUnipotentInFrame:
                 return GroupVerdict(
                     kind="Inconclusive",
@@ -620,7 +510,7 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
             reductions = list(reductions) + [
                 "generator squared to reach det(h|_L) = 1 (index ≤ 2)"
             ]
-        quadric_preserved_in_frame(frame_coordinates_matrix(h_eff, frame), split)
+        quadric_preserved_in_frame(hf, split)
         taus.append(tau(record, p))
     nonzero = [abs(t) for t in taus if t]
     generator_value = math.gcd(*nonzero) if nonzero else 0
@@ -632,15 +522,13 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
                         reductions=tuple(reductions))
 
 
-def _hyperbolic_route(L, generators, fact: Factorization, reductions) -> GroupVerdict:
-    b1, b2 = plane_basis(L)
-    u_plane, v_plane = (_plane_coordinates(x, b1, b2) for x in fact.frame[:2])
+def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdict:
+    u, v = fact.frame[:2]
     values = []
     for h in generators:
-        restricted = restrict_to_plane(h, L)
         try:
             # v carries the larger root alpha of the seed generator
-            values.append(scaling_character(restricted, v_plane, u_plane))
+            values.append(scaling_character(h, v, u))
         except LinesNotPreserved as exc:
             return GroupVerdict(kind="Inconclusive", reason=str(exc),
                                 reductions=tuple(reductions))

@@ -346,8 +346,13 @@ def projective_normalize(v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
     return tuple(x * inv for x in v)
 
 
-def same_line(u: Sequence, v: Sequence) -> bool:
-    return projective_normalize(u) == projective_normalize(v)
+def same_line(x, y, d: int) -> bool:
+    """True iff the nonzero vectors p + q·√d and r + s·√d, given as pairs of
+    integer vectors x = (p, q) and y = (r, s), span one line: both the rational
+    and the √d part of their cross product vanish."""
+    (p, q), (r, s) = x, y
+    return (cross(p, s) == cross(r, q)
+            and all(a + d * b == 0 for a, b in zip(cross(p, r), cross(q, s))))
 
 
 def cross(r1: Sequence, r2: Sequence) -> tuple:

@@ -207,6 +207,16 @@ class TestCompare:
         assert QuadSurd(0, 1, 2) > QuadSurd(1)
         assert QuadSurd(0, 1, 3) > 1
 
+    @pytest.mark.parametrize("a, b, d, sign", [
+        (Fraction(1, 3), Fraction(-1, 7), 5, 1),  # 7 - 3√5 after clearing: 49 > 45
+        (Fraction(1, 3), Fraction(-1, 6), 5, -1),  # 6 - 3√5: 36 < 45
+        (Fraction(-9, 4), Fraction(3, 4), 11, 1),  # 81 < 99
+        (Fraction(-5, 2), Fraction(3, 4), 11, -1),  # 100 > 99
+    ])
+    def test_sign_clears_unequal_denominators(self, a, b, d, sign):
+        assert QuadSurd(a, b, d).sign() == sign
+        assert (-QuadSurd(a, b, d)).sign() == -sign
+
 
 def _random_surd(rng, d):
     a = Fraction(rng.randint(-50, 50), rng.randint(1, 12))

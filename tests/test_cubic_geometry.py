@@ -75,6 +75,15 @@ class TestHyperbolicRelations:
         failing = {r.name for r in rep.rows if not r.holds}
         assert "u^2·w" in failing
 
+    def test_failing_names_the_rows_that_do_not_hold(self, golden_cubic, golden_frame, L_z):
+        rep = check_hyperbolic_relations(golden_cubic, L_z, *golden_frame)
+        assert rep.failing == []
+        bad = check_hyperbolic_relations(golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert bad.failing == [r.name for r in bad.rows if not r.holds] != []
+        with pytest.raises(RelationsNotVerified) as info:
+            hyperbolic_factorization(golden_cubic, *golden_frame, relation_report=bad)
+        assert str(info.value) == f"failing relations: {bad.failing}"
+
     def test_failed_report_blocks_factorization(self, golden_cubic, golden_frame, L_z):
         u, v, w = golden_frame
         bad = check_hyperbolic_relations(

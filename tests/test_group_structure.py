@@ -1,11 +1,10 @@
 import dataclasses
 import math
-import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import GOLDEN_ALPHA, surd
 from cy3 import group_structure
@@ -15,9 +14,9 @@ from cy3.element_classify import UnipotentFull, classify, real_pair_lines
 from cy3.errors import (
     BoundTooLarge,
     ConstraintViolated,
-    DoesNotPreserveL,
     GeometricInconsistency,
     IncompatibleFields,
+    LinesNotPreserved,
     NonPreservingGenerator,
     NotUnipotentInFrame,
     PostCheckFailed,
@@ -30,13 +29,17 @@ from cy3.group_structure import (
     certify_seed,
     enumerate_symmetries,
     frame_coordinates_matrix,
-    plane_basis,
-    restrict_to_plane,
     scaling_character,
     tau,
     verify_unipotent_constraints,
 )
-from cy3.lattice_forms import LatticeMap, LinearForm, TrilinearForm, preserves_pair
+from cy3.lattice_forms import (
+    LatticeMap,
+    LinearForm,
+    TrilinearForm,
+    preserves_pair,
+    transform_cubic,
+)
 from test_lattice_forms import random_unimodular
 
 
@@ -58,98 +61,84 @@ def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
-class TestPlaneBasis:
-    def test_z_covector(self, L_z):
-        assert plane_basis(L_z) == ((1, 0, 0), (0, 1, 0))
-
-    def test_x_covector(self):
-        assert plane_basis(LinearForm(1, 0, 0)) == ((0, 1, 0), (0, 0, 1))
-
-    def test_general_covector_spans_kernel(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            coeffs = tuple(rng.randint(-6, 6) for _ in range(3))
-            if coeffs == (0, 0, 0):
-                continue
-            L = LinearForm(*coeffs)
-            b1, b2 = plane_basis(L)
-            assert L(b1) == 0 and L(b2) == 0
-            # the basis is primitive: it spans ker(L) over Z, not a sublattice.
-            # Equivalent test: (b1, b2, x) is unimodular for some integer x.
-            from cy3.lattice_forms import cross
-
-            normal = cross(b1, b2)
-            g = __import__("math").gcd(
-                __import__("math").gcd(abs(normal[0]), abs(normal[1])), abs(normal[2])
-            )
-            assert g == 1
-
-    def test_deterministic(self):
-        L = LinearForm(2, -4, 6)
-        assert plane_basis(L) == plane_basis(LinearForm(1, -2, 3))
-
-
-class TestRestriction:
-    def test_golden_restriction(self, golden_generator, L_z):
-        r = restrict_to_plane(golden_generator, L_z)
-        assert r.matrix == ((2, 1), (1, 1))
-        assert r.det == 1
-
-    def test_requires_preserving_L(self, golden_generator):
-        with pytest.raises(DoesNotPreserveL):
-            restrict_to_plane(golden_generator, LinearForm(1, 0, 0))
-
-    def test_restriction_is_homomorphism(self, golden_generator, L_z):
-        r1 = restrict_to_plane(golden_generator, L_z)
-        r2 = restrict_to_plane(golden_generator @ golden_generator, L_z)
-        m = r1.matrix
-        sq = (
-            (m[0][0] * m[0][0] + m[0][1] * m[1][0], m[0][0] * m[0][1] + m[0][1] * m[1][1]),
-            (m[1][0] * m[0][0] + m[1][1] * m[1][0], m[1][0] * m[0][1] + m[1][1] * m[1][1]),
-        )
-        assert r2.matrix == sq
+# A det -1 symmetry of the golden pair that swaps the two eigenlines, and the
+# plane flip, which fixes each of them.
+LINE_SWAP = LatticeMap([[-1, 0, 0], [1, 1, 0], [0, 0, 1]])
+PLANE_FLIP = LatticeMap([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
 class TestScalingCharacter:
     @pytest.fixture
     def golden_lines(self, golden_generator, L_z):
-        from cy3.group_structure import _plane_coordinates
-
+        """The eigenlines (v, u) in Z^3, v for the larger root alpha."""
         cls = classify(golden_generator, L_z)
-        b1, b2 = plane_basis(L_z)
-        return (
-            _plane_coordinates(cls.v, b1, b2),
-            _plane_coordinates(cls.u, b1, b2),
-        )
+        return cls.v, cls.u
 
-    def test_generator_value(self, golden_generator, L_z, golden_lines):
-        r = restrict_to_plane(golden_generator, L_z)
-        assert scaling_character(r, *golden_lines) == GOLDEN_ALPHA**4
+    def test_generator_value(self, golden_generator, golden_lines):
+        assert scaling_character(golden_generator, *golden_lines) == GOLDEN_ALPHA**4
 
-    def test_multiplicativity_on_words(self, golden_generator, L_z, golden_lines):
+    def test_value_does_not_depend_on_the_scale_of_the_lines(self, golden_generator,
+                                                             golden_lines):
+        """Scaled by 2 - √5 and by -3/2, the pivot of each line is irrational."""
+        v, u = golden_lines
+        v_scaled = tuple(x * surd(2, -1, 5) for x in v)
+        u_scaled = tuple(x * Fraction(-3, 2) for x in u)
+        assert v_scaled[0].b != 0
+        assert scaling_character(golden_generator, v_scaled, u_scaled) == GOLDEN_ALPHA**4
+        assert scaling_character(golden_generator, u_scaled, v_scaled) == GOLDEN_ALPHA**-4
+
+    def test_multiplicativity_on_words(self, golden_generator, golden_lines):
         """chi(g^a) * chi(g^b) = chi(g^(a+b)) on words up to length 4."""
         for a in range(-4, 5):
             for b in range(-4, 5):
-                ga = restrict_to_plane(golden_generator**a, L_z)
-                gb = restrict_to_plane(golden_generator**b, L_z)
-                gab = restrict_to_plane(golden_generator ** (a + b), L_z)
-                prod = scaling_character(ga, *golden_lines) * scaling_character(
-                    gb, *golden_lines
-                )
-                assert prod == scaling_character(gab, *golden_lines)
+                prod = (scaling_character(golden_generator**a, *golden_lines)
+                        * scaling_character(golden_generator**b, *golden_lines))
+                assert prod == scaling_character(golden_generator ** (a + b), *golden_lines)
 
-    def test_line_swap_absorbed_by_fourth_power(self, L_z, golden_lines):
+    def test_line_swap_absorbed_by_fourth_power(self, golden_lines):
         """A symmetry swapping the two eigenlines still yields a positive value."""
-        swap = LatticeMap([[-1, 0, 0], [1, 1, 0], [0, 0, 1]])  # det -1 involution
-        r = restrict_to_plane(swap, L_z)
-        assert scaling_character(r, *golden_lines) == 1
+        assert scaling_character(LINE_SWAP, *golden_lines) == 1
+        assert scaling_character(LINE_SWAP, *golden_lines[::-1]) == 1
 
-    def test_non_preserving_raises(self, L_z, golden_lines):
+    def test_non_preserving_raises(self, golden_lines):
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-        from cy3.errors import LinesNotPreserved
+        with pytest.raises(LinesNotPreserved) as info:
+            scaling_character(shear, *golden_lines)
+        assert str(info.value) == "restricted action does not permute the two lines"
 
-        with pytest.raises(LinesNotPreserved):
-            scaling_character(restrict_to_plane(shear, L_z), *golden_lines)
+    def test_fourth_power_check_is_named(self, golden_generator, golden_lines, monkeypatch):
+        """A 4th power that moves line1 fails its own check."""
+        shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: shear)
+        with pytest.raises(LinesNotPreserved) as info:
+            scaling_character(golden_generator, *golden_lines)
+        assert str(info.value) == "4th power does not fix line1"
+
+    def test_positivity_check_is_named(self, golden_generator, golden_lines, monkeypatch):
+        """-g^4 has the eigenvalue -alpha^4 on line1, which the check rejects."""
+        power = LatticeMap.__pow__
+        monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: LatticeMap(
+            [[-x for x in row] for row in power(self, n).rows]))
+        with pytest.raises(LinesNotPreserved) as info:
+            scaling_character(golden_generator, *golden_lines)
+        assert str(info.value) == "4th-power scalar is not positive"
+
+    def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_lines,
+                                               monkeypatch):
+        """Lines, images and same-line tests stay in ints: the two Fractions
+        built are the parts of the eigenvalue."""
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        value = scaling_character(golden_generator, *golden_lines)
+        monkeypatch.undo()
+        assert value == GOLDEN_ALPHA**4
+        assert len(built) == 2
 
 
 class TestCertifyDiscreteCyclic:
@@ -352,6 +341,22 @@ class TestUnipotentConstraints:
             frame_coordinates_matrix(unipotent_generator, frame)
         assert info.value.check == "degenerate frame"
 
+    def test_one_frame_matrix_per_generator(self, unipotent_cubic, unipotent_generator, L_z,
+                                            monkeypatch):
+        """The constraint check and the quadric check share one frame matrix."""
+        calls = []
+        frame_matrix = group_structure.frame_coordinates_matrix
+
+        def counted(h, frame):
+            calls.append(h)
+            return frame_matrix(h, frame)
+
+        monkeypatch.setattr(group_structure, "frame_coordinates_matrix", counted)
+        g = unipotent_generator
+        verdict = analyze_group(unipotent_cubic, L_z, [g, g**2, g**3])
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert calls == [g, g**2, g**3]
+
     def test_constraint_violation(self, unipotent_generator, L_z):
         cls = classify(unipotent_generator, L_z)
         frame = (cls.w, cls.w1, cls.w2)
@@ -516,25 +521,6 @@ class TestAnalyzeGroup:
             analyze_group(golden_cubic, L_z, [flip])
         assert info.value.check == "closure elements of finite order"
 
-    def test_plane_post_check_is_named(self, golden_cubic, golden_generator, L_z,
-                                       monkeypatch):
-        """A plane basis missing the eigenline u of the golden generator."""
-        monkeypatch.setattr(group_structure, "plane_basis", lambda L: ((1, 0, 0), (0, 0, 1)))
-        with pytest.raises(PostCheckFailed) as info:
-            analyze_group(golden_cubic, L_z, [golden_generator])
-        assert info.value.check == "vector is not in the plane"
-
-    def test_restriction_post_check_is_named(self, golden_cubic, golden_generator, L_z,
-                                             monkeypatch):
-        """Halved plane coordinates make the restricted golden generator
-        non-integral."""
-        coordinates = group_structure._plane_coordinates
-        monkeypatch.setattr(group_structure, "_plane_coordinates",
-                            lambda x, b1, b2: tuple(c / 2 for c in coordinates(x, b1, b2)))
-        with pytest.raises(PostCheckFailed) as info:
-            analyze_group(golden_cubic, L_z, [golden_generator])
-        assert info.value.check == "restriction is not integral"
-
     def test_hyperbolic_verdict(self, golden_cubic, golden_generator, L_z):
         verdict = analyze_group(golden_cubic, L_z, [golden_generator])
         assert verdict.kind == "AlmostAbelianRankOne"
@@ -607,6 +593,16 @@ class TestAnalyzeGroup:
         assert GOLDEN_ALPHA**4 in verdict.witness.values
         assert set(verdict.witness.values) <= {GOLDEN_ALPHA**4, QuadSurd(1)}
 
+    def test_d94_automorph_given_as_a_matrix(self):
+        """x^2 z - 94 y^2 z + z^3 and the automorph of the fundamental unit
+        eps = 2143295 + 221064√94: the character value eps^4 has exponent 4."""
+        T = TrilinearForm.from_cubic_coefficients({"x2z": 1, "y2z": -94, "z3": 1})
+        a = LatticeMap([[2143295, 94 * 221064, 0], [221064, 2143295, 0], [0, 0, 1]])
+        verdict = analyze_group(T, LinearForm(0, 0, 1), [a])
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert verdict.witness.generator == QuadSurd(2143295, 221064, 94)
+        assert verdict.witness.exponents == (4,)
+
     def test_hyperbolic_inverse_pair(self, golden_cubic, golden_generator, L_z):
         verdict = analyze_group(
             golden_cubic, L_z, [golden_generator, golden_generator.inverse()]
@@ -614,3 +610,36 @@ class TestAnalyzeGroup:
         assert verdict.kind == "AlmostAbelianRankOne"
         exps = verdict.witness.exponents
         assert exps[0] == -exps[1]
+
+
+GOLDEN = LatticeMap([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+GOLDEN_SETS = [
+    [GOLDEN],
+    [GOLDEN, LINE_SWAP],
+    [GOLDEN, PLANE_FLIP],
+    [LINE_SWAP, GOLDEN**2, PLANE_FLIP],
+]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from(range(len(GOLDEN_SETS))))
+def test_hyperbolic_witness_is_coordinate_covariant(rng, which):
+    """The golden pair in the coordinates of a random unimodular P, so that
+    L∘P != z in general, with the generators conjugated: the witness
+    generator, exponents and values do not change. With a det -1 generator
+    the det-1 products are sorted by their entries, so only their multiset
+    is compared."""
+    T = TrilinearForm.from_cubic_coefficients({"x2z": 1, "xyz": -1, "y2z": -1})
+    L = LinearForm(0, 0, 1)
+    p = random_unimodular(rng, steps=6)
+    assume(L.compose(p) != L)
+    gens = GOLDEN_SETS[which]
+    base = analyze_group(T, L, gens)
+    moved = analyze_group(transform_cubic(T, p), L.compose(p),
+                          [p.inverse() @ g @ p for g in gens])
+    assert base.kind == moved.kind == "AlmostAbelianRankOne"
+    assert moved.witness.generator == base.witness.generator
+    pairs = [list(zip(v.witness.exponents, v.witness.values)) for v in (base, moved)]
+    if any(g.det == -1 for g in gens):
+        pairs = [sorted(x) for x in pairs]
+    assert pairs[0] == pairs[1]

@@ -12,6 +12,7 @@ from cy3.lattice_forms import (
     LatticeMap,
     LinearForm,
     TrilinearForm,
+    _int_pairs,
     cross,
     cubic_eval,
     multinomial,
@@ -33,6 +34,12 @@ def random_unimodular(rng, steps=8):
         rows[i][j] = rng.choice([-2, -1, 1, 2])
         g = g @ LatticeMap(rows)
     return g
+
+
+def _pairs(v):
+    """The integer vectors (p, q) of v = (p + q·√d)/den."""
+    _, _, p, q = _int_pairs(v)
+    return p, q
 
 
 class TestTrilinearForm:
@@ -197,8 +204,17 @@ class TestVectors:
 
     def test_same_line_surds(self):
         phi = QuadSurd(Fraction(1, 2), Fraction(1, 2), 5)
-        assert same_line((1, phi, 0), (phi, phi * phi, QuadSurd(0)))
-        assert not same_line((1, phi, 0), (1, -phi, 0))
+        assert same_line(_pairs((1, phi, 0)), _pairs((phi, phi * phi, QuadSurd(0))), 5)
+        assert not same_line(_pairs((1, phi, 0)), _pairs((1, -phi, 0)), 5)
+
+    def test_same_line_needs_both_parts(self):
+        """(1 + √5, 1, 0) and (1, 1, 0): the rational part of the cross
+        product vanishes, the √5 part does not. (√5, 1, 0) and (5, √5, 0):
+        the rational part vanishes only with the factor d = 5."""
+        root5 = QuadSurd(0, 1, 5)
+        assert not same_line(_pairs((1 + root5, 1, 0)), _pairs((1, 1, 0)), 5)
+        assert same_line(_pairs((root5, 1, 0)), _pairs((5, root5, 0)), 5)
+        assert not same_line(_pairs((root5, 1, 0)), _pairs((5, root5, 0)), 3)
 
     def test_cross_orthogonal(self):
         r1, r2 = (1, 2, 3), (4, 5, 6)
