@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .core_arith import QuadSurd
@@ -24,11 +23,15 @@ from .errors import (
     SingularPoint,
 )
 from .lattice_forms import (
+    _IDENTITY_ROWS,
     ENTRY_KEYS,
     LinearForm,
     TrilinearForm,
+    _adjugate3,
     _as_surd,
     _det3,
+    _dot,
+    _matvec,
     projective_normalize,
     trilinear_eval,
 )
@@ -85,26 +88,17 @@ class QuadraticForm:
         m = tuple(tuple(_as_surd(x) for x in row) for row in m)
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("expected a 3x3 matrix")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrix is not symmetric")
+        if m != tuple(zip(*m)):
+            raise ValueError("matrix is not symmetric")
         self.m = m
 
     def eval(self, v: Sequence) -> QuadSurd:
         v = tuple(_as_surd(x) for x in v)
-        total = QuadSurd(0)
-        for i, j in product(range(3), repeat=2):
-            if self.m[i][j]:
-                total = total + self.m[i][j] * v[i] * v[j]
-        return total
+        return _dot(v, _matvec(self.m, v))
 
     def gradient(self, v: Sequence) -> tuple:
         v = tuple(_as_surd(x) for x in v)
-        return tuple(
-            sum((self.m[i][j] * v[j] * 2 for j in range(3)), start=QuadSurd(0))
-            for i in range(3)
-        )
+        return tuple(x * 2 for x in _matvec(self.m, v))
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
@@ -224,37 +218,21 @@ def hyperbolic_factorization(
 
 
 def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
-    """Sylvester inertia (positive, negative, zero) via exact symmetric
-    congruence reduction."""
-    m = [list(row) for row in Q.m]
+    """Sylvester inertia (positive, negative, zero) of Q from the signs of its
+    characteristic polynomial p = t^3 - tr·t^2 + m·t - det. All roots of p are
+    real (Q is real symmetric), so by Descartes' rule of signs p(t) and p(-t)
+    have as many positive roots as sign changes; 0 is a root as often as
+    trailing coefficients vanish."""
+    m, adj = Q.m, _adjugate3(Q.m)
+    signs = [1, -(m[0][0] + m[1][1] + m[2][2]).sign(),
+             (adj[0][0] + adj[1][1] + adj[2][2]).sign(), -_det3(m).sign()]
 
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
+    def changes(seq):
+        nonzero = [x for x in seq if x]
+        return sum(x != y for x, y in zip(nonzero, nonzero[1:]))
 
-    def add_into(i, j, factor):
-        # row_i += factor * row_j, then the same on columns
-        m[i] = [m[i][k] + m[j][k] * factor for k in range(3)]
-        for row in m:
-            row[i] = row[i] + row[j] * factor
-
-    for i in range(3):
-        if not m[i][i]:
-            pivot_row = next((j for j in range(i + 1, 3) if m[j][j]), None)
-            if pivot_row is not None:
-                swap(i, pivot_row)
-            else:
-                off = next((j for j in range(i + 1, 3) if m[i][j]), None)
-                if off is None:
-                    continue
-                add_into(i, off, QuadSurd(1))
-        pivot = m[i][i]
-        for j in range(i + 1, 3):
-            if m[i][j]:
-                add_into(j, i, -(m[i][j] / pivot))
-    signs = [m[i][i].sign() for i in range(3)]
-    return (signs.count(1), signs.count(-1), signs.count(0))
+    zero = next(k for k, x in enumerate(reversed(signs)) if x)
+    return changes(signs), changes([x * (-1) ** k for k, x in enumerate(signs)]), zero
 
 
 def tangent_plane(Q: QuadraticForm, pt: Sequence) -> tuple:
@@ -277,14 +255,13 @@ def check_unipotent_relations(
     certification needs.
     """
     tv = lambda a, b, c: trilinear_eval(T, a, b, c)
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ww22 = tv(w, w2, w2)
     w1w22 = tv(w1, w2, w2)
     w12w2 = tv(w1, w1, w2)
     rows = [
         _eq_row("L(w)", L(w)),
         _eq_row("L(w1)", L(w1)),
-        *[_eq_row(f"w^2·e{i + 1}", tv(w, w, basis[i])) for i in range(3)],
+        *[_eq_row(f"w^2·e{i + 1}", tv(w, w, e)) for i, e in enumerate(_IDENTITY_ROWS)],
         _eq_row("w1^3", tv(w1, w1, w1)),
         _eq_row("w·w1^2", tv(w, w1, w1)),
         _eq_row("w·w1·w2", tv(w, w1, w2)),
@@ -378,11 +355,10 @@ def singular_locus(fact: Factorization) -> list[tuple]:
         # z = 0 forces -E y^2 = 0, leaving only the tangency line.
         w = tuple(QuadSurd(x) for x in fact.frame[0])
         lines = [w]
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     out = []
     for line in lines:
         pt = projective_normalize(line)
-        for e in basis:
+        for e in _IDENTITY_ROWS:
             grad_component = trilinear_eval(fact.cubic, pt, pt, e)
             if grad_component:
                 raise PostCheckFailed(

@@ -1,6 +1,7 @@
 """Classify a single unimodular lattice map: finite order, hyperbolic (a real
 eigenvalue alpha > 1 in a real quadratic field), or unipotent with full or
-deficient Jordan block. All eigen-data is computed exactly.
+deficient Jordan block. All eigen-data is computed exactly: each eigenline is
+the kernel line of 2g - (s + f√d)·id, one cross product of two of its rows.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from .errors import (
     PostCheckFailed,
 )
 from .lattice_forms import (
+    _IDENTITY_ROWS,
     LatticeMap,
     LinearForm,
+    _adjugate3,
     _int_pairs,
+    _matvec,
     cross,
     primitive_part,
     projective_normalize,
@@ -85,14 +89,10 @@ ORDER_SEARCH_BOUND = 12  # covers det -1 elements; the det-1 bound is 6
 
 
 def char_poly(g: LatticeMap) -> CubicPolyZ:
-    """det(tI - g) = t^3 - tr*t^2 + m*t - det, m the sum of principal 2x2 minors."""
-    r = g.rows
-    m = (
-        r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        + r[0][0] * r[2][2] - r[0][2] * r[2][0]
-        + r[1][1] * r[2][2] - r[1][2] * r[2][1]
-    )
-    return CubicPolyZ(1, -g.trace, m, -g.det)
+    """det(tI - g) = t^3 - tr*t^2 + m*t - det, m the sum of principal 2x2
+    minors, which is the trace of the adjugate."""
+    adj = _adjugate3(g.rows)
+    return CubicPolyZ(1, -g.trace, adj[0][0] + adj[1][1] + adj[2][2], -g.det)
 
 
 def finite_order(g: LatticeMap) -> int | None:
@@ -105,75 +105,63 @@ def finite_order(g: LatticeMap) -> int | None:
     return None
 
 
-def _minus_id(g: LatticeMap):
-    return tuple(
-        tuple(g.rows[i][j] - (1 if i == j else 0) for j in range(3)) for i in range(3)
-    )
-
-
-def _nilpotent_rank(n_rows) -> int:
-    """Rank of a 3x3 nilpotent integer matrix (0, 1 or 2)."""
-    if all(x == 0 for row in n_rows for x in row):
-        return 0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if any(cross(n_rows[i], n_rows[j])):
-                return 2
-    return 1
+def _shifted(g: LatticeMap, k: int, s: int) -> tuple:
+    """The integer matrix k·g - s·id."""
+    return tuple(tuple(k * x - s * (i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(g.rows))
 
 
 def unipotent_frame(g: LatticeMap):
     """Jordan frame (w, w1, w2) of a full unipotent block, or UnipotentDeficient.
 
     w2 is the first standard basis vector with (g-id)^2 w2 != 0, w1 = (g-id)w2,
-    w = (g-id)w1. The deficient (rank-1) block cannot arise from a geometric
-    action; it is returned as a verdict, not raised.
+    w = (g-id)w1. If there is none, (g-id)^2 = 0 puts im(g-id) in ker(g-id), so
+    rank(g-id) = 1: that deficient block cannot arise from a geometric action
+    and is returned as a verdict, not raised.
     """
     cp = char_poly(g)
     if cp.coefficients() != (1, -3, 3, -1):
         raise NotUnipotent(f"characteristic polynomial {cp} is not (t-1)^3")
     if g.is_identity():
         raise IsIdentity("the identity has no Jordan frame")
-    n = _minus_id(g)
-
-    def napply(v):
-        return tuple(sum(n[i][j] * v[j] for j in range(3)) for i in range(3))
-
-    for basis_index in range(3):
-        e = tuple(1 if i == basis_index else 0 for i in range(3))
-        w1 = napply(e)
-        w = napply(w1)
+    n = _shifted(g, 1, 1)
+    for e in _IDENTITY_ROWS:
+        w1 = _matvec(n, e)
+        w = _matvec(n, w1)
         if any(w):
-            if any(napply(w)):
+            if any(_matvec(n, w)):
                 raise PostCheckFailed("nilpotency", "(g - id)^3 e != 0")
             return (w, w1, e)
-    return UnipotentDeficient(rank_of_g_minus_id=_nilpotent_rank(n))
+    return UnipotentDeficient(rank_of_g_minus_id=1)
 
 
-def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
-    """Primitive integer eigenvector for eigenvalue 1 (assumes eigenspace dim 1)."""
-    n = _minus_id(g)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c = cross(n[i], n[j])
-            if any(c):
-                return primitive_part(c).vector
-    raise PostCheckFailed("eigenspace for 1 is not one-dimensional")
-
-
-def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
-    """Projective kernel vector of 2g - (s + f√d)·id, the eigenline of
-    (s + f√d)/2. Its rows are n_i - f√d·e_i with n = 2g - s·id, so the cross
-    product of two rows is p + q√d for integer vectors p and q."""
-    n = [[2 * x - s * (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.rows)]
-    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _kernel_line(g: LatticeMap, s: int, f: int, d: int, check: str) -> tuple:
+    """Integer vectors (p, q) with p + q√d the first nonzero cross product of two
+    rows n_i - f√d·e_i of 2g - (s + f√d)·id, n = 2g - s·id: it spans the kernel
+    when that is a line. Raises PostCheckFailed(check) if every product is 0."""
+    n = _shifted(g, 2, s)
+    e = _IDENTITY_ROWS
     for i, j in ((0, 1), (0, 2), (1, 2)):
         p = [x + f * f * d * y for x, y in zip(cross(n[i], n[j]), cross(e[i], e[j]))]
         q = [-f * (x + y) for x, y in zip(cross(n[i], e[j]), cross(e[i], n[j]))]
         if any(p) or any(q):
-            return projective_normalize(
-                [QuadSurd._canonical(Fraction(x), Fraction(y), d) for x, y in zip(p, q)])
-    raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+            return p, q
+    raise PostCheckFailed(check)
+
+
+def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
+    """Primitive integer eigenvector for eigenvalue 1: the kernel line of 2g - 2·id."""
+    p, _ = _kernel_line(g, 2, 0, 0, "eigenspace for 1 is not one-dimensional")
+    return primitive_part(p).vector
+
+
+def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
+    """Projective kernel vector of 2g - (s + f√d)·id, the eigenline of
+    (s + f√d)/2, normalized to a first nonzero coordinate of 1."""
+    p, q = _kernel_line(g, s, f, d,
+                        f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+    return projective_normalize(
+        [QuadSurd._canonical(Fraction(x), Fraction(y), d) for x, y in zip(p, q)])
 
 
 def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int,
@@ -219,8 +207,7 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     w = _eigenvector_1(g)
     _check_real_pair_eigenvector(g, u, s, -f, d, "eigen-equation g u = u / alpha")
     _check_real_pair_eigenvector(g, v, s, f, d, "eigen-equation g v = alpha v")
-    if g.apply(w) != w:
-        raise PostCheckFailed("eigen-equation g w = w")
+    _check_real_pair_eigenvector(g, w, 2, 0, d, "eigen-equation g w = w")
     if not (alpha * beta == 1 and alpha + beta == s):
         raise PostCheckFailed("alpha·beta = 1 and alpha + beta = s")
     return alpha, u, v, w

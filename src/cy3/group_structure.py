@@ -57,6 +57,7 @@ from .lattice_forms import (
     _det3,
     _dot,
     _int_pairs,
+    _matmul,
     _matvec,
     cross,
     preserves_pair,
@@ -230,9 +231,8 @@ def frame_coordinates_matrix(h: LatticeMap, frame) -> list[list[Fraction]]:
     det = _det3(m)
     if det == 0:
         raise PostCheckFailed("degenerate frame")
-    hm = [[_dot(row, col) for col in frame] for row in h.rows]
-    return [[Fraction(sum(a[k] * hm[k][j] for k in range(3)), det) for j in range(3)]
-            for a in _adjugate3(m)]
+    return [[Fraction(x, det) for x in row]
+            for row in _matmul(_adjugate3(m), _matmul(h.rows, m))]
 
 
 def verify_unipotent_constraints(
@@ -274,10 +274,7 @@ def tau(record: UnipotentConstraintRecord, p: int) -> int:
 def quadric_preserved_in_frame(hf, split: UnipotentSplit) -> None:
     """Entrywise check that Hf^t Q Hf = Q (the invariance scalar is 1)."""
     q = [[x.to_fraction() for x in row] for row in split.quadric.m]
-    ht_q = [[sum(hf[k][i] * q[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
-    ht_q_h = [[sum(ht_q[i][k] * hf[k][j] for k in range(3)) for j in range(3)]
-              for i in range(3)]
+    ht_q_h = _matmul(_matmul(tuple(zip(*hf)), q), hf)
     # the scalar is forced to 1 by taking determinants; read it off a pivot entry
     lam = ht_q_h[0][2] / q[0][2]
     if any(ht_q_h[i][j] != lam * q[i][j] for i in range(3) for j in range(3)):

@@ -128,16 +128,17 @@ class LinearForm:
         return (self.l1, self.l2, self.l3)
 
     def __call__(self, v: Sequence):
-        return sum(x * c for x, c in zip(v, self.coefficients()))
+        return _dot(v, self.coefficients())
 
     def is_zero(self) -> bool:
         return self.coefficients() == (0, 0, 0)
 
     def compose(self, g: "LatticeMap") -> "LinearForm":
         """The covector L∘g, i.e. v -> L(g v)."""
-        row = self.coefficients()
-        new = tuple(sum(row[p] * g.rows[p][i] for p in range(3)) for i in range(3))
-        return LinearForm(*new)
+        return LinearForm(*_matmul((self.coefficients(),), g.rows)[0])
+
+
+_IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class LatticeMap:
@@ -155,7 +156,7 @@ class LatticeMap:
 
     @classmethod
     def identity(cls) -> "LatticeMap":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls(_IDENTITY_ROWS)
 
     @property
     def det(self) -> int:
@@ -167,19 +168,10 @@ class LatticeMap:
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; exact for int, Fraction or QuadSurd entries."""
-        return tuple(
-            sum((v[j] * self.rows[i][j] for j in range(3)), start=v[0] * 0)
-            for i in range(3)
-        )
+        return _matvec(self.rows, v)
 
     def __matmul__(self, other: "LatticeMap") -> "LatticeMap":
-        a, b = self.rows, other.rows
-        return LatticeMap(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
+        return LatticeMap(_matmul(self.rows, other.rows))
 
     def inverse(self) -> "LatticeMap":
         d = self.det
@@ -187,19 +179,17 @@ class LatticeMap:
         return LatticeMap(tuple(tuple(x * d for x in row) for row in adj))
 
     def __pow__(self, n: int) -> "LatticeMap":
+        """Square and multiply: g**4 builds only g^2 and g^4, g**5 also g^4·g."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = LatticeMap.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base
-            n >>= 1
-        return out
+        if n < 2:
+            return self if n else LatticeMap.identity()
+        half = self ** (n // 2)
+        square = half @ half
+        return square @ self if n & 1 else square
 
     def is_identity(self) -> bool:
-        return self.rows == LatticeMap.identity().rows
+        return self.rows == _IDENTITY_ROWS
 
     def __eq__(self, other):
         if not isinstance(other, LatticeMap):
@@ -213,7 +203,26 @@ class LatticeMap:
         return f"LatticeMap({list(list(r) for r in self.rows)})"
 
 
-def _det3(rows) -> int:
+# -- exact 3x3 linear algebra ----------------------------------------------------
+# The only dot, matrix-vector and matrix-matrix products, determinant and
+# adjugate of the library; exact for int, Fraction or QuadSurd entries.
+
+
+def _dot(u: Sequence, v: Sequence):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _matvec(m, v: Sequence) -> tuple:
+    return (_dot(m[0], v), _dot(m[1], v), _dot(m[2], v))
+
+
+def _matmul(a, b) -> tuple:
+    """a·b for a 3x3 b and any number of length-3 rows in a."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
+
+
+def _det3(rows):
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -273,14 +282,6 @@ def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> Q
 def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
     """C(v) = T(v, v, v)."""
     return trilinear_eval(T, v, v, v)
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _matvec(m, v: Sequence[int]) -> tuple[int, int, int]:
-    return (_dot(m[0], v), _dot(m[1], v), _dot(m[2], v))
 
 
 def _scaled_pullback(T: TrilinearForm, g: LatticeMap) -> dict[tuple[int, int, int], int]:

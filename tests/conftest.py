@@ -12,6 +12,20 @@ def L_z():
 
 
 @pytest.fixture
+def latticemap_builds(monkeypatch):
+    """A list that gains one entry per LatticeMap constructed from here on."""
+    builds = []
+    init = LatticeMap.__init__
+
+    def counted(self, rows):
+        builds.append(rows)
+        init(self, rows)
+
+    monkeypatch.setattr(LatticeMap, "__init__", counted)
+    return builds
+
+
+@pytest.fixture
 def golden_cubic():
     """C = z(x^2 - xy - y^2)."""
     return TrilinearForm.from_cubic_coefficients({"x2z": 1, "xyz": -1, "y2z": -1})

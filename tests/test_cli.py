@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -270,6 +271,77 @@ class TestAnalyzeCommand:
         report, code = run(problem(data), "analyze")
         assert code == EXIT_GEOMETRIC
         assert "Jordan" in report["verdict"]["mechanism"]
+
+
+def _fibonacci_power(n):
+    """The n-th power of the golden generator [[2, 1, 0], [1, 1, 0], [0, 0, 1]]."""
+    a, b = 1, 0
+    for _ in range(2 * n):
+        a, b = a + b, a
+    return [[a, b, 0], [b, a - b, 0], [0, 0, 1]]
+
+
+PINNED_PROBLEMS = {
+    "golden": GOLDEN,
+    "golden-quadric": GOLDEN_QUADRIC,
+    "unipotent": UNIPOTENT,
+    "d94-automorph": {
+        "cubic": {"x2z": 1, "y2z": -94, "z3": 1},
+        "c2": [0, 0, 1],
+        "matrices": [[[2143295, 94 * 221064, 0], [221064, 2143295, 0], [0, 0, 1]]],
+    },
+    "golden-with-det-minus-one": dict(
+        GOLDEN, matrices=GOLDEN["matrices"] + [[[-1, 0, 0], [1, 1, 0], [0, 0, 1]]]),
+    "golden-power-40": dict(GOLDEN, matrices=[_fibonacci_power(40)]),
+}
+
+# sha256 of json.dumps(report, indent=2) and the exit code, per problem and command.
+PINNED_REPORTS = [
+    ("golden", "classify", 0,
+     "bb1a7c1fb3dc901a39a00f9aecf50fab35c250297cfebefa6741cc2a851a55ad"),
+    ("golden", "factor", 0,
+     "e98616efc816754a66e26b3278e3105a5c0350a2cdbab5dc4dc9822b9bdfeba3"),
+    ("golden", "analyze", 0,
+     "52c77dfb4b20a8e404410e590c6a2a0e84cfd7fa738e050aa2ad16fa4d56860f"),
+    ("golden-quadric", "classify", 0,
+     "bb1a7c1fb3dc901a39a00f9aecf50fab35c250297cfebefa6741cc2a851a55ad"),
+    ("golden-quadric", "factor", 0,
+     "c860d3febe473a2e4c51cc013ec5f1fdd4220c4fc32f3cd70c4b07aca8c169ee"),
+    ("golden-quadric", "analyze", 0,
+     "52c77dfb4b20a8e404410e590c6a2a0e84cfd7fa738e050aa2ad16fa4d56860f"),
+    ("unipotent", "classify", 0,
+     "013be42d5598b352133f5503d1c20c58f3eb4e01dcb357fe1fd49a5556acb9a9"),
+    ("unipotent", "factor", 0,
+     "d00f82ac1c5bea728ff5c1ea8fc7788ba18b0bf4b88477f3a91d910860b895d3"),
+    ("unipotent", "analyze", 0,
+     "f1f43b9fa29c1dc21763f9b4026418af76698061d9a84c0d3ccf494d33617812"),
+    ("d94-automorph", "classify", 0,
+     "9d33ad13db43422fbe2a8c806c02567f1a1ce87c21144a99df148ff326e037dd"),
+    ("d94-automorph", "factor", 0,
+     "475e70bf9a9b2a5d2ce15c2a2e8eaa6691302eb82b81b672d6ee4c5c3f3a929d"),
+    ("d94-automorph", "analyze", 0,
+     "46d6fa7d428a116be5b97921b9fefbd1429e0fa044945bbe8bbafd74a7d9c531"),
+    ("golden-with-det-minus-one", "classify", 0,
+     "ee75f2503ce6e7e521283678fac936a001d81e468cbddbdbd2b99c7e47dc62db"),
+    ("golden-with-det-minus-one", "factor", 0,
+     "c4774143fd82c13fa4b773c232462b9f4fe495865b3543b0e4c69328977b2cc2"),
+    ("golden-with-det-minus-one", "analyze", 0,
+     "9bd5c90e3fbda0af9182751244790e03f97b9b47baa3c5fe0540757bc48d765c"),
+    ("golden-power-40", "classify", 0,
+     "ef805a2339267ea4fb88dc061f6af2127b23189d74b675bea7e6d8084248e91b"),
+    ("golden-power-40", "factor", 0,
+     "448a3ca72cdeaec0babd3dd85b2b5cf362c3148191b5df10a1e9be18ba154353"),
+    ("golden-power-40", "analyze", 0,
+     "b918166341bae3aa229a451ea059f37242ee9d4052e189b68fd71debddd88a4c"),
+]
+
+
+@pytest.mark.parametrize("name, command, code, digest", PINNED_REPORTS)
+def test_report_bytes_are_pinned(name, command, code, digest):
+    """The JSON report bytes of each fixture stay the same across refactors."""
+    report, got = run(problem(PINNED_PROBLEMS[name]), command)
+    text = json.dumps(report, indent=2)
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest), text
 
 
 class TestEnumerateCommand:

@@ -2,7 +2,9 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import surd
 from cy3 import cubic_geometry
@@ -165,6 +167,52 @@ class TestSignature:
                 for i in range(3)
             ]
             assert quadric_signature(QuadraticForm(conj)) == base
+
+
+def eigsy_signature(m):
+    """(positive, negative, zero) eigenvalue counts of a real symmetric matrix
+    from mpmath.eigsy at 50 digits; |x| <= 1e-30 counts as zero, far below
+    every nonzero eigenvalue of the matrices drawn here."""
+    with mpmath.workdps(50):
+        values = mpmath.eigsy(mpmath.matrix(m), eigvals_only=True)
+        tiny = mpmath.mpf(10) ** -30
+        return (sum(1 for x in values if x > tiny), sum(1 for x in values if x < -tiny),
+                sum(1 for x in values if abs(x) <= tiny))
+
+
+small_ints = st.integers(-9, 9)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer 3x3 matrices: half with six free entries, half sums
+    of at most two rank-one terms c·v·v^t, so singular ones of each rank and
+    the zero matrix come up often."""
+    if draw(st.booleans()):
+        a, b, c, d, e, f = (draw(small_ints) for _ in range(6))
+        return ((a, b, c), (b, d, e), (c, e, f))
+    m = [[0] * 3 for _ in range(3)]
+    for _ in range(draw(st.integers(0, 2))):
+        c, v = draw(st.integers(-3, 3)), draw(st.tuples(small_ints, small_ints, small_ints))
+        m = [[m[i][j] + c * v[i] * v[j] for j in range(3)] for i in range(3)]
+    return tuple(map(tuple, m))
+
+
+@given(symmetric_matrices())
+def test_signature_matches_mpmath_eigenvalues(m):
+    assert quadric_signature(QuadraticForm(m)) == eigsy_signature(m)
+
+
+def test_singular_surd_signature_matches_mpmath_eigenvalues():
+    """Q = v·v^t - w·w^t with v = (1, phi, 0) and w = (0, 1, √5): rank 2, det
+    exactly 0, one eigenvalue of each sign."""
+    phi, s5 = surd(Fraction(1, 2), Fraction(1, 2), 5), surd(0, 1, 5)
+    q = QuadraticForm(((1, phi, 0), (phi, phi, -s5), (0, -s5, -5)))
+    with mpmath.workdps(50):
+        value = [[mpmath.mpf(x.a.numerator) / x.a.denominator
+                  + mpmath.mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(x.d or 0)
+                  for x in row] for row in q.m]
+    assert quadric_signature(q) == eigsy_signature(value) == (1, 1, 1)
 
 
 class TestTangentPlane:

@@ -74,6 +74,12 @@ class TestFiniteOrder:
         g = LatticeMap([[1, -1, 0], [1, 0, 0], [0, 0, 1]])
         assert classify(g) == FiniteOrder(6, "(1±i√3)/2")
 
+    def test_order_6_builds_five_products(self, latticemap_builds):
+        g = LatticeMap([[1, -1, 0], [1, 0, 0], [0, 0, 1]])
+        latticemap_builds.clear()
+        assert finite_order(g) == 6
+        assert len(latticemap_builds) == 5
+
     def test_order_3(self):
         g = LatticeMap([[0, -1, 0], [1, -1, 0], [0, 0, 1]])
         assert classify(g) == FiniteOrder(3, "(-1±i√3)/2")
@@ -314,6 +320,18 @@ class TestPostChecks:
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == "eigen-equation g u = u / alpha"
+
+    def test_wrong_fixed_vector_fails_the_eigen_equation(self, golden_generator, L_z,
+                                                          monkeypatch):
+        monkeypatch.setattr(element_classify, "_eigenvector_1", lambda g: (1, 0, 0))
+        with pytest.raises(PostCheckFailed) as info:
+            classify(golden_generator, L_z)
+        assert info.value.check == "eigen-equation g w = w"
+
+    def test_eigenspace_of_dimension_three_is_named(self):
+        with pytest.raises(PostCheckFailed) as info:
+            element_classify._eigenvector_1(LatticeMap.identity())
+        assert info.value.check == "eigenspace for 1 is not one-dimensional"
 
 
 def _order_oracle(g, bound=2 * ORDER_SEARCH_BOUND):

@@ -132,7 +132,24 @@ class TestLatticeMap:
         g = golden_generator
         assert g**3 == g @ g @ g
         assert g**-2 == g.inverse() @ g.inverse()
+        assert g**-3 == g.inverse() @ g.inverse() @ g.inverse()
         assert (g**0).is_identity()
+        assert g**1 == g
+        assert g**4 == g @ g @ g @ g
+        assert g**5 == g @ g @ g @ g @ g
+
+    @pytest.mark.parametrize("n, maps", [(4, 2), (5, 3)])
+    def test_pow_builds_one_map_per_product(self, golden_generator, latticemap_builds,
+                                            n, maps):
+        """g**4 builds g^2 and g^4 only; g**5 also g^4·g."""
+        latticemap_builds.clear()
+        golden_generator ** n
+        assert len(latticemap_builds) == maps
+
+    def test_is_identity_builds_no_map(self, golden_generator, latticemap_builds):
+        latticemap_builds.clear()
+        assert not golden_generator.is_identity()
+        assert latticemap_builds == []
 
     def test_apply_vs_rows(self):
         g = LatticeMap([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
