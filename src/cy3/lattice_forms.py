@@ -257,6 +257,24 @@ def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]
     return max(fields, default=0), den, p, q
 
 
+def _pair_apply(m, v, d: int):
+    """(mp + mq·√d)(p + q·√d) as an integer pair of vectors, for an integer
+    pair of matrices m = (mp, mq) and of vectors v = (p, q)."""
+    (mp, mq), (p, q) = m, v
+    return (tuple(x + d * y for x, y in zip(_matvec(mp, p), _matvec(mq, q))),
+            tuple(x + y for x, y in zip(_matvec(mp, q), _matvec(mq, p))))
+
+
+def _pair_dot(x, y, d: int) -> tuple[int, int]:
+    """The dot product of two integer pairs of vectors, as an integer pair."""
+    (a, b), (p, q) = x, y
+    return _dot(a, p) + d * _dot(b, q), _dot(a, q) + _dot(b, p)
+
+
+def _surd(pair: tuple[int, int], den: int, d: int) -> QuadSurd:
+    return QuadSurd._canonical(Fraction(pair[0], den), Fraction(pair[1], den), d)
+
+
 def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> QuadSurd:
     """Fully symmetric exact evaluation T(a, b, c).
 
@@ -268,15 +286,8 @@ def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> Q
     if len({da, db, dc} - {0}) > 1:
         raise IncompatibleFields(f"radicands {da}, {db}, {dc}")
     d = da or db or dc
-    m_p, m_q = T.contract(p_a), T.contract(q_a)
-    sp = tuple(x + d * y for x, y in zip(_matvec(m_p, p_b), _matvec(m_q, q_b)))
-    sq = tuple(x + y for x, y in zip(_matvec(m_p, q_b), _matvec(m_q, p_b)))
-    den = T.scale * den_a * den_b * den_c
-    return QuadSurd._canonical(
-        Fraction(_dot(sp, p_c) + d * _dot(sq, q_c), den),
-        Fraction(_dot(sp, q_c) + _dot(sq, p_c), den),
-        d,
-    )
+    s = _pair_apply((T.contract(p_a), T.contract(q_a)), (p_b, q_b), d)
+    return _surd(_pair_dot(s, (p_c, q_c), d), T.scale * den_a * den_b * den_c, d)
 
 
 def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
@@ -284,20 +295,46 @@ def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
     return trilinear_eval(T, v, v, v)
 
 
-def _scaled_pullback(T: TrilinearForm, g: LatticeMap) -> dict[tuple[int, int, int], int]:
-    """Entries of (D·T)(g a, g b, g c) on sorted index triples, in ints."""
-    cols = tuple(zip(*g.rows))
-    contracted = [T.contract(c) for c in cols]
-    return {
-        (i, j, k): _dot(_matvec(contracted[i - 1], cols[j - 1]), cols[k - 1])
-        for i, j, k in ENTRY_KEYS
-    }
+def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
+    """The covector T(v, v, ·), a third of the gradient of C at v, from one
+    integer-pair contraction of v."""
+    d, den, p, q = _int_pairs(v)
+    s = _pair_apply((T.contract(p), T.contract(q)), (p, q), d)
+    return tuple(_surd(pair, T.scale * den * den, d) for pair in zip(*s))
+
+
+def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> dict:
+    """Entries of (D·T)(f_i, f_j, f_k) on sorted index triples, for columns
+    f = p + q·√d given as integer vectors: ints when q is None (the columns of
+    a lattice map), else integer pairs (rational part, √d part)."""
+    mp = [T.contract(c) for c in p]
+    if q is None:
+        return {(i, j, k): _dot(_matvec(mp[i - 1], p[j - 1]), p[k - 1])
+                for i, j, k in ENTRY_KEYS}
+    cols = tuple(zip(p, q))
+    m = [(a, T.contract(c)) for a, c in zip(mp, q)]
+    return {(i, j, k): _pair_dot(_pair_apply(m[i - 1], cols[j - 1], d), cols[k - 1], d)
+            for i, j, k in ENTRY_KEYS}
+
+
+def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, QuadSurd]:
+    """The cubic in the coordinates of a frame (f1, f2, f3): the entries
+    T(f_i, f_j, f_k) on the 10 sorted index triples, exact. The whole frame is
+    cleared once to integer pairs (p + q·√d)/den, and one surd is built per
+    entry."""
+    d, den, p, q = _int_pairs(tuple(x for f in frame for x in f))
+    p, q = (p[:3], p[3:6], p[6:]), (q[:3], q[3:6], q[6:])
+    scale = T.scale * den ** 3
+    if not d:
+        return {key: _surd((x, 0), scale, 0) for key, x in _scaled_pullback(T, p).items()}
+    return {key: _surd(pair, scale, d) for key, pair in _scaled_pullback(T, p, q, d).items()}
 
 
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:
     """Pullback (g·T)(a, b, c) = T(g a, g b, g c), exact."""
     return TrilinearForm({
-        key: Fraction(value, T.scale) for key, value in _scaled_pullback(T, g).items()
+        key: Fraction(value, T.scale)
+        for key, value in _scaled_pullback(T, tuple(zip(*g.rows))).items()
     })
 
 
@@ -308,7 +345,7 @@ def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:
     dt = T.scaled
     return all(
         dt[i - 1][j - 1][k - 1] == value
-        for (i, j, k), value in _scaled_pullback(T, g).items()
+        for (i, j, k), value in _scaled_pullback(T, tuple(zip(*g.rows))).items()
     )
 
 

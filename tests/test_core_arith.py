@@ -226,18 +226,18 @@ def _random_surd(rng, d):
 
 def test_compare_against_high_precision_oracle():
     """1000 random surds ordered identically by exact signs and by 60-digit floats."""
-    mpmath.mp.dps = 60
     rng = random.Random(20240817)
-    for _ in range(1000):
-        d = rng.choice([2, 3, 5, 7, 10, 13])
-        x = _random_surd(rng, d)
-        y = _random_surd(rng, d)
-        approx = lambda q: mpmath.mpf(q.a.numerator) / q.a.denominator + (
-            mpmath.mpf(q.b.numerator) / q.b.denominator
-        ) * mpmath.sqrt(q.d)
-        diff = approx(x) - approx(y)
-        expected = 0 if abs(diff) < mpmath.mpf("1e-40") else (1 if diff > 0 else -1)
-        assert surd_compare(x, y) == expected
+    with mpmath.workdps(60):
+        for _ in range(1000):
+            d = rng.choice([2, 3, 5, 7, 10, 13])
+            x = _random_surd(rng, d)
+            y = _random_surd(rng, d)
+            approx = lambda q: mpmath.mpf(q.a.numerator) / q.a.denominator + (
+                mpmath.mpf(q.b.numerator) / q.b.denominator
+            ) * mpmath.sqrt(q.d)
+            diff = approx(x) - approx(y)
+            expected = 0 if abs(diff) < mpmath.mpf("1e-40") else (1 if diff > 0 else -1)
+            assert surd_compare(x, y) == expected
 
 
 small_fractions = st.fractions(

@@ -101,7 +101,8 @@ class TestHyperbolicFactorization:
         fact = hyperbolic_factorization(golden_cubic, u, v, w)
         assert isinstance(fact, ThreeLines)
         assert fact.b == surd(Fraction(5, 6))
-        assert fact.l == (surd(0), surd(0), surd(1))
+        three_b = fact.b * 3
+        assert fact.quadric == QuadraticForm(((0, three_b, 0), (three_b, 0, 0), (0, 0, 0)))
         assert reconstruction_matches(fact)
 
     def test_quadric_line(self, golden_cubic_quadric, golden_frame):
@@ -110,10 +111,19 @@ class TestHyperbolicFactorization:
         assert isinstance(fact, QuadricLine)
         assert fact.a == 1
         assert fact.b == surd(Fraction(5, 6))
-        assert fact.tangent is False
-        assert fact.tangency_points == (fact.frame[0], fact.frame[1])
+        three_b = fact.b * 3
+        assert fact.quadric == QuadraticForm(((0, three_b, 0), (three_b, 0, 0), (0, 0, 1)))
         assert quadric_signature(fact.quadric) == (2, 1, 0)
         assert reconstruction_matches(fact)
+
+    def test_false_split_fails_the_named_post_check(self, golden_cubic):
+        """Without a relation report the standard frame is not refused by the
+        gate; B = -1/6, but x^2 z and y^2 z leave C∘M = z·Q with q11, q22 != 0,
+        which is no hyperbolic split."""
+        with pytest.raises(PostCheckFailed) as info:
+            hyperbolic_factorization(golden_cubic, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert info.value.check == "hyperbolic split C = z(A z^2 + 6B xy)"
+        assert "t113 = 1/3" in str(info.value)
 
     def test_hodge_index_violation(self, golden_frame):
         u, v, w = golden_frame
@@ -255,7 +265,7 @@ class TestUnipotentFactorization:
         assert isinstance(fact, UnipotentSplit)
         assert fact.e == 3
         assert fact.f == 1
-        assert fact.linear_in_frame == (surd(0), surd(0), surd(1))
+        assert tangent_plane(fact.quadric, (1, 0, 0)) == (surd(0), surd(0), surd(1))
         assert reconstruction_matches(fact)
 
     def test_quadric_matrix(self, unipotent_cubic, unipotent_frame_vectors):
@@ -265,6 +275,15 @@ class TestUnipotentFactorization:
         assert fact.quadric == QuadraticForm(
             ((0, 0, e), (0, -e, e / 2), (e, e / 2, f))
         )
+
+    def test_z_free_entry_fails_the_named_post_check(self, unipotent_frame_vectors):
+        """An x^3 term is no multiple of z: C∘M is not z·Q however E, F and
+        the tangency at w come out."""
+        T = TrilinearForm.from_cubic_coefficients(
+            {"x3": 1, "z3": 1, "xz2": 6, "y2z": -3, "yz2": 3})
+        with pytest.raises(PostCheckFailed) as info:
+            unipotent_factorization(T, *unipotent_frame_vectors)
+        assert info.value.check == "unipotent split C = z·Q"
 
     def test_lefschetz_violation_precedes_relation_gate(
         self, split_cubic, unipotent_frame_vectors
@@ -291,7 +310,7 @@ class TestUnipotentFactorization:
         fact = unipotent_factorization(unipotent_cubic, w, w1, w2)
         # w = (1,0,0) in frame coordinates lies on Q and the tangent there is z
         assert fact.quadric.eval((1, 0, 0)) == 0
-        assert tangent_plane(fact.quadric, (1, 0, 0)) == fact.linear_in_frame
+        assert tangent_plane(fact.quadric, (1, 0, 0)) == (surd(0), surd(0), surd(1))
 
 
 class TestReconstructionAndSingularLocus:
@@ -328,12 +347,19 @@ class TestReconstructionAndSingularLocus:
         self, golden_cubic, golden_cubic_quadric, golden_frame, unipotent_cubic,
         unipotent_frame_vectors,
     ):
-        three = hyperbolic_factorization(golden_cubic, *golden_frame)
-        quadric = hyperbolic_factorization(golden_cubic_quadric, *golden_frame)
-        split = unipotent_factorization(unipotent_cubic, *unipotent_frame_vectors)
-        assert not reconstruction_matches(dataclasses.replace(three, b=three.b * 2))
-        assert not reconstruction_matches(dataclasses.replace(quadric, a=quadric.a + 1))
-        assert not reconstruction_matches(dataclasses.replace(split, f=split.f + 1))
+        """Changing any one of the six entries of Q breaks the reconstruction."""
+        facts = [
+            hyperbolic_factorization(golden_cubic, *golden_frame),
+            hyperbolic_factorization(golden_cubic_quadric, *golden_frame),
+            unipotent_factorization(unipotent_cubic, *unipotent_frame_vectors),
+        ]
+        for fact in facts:
+            assert reconstruction_matches(fact)
+            for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+                m = [list(row) for row in fact.quadric.m]
+                m[i][j] = m[j][i] = m[i][j] + 1
+                tampered = dataclasses.replace(fact, quadric=QuadraticForm(m))
+                assert not reconstruction_matches(tampered), (type(fact).__name__, i, j)
 
     def test_degenerate_frame_fails_the_named_post_check(self, golden_cubic, golden_frame):
         fact = hyperbolic_factorization(golden_cubic, *golden_frame)
@@ -364,24 +390,27 @@ class TestReconstructionAndSingularLocus:
             assert reconstruction_matches(fact)
 
     def test_hyperbolic_reconstruction_survives_base_change(
-        self, golden_cubic_quadric, golden_generator, L_z
+        self, golden_cubic_quadric, golden_cubic, golden_generator, L_z
     ):
-        rng = random.Random(78)
-        for _ in range(10):
-            p = random_unimodular(rng, steps=4)
-            T2 = transform_cubic(golden_cubic_quadric, p)
-            g2 = p.inverse() @ golden_generator @ p
-            L2 = L_z.compose(p)
-            verdict = classify(g2, L2)
-            assert isinstance(verdict, Hyperbolic)
-            rep = check_hyperbolic_relations(T2, L2, verdict.u, verdict.v, verdict.w)
-            assert rep.overall
-            fact = hyperbolic_factorization(
-                T2, verdict.u, verdict.v, verdict.w, relation_report=rep
-            )
-            assert isinstance(fact, QuadricLine)
-            # Q is only defined up to sign (rescaling the frame), so the
-            # projective invariant is "nondegenerate indefinite": inertia {2, 1}
-            sig = quadric_signature(fact.quadric)
-            assert sorted(sig) == [0, 1, 2] and sig[2] == 0
-            assert reconstruction_matches(fact)
+        cases = ((golden_cubic_quadric, QuadricLine, (1, 2, 0)),
+                 (golden_cubic, ThreeLines, (1, 1, 1)))
+        for T, kind, inertia in cases:
+            rng = random.Random(78)
+            for _ in range(10):
+                p = random_unimodular(rng, steps=4)
+                T2 = transform_cubic(T, p)
+                g2 = p.inverse() @ golden_generator @ p
+                L2 = L_z.compose(p)
+                verdict = classify(g2, L2)
+                assert isinstance(verdict, Hyperbolic)
+                rep = check_hyperbolic_relations(T2, L2, verdict.u, verdict.v, verdict.w)
+                assert rep.overall
+                fact = hyperbolic_factorization(
+                    T2, verdict.u, verdict.v, verdict.w, relation_report=rep
+                )
+                assert isinstance(fact, kind)
+                # Q is only defined up to sign (rescaling the frame), so the
+                # projective invariant is the inertia up to swapping + and -
+                sig = quadric_signature(fact.quadric)
+                assert sorted(sig[:2]) == list(inertia[:2]) and sig[2] == inertia[2]
+                assert reconstruction_matches(fact)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import GOLDEN_ALPHA, surd
-from cy3 import group_structure
+from cy3 import group_structure, lattice_forms
 from cy3.core_arith import QuadSurd, squarefree_decompose
-from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, ThreeLines
+from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
 from cy3.element_classify import UnipotentFull, classify, real_pair_lines
 from cy3.errors import (
     BoundTooLarge,
@@ -485,6 +486,26 @@ class TestCertifySeed:
         assert not cert.relations.overall
         assert cert.factorization is None and cert.reason is None
         assert cert.inconsistency.mechanism == LEFSCHETZ
+
+    def test_one_frame_table_per_check(self, golden_cubic_quadric, golden_generator, L_z,
+                                        monkeypatch):
+        """On a conjugated hyperbolic seed the frame is cleared to integer
+        pairs once for the relations, once for the factorization and once per
+        singular line: 4 times, where clearing each vector of each trilinear
+        evaluation took 48."""
+        rng = random.Random(5)
+        p = random_unimodular(rng, steps=4)
+        T = transform_cubic(golden_cubic_quadric, p)
+        g, L = p.inverse() @ golden_generator @ p, L_z.compose(p)
+        lines = real_pair_lines(g, classify(g, L))
+        calls = []
+        int_pairs = lattice_forms._int_pairs
+        monkeypatch.setattr(lattice_forms, "_int_pairs",
+                            lambda v: calls.append(v) or int_pairs(v))
+        cert = certify_seed(T, L, lines)
+        assert isinstance(cert.factorization, QuadricLine)
+        assert len(cert.singular_lines) == 2
+        assert len(calls) <= 4
 
     def test_analyze_runs_the_unipotent_singular_locus_post_check(
             self, unipotent_cubic, unipotent_generator, L_z, monkeypatch):

@@ -15,7 +15,9 @@ from cy3.lattice_forms import (
     _int_pairs,
     cross,
     cubic_eval,
+    frame_table,
     multinomial,
+    polar,
     preserves_pair,
     primitive_part,
     projective_normalize,
@@ -421,3 +423,17 @@ def test_trilinear_eval_matches_surd_reference(T, vectors):
 def test_trilinear_eval_rejects_mixed_fields(vectors, golden_cubic_quadric):
     with pytest.raises(IncompatibleFields):
         trilinear_eval(golden_cubic_quadric, *vectors)
+
+
+@given(cubics(), st.sampled_from([2, 3, 5, 13]).flatmap(
+    lambda d: st.tuples(vectors_over(d), vectors_over(d), vectors_over(d))))
+def test_frame_table_and_polar_match_trilinear_eval(T, frame):
+    """The frame table holds T(f_i, f_j, f_k) on every sorted index triple, and
+    polar(T, f) is T(f, f, e_i) on the standard basis."""
+    table = frame_table(T, frame)
+    assert sorted(table) == sorted(ENTRY_KEYS)
+    for i, j, k in ENTRY_KEYS:
+        assert table[i, j, k] == trilinear_eval(T, frame[i - 1], frame[j - 1], frame[k - 1])
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for f in frame:
+        assert polar(T, f) == tuple(trilinear_eval(T, f, f, e) for e in basis)
