@@ -1,17 +1,19 @@
-"""Exact scalars: arbitrary-precision rationals, real quadratic surds a + b*sqrt(d),
-and monic-up-to-sign integer cubics.
+"""Exact scalars: real quadratic surds (p + q*sqrt(d))/den on integers, and
+monic-up-to-sign integer cubics.
 
 Every comparison is decided by exact sign analysis; no floating point enters any
-result. Rationals are `fractions.Fraction`; a surd with d in {0, 1} collapses to
-a rational, so a single scalar type flows through the whole library.
+result. A surd with d in {0, 1} collapses to a rational, so a single scalar type
+flows through the whole library; `fractions.Fraction` appears only where a
+rational enters (the public constructor) or leaves (the `a` and `b` views).
 
-Every `QuadSurd` satisfies one invariant: `a` and `b` are `Fraction`s, `d` is 0
-or a squarefree integer > 1, and `b == 0` exactly when `d == 0`. The radicand is
-made squarefree only where a field is entered: the public constructor
-`QuadSurd(a, b, d)` runs `squarefree_decompose` on an untrusted `d`, and
-`solve_unit_quadratic` decomposes the two factors of s^2 - 4. Arithmetic inside a
-field (`+ - * /`, `inverse`, `conjugate`, `**`) keeps the already canonical `d`
-and builds its results with the trusted `QuadSurd._canonical`, which never
+Every `QuadSurd` holds four ints p, q, den, d with one invariant: den > 0,
+gcd(p, q, den) = 1, `d` is 0 or a squarefree integer > 1, and q == 0 exactly
+when d == 0. The radicand is made squarefree only where a field is entered: the
+public constructor `QuadSurd(a, b, d)` runs `squarefree_decompose` on an
+untrusted `d`, and `solve_unit_quadratic` decomposes the two factors of s^2 - 4.
+Arithmetic inside a field (`+ - * /`, `inverse`, `conjugate`, `**`) keeps the
+already canonical `d`, runs on the integers and builds its result with the one
+trusted constructor `_from_ints`, one gcd and a sign fix, which never
 decomposes.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
 
@@ -65,9 +67,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, f
 
 
-_ZERO = Fraction(0)
-
-
 def _pair_sign(p: int, q: int, d: int) -> int:
     """Sign of p + q√d for integers p, q and a non-square d > 1 (any d if
     q = 0); squaring with sign tracking decides the opposite-sign case."""
@@ -77,49 +76,47 @@ def _pair_sign(p: int, q: int, d: int) -> int:
     return sp if p * p > q * q * d else sq
 
 
+def _from_ints(p: int, q: int, den: int, d: int) -> "QuadSurd":
+    """The trusted constructor: (p + q√d)/den for integers with den != 0 and d
+    0 or an already squarefree integer > 1 (a field's radicand). Divides out
+    gcd(p, q, den), makes den positive and sets d = 0 when q = 0; it never
+    decomposes."""
+    g = gcd(p, q, den)
+    if den < 0:
+        g = -g
+    obj = object.__new__(QuadSurd)
+    obj.p, obj.q, obj.den, obj.d = p // g, q // g, den // g, (d if q else 0)
+    return obj
+
+
 @total_ordering
 class QuadSurd:
-    """a + b*sqrt(d) with a, b rational and d a squarefree nonnegative integer.
+    """(p + q*sqrt(d))/den with integers p, q, den and d a squarefree
+    nonnegative integer; `a` = p/den and `b` = q/den as Fractions.
 
-    Canonical form: square factors of d are pulled into b, and d <= 1 collapses
-    to a rational (b = 0, d = 0). Instances are immutable by convention. The
-    public constructor accepts any d >= 0; `_canonical` is the trusted one.
+    Canonical form: den > 0, gcd(p, q, den) = 1, square factors of d are pulled
+    into q, and d <= 1 collapses to a rational (q = 0, d = 0). Instances are
+    immutable by convention. The public constructor accepts any rational a, b
+    and d >= 0; `_from_ints` is the trusted one.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "den", "d")
 
     def __init__(self, a=0, b=0, d: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
-        d = int(d)
+        a, b, d = Fraction(a), Fraction(b), int(d)
         if d < 0:
             raise ValueError("negative field discriminant")
-        if b == 0:
-            d = 0
-        elif d <= 1:
-            a += b * d  # sqrt(0) = 0, sqrt(1) = 1
-            b = Fraction(0)
-            d = 0
-        else:
-            s, f = squarefree_decompose(d)
+        if b and d > 1:
+            d, f = squarefree_decompose(d)
             b *= f
-            d = s
-            if d == 1:
-                a += b
-                b = Fraction(0)
-                d = 0
-        self.a = a
-        self.b = b
-        self.d = d
+        if not b or d <= 1:  # sqrt(0) = 0, sqrt(1) = 1
+            a, b, d = a + b * d, _ZERO, 0
+        den = lcm(a.denominator, b.denominator)
+        self.p, self.q = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        self.den, self.d = den, d
 
-    @classmethod
-    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "QuadSurd":
-        """Trusted constructor: `a`, `b` are Fractions and `d` is 0 or an
-        already squarefree integer > 1 (a field's radicand). Only the
-        `b == 0 <=> d == 0` half of the invariant is restored here."""
-        obj = object.__new__(cls)
-        obj.a, obj.b, obj.d = a, b, (d if b else 0)
-        return obj
+    a = property(lambda self: Fraction(self.p, self.den), doc="The rational part, a Fraction.")
+    b = property(lambda self: Fraction(self.q, self.den), doc="The √d coefficient, a Fraction.")
 
     # -- coercion ----------------------------------------------------------
 
@@ -128,15 +125,19 @@ class QuadSurd:
         if isinstance(x, QuadSurd):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadSurd._canonical(Fraction(x), _ZERO, 0)
+            return _from_ints(x.numerator, 0, x.denominator, 0)
         return None
 
-    def _common_d(self, other: "QuadSurd") -> int:
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise IncompatibleFields(f"sqrt({self.d}) vs sqrt({other.d})")
+    def _parts(self, x) -> "tuple[int, int, int, int] | None":
+        """(p, q, den) of an int, Fraction or surd x and the radicand it shares
+        with self, or None for any other type."""
+        if isinstance(x, QuadSurd):
+            if x.d and self.d and x.d != self.d:
+                raise IncompatibleFields(f"sqrt({self.d}) vs sqrt({x.d})")
+            return x.p, x.q, x.den, self.d or x.d
+        if isinstance(x, (int, Fraction)):
+            return x.numerator, 0, x.denominator, self.d
+        return None
 
     # -- predicates ---------------------------------------------------------
 
@@ -146,78 +147,77 @@ class QuadSurd:
         return self.a
 
     def sign(self) -> int:
-        """Exact sign of the integer pair left after clearing both (positive)
-        denominators; no floating point."""
-        a, b = self.a, self.b
-        return _pair_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d)
+        """Exact sign of the integer pair (p, q), den being positive."""
+        return _pair_sign(self.p, self.q, self.d)
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 - b^2*d."""
-        return self.a * self.a - self.b * self.b * self.d
+    def norm(self) -> "QuadSurd":
+        """Field norm a^2 - b^2*d, a rational surd."""
+        return _from_ints(self.p * self.p - self.q * self.q * self.d, 0, self.den * self.den, 0)
 
     def conjugate(self) -> "QuadSurd":
-        return QuadSurd._canonical(self.a, -self.b, self.d)
+        return _from_ints(self.p, -self.q, self.den, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        d = self._common_d(other)
-        return QuadSurd._canonical(self.a + other.a, self.b + other.b, d)
+        p, q, n, d = o
+        return _from_ints(self.p * n + p * self.den, self.q * n + q * self.den, self.den * n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadSurd._canonical(-self.a, -self.b, self.d)
+        return _from_ints(-self.p, -self.q, self.den, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        p, q, n, d = o
+        return _from_ints(self.p * n - p * self.den, self.q * n - q * self.den, self.den * n, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        d = self._common_d(other)
-        return QuadSurd._canonical(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        p, q, n, d = o
+        return _from_ints(self.p * p + self.q * q * d, self.p * q + self.q * p, self.den * n, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadSurd":
-        n = self.norm()
+        n = self.p * self.p - self.q * self.q * self.d
         if n == 0:
             raise ZeroDivisionError("surd has zero norm")
-        return QuadSurd._canonical(self.a / n, -self.b / n, self.d)
+        return _from_ints(self.p * self.den, -self.q * self.den, n, self.d)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def __truediv__(self, other):  # n(p + q√d)(r - s√d) / den(r^2 - s^2 d)
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self * other.inverse()
+        r, s, n, d = o
+        norm = r * r - s * s * d
+        if norm == 0:
+            raise ZeroDivisionError("surd has zero norm")
+        return _from_ints((self.p * r - self.q * s * d) * n, (self.q * r - self.p * s) * n,
+                          self.den * norm, d)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = QuadSurd(1)
+        out = _ONE
         while n:
             if n & 1:
                 out = out * base
@@ -228,24 +228,24 @@ class QuadSurd:
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+        if isinstance(other, QuadSurd):
+            return (self.p, self.q, self.den, self.d) == (other.p, other.q, other.den, other.d)
+        if isinstance(other, (int, Fraction)):
+            return not self.q and self.p == other.numerator and self.den == other.denominator
+        return NotImplemented
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return (self - other).sign() < 0
+        p, q, n, d = o
+        return _pair_sign(self.p * n - p * self.den, self.q * n - q * self.den, d) < 0
 
-    def __hash__(self):
-        if self.d == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+    def __hash__(self):  # a rational surd hashes like the equal int or Fraction
+        return hash((self.p, self.q, self.den, self.d)) if self.q else hash(self.a)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.p or self.q)
 
     # -- display ----------------------------------------------------------
 
@@ -253,15 +253,16 @@ class QuadSurd:
         return f"QuadSurd({self.a!r}, {self.b!r}, {self.d})"
 
     def __str__(self):
-        if self.d == 0:
-            return str(self.a)
-        root = f"√{self.d}"
-        bs = "" if abs(self.b) == 1 else str(abs(self.b))
-        tail = f"{bs}{root}"
-        if self.a == 0:
-            return tail if self.b > 0 else f"-{tail}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {tail}"
+        if self.d == 0:  # gcd(p, den) = 1 when q = 0
+            return str(self.p) if self.den == 1 else f"{self.p}/{self.den}"
+        b = abs(self.b)
+        tail = f"{'' if b == 1 else str(b)}√{self.d}"
+        if self.p == 0:
+            return tail if self.q > 0 else f"-{tail}"
+        return f"{self.a} {'+' if self.q > 0 else '-'} {tail}"
+
+
+_ZERO, _ONE = Fraction(0), _from_ints(1, 0, 1, 0)
 
 
 def surd_compare(x: QuadSurd, y: QuadSurd) -> int:
@@ -281,9 +282,8 @@ def solve_unit_quadratic(s: int) -> tuple[QuadSurd, QuadSurd]:
     finite-order candidate range)."""
     if s * s < 4:
         raise ComplexRoots(f"t^2 - {s}t + 1 has complex roots")
-    half = Fraction(s, 2)
     if s in (2, -2):
-        root = QuadSurd(half)  # double root s/2 = +-1
+        root = _from_ints(s, 0, 2, 0)  # double root s/2 = +-1
         return root, root
     d1, f1 = squarefree_decompose(abs(s) - 2)
     d2, f2 = squarefree_decompose(abs(s) + 2)
@@ -291,8 +291,7 @@ def solve_unit_quadratic(s: int) -> tuple[QuadSurd, QuadSurd]:
     # d1/g and d2/g are coprime squarefree, so their product is squarefree; it
     # is > 1 because s^2 - 4 is a square only for s = +-2.
     d, f = (d1 // g) * (d2 // g), f1 * f2 * g
-    b = Fraction(f, 2)
-    return QuadSurd._canonical(half, b, d), QuadSurd._canonical(half, -b, d)
+    return _from_ints(s, f, 2, d), _from_ints(s, -f, 2, d)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ A hyperbolic frame (u, v, w) gives z(A z^2 + 6B xy), a full unipotent frame
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,11 +55,14 @@ class RelationRow:
 class RelationReport:
     rows: tuple[RelationRow, ...]
     overall: bool
+    # (T, frame, table): the frame table the rows were read off, for the
+    # factorization of the same cubic and frame; not rendered.
+    source: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_rows(cls, rows) -> "RelationReport":
+    def from_rows(cls, rows, source=None) -> "RelationReport":
         rows = tuple(rows)
-        return cls(rows=rows, overall=all(r.holds for r in rows))
+        return cls(rows=rows, overall=all(r.holds for r in rows), source=source)
 
     @property
     def failing(self) -> list[str]:
@@ -124,7 +127,7 @@ class _HyperbolicSplit(Factorization):
     @property
     def b(self) -> QuadSurd:
         """B = T(u, v, w) = q_12 / 3."""
-        return self.quadric.m[0][1] * Fraction(1, 3)
+        return self.quadric.m[0][1] / 3
 
 
 class ThreeLines(_HyperbolicSplit):
@@ -156,12 +159,18 @@ Z_FREE = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
 
 def _read_quadric(t) -> QuadraticForm:
     """Q with C∘M = z·Q, read off the frame table t of a split cubic."""
-    q12, q13, q23 = t[1, 2, 3] * 3, t[1, 3, 3] * Fraction(3, 2), t[2, 3, 3] * Fraction(3, 2)
+    q12, q13, q23 = t[1, 2, 3] * 3, t[1, 3, 3] * 3 / 2, t[2, 3, 3] * 3 / 2
     return QuadraticForm((
         (t[1, 1, 3] * 3, q12, q13),
         (q12, t[2, 2, 3] * 3, q23),
         (q13, q23, t[3, 3, 3]),
     ))
+
+
+def _frame_table(T: TrilinearForm, frame: tuple, report: RelationReport | None) -> dict:
+    """The frame table of T, reused from a relation report on the same cubic and frame."""
+    T0, frame0, t = report.source if report and report.source else (None, (), None)
+    return t if T0 is T and tuple(map(tuple, frame0)) == frame else frame_table(T, frame)
 
 
 def _checked_quadric(t, check: str, vanishing=()) -> QuadraticForm:
@@ -186,7 +195,8 @@ def check_hyperbolic_relations(
     its frame table, plus L(u) = L(v) = 0, all exact."""
     t = frame_table(T, (u, v, w))
     rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]
-    return RelationReport.from_rows([*rows, _row("L(u)", L(u)), _row("L(v)", L(v))])
+    return RelationReport.from_rows([*rows, _row("L(u)", L(u)), _row("L(v)", L(v))],
+                                    (T, (u, v, w), t))
 
 
 def hyperbolic_factorization(
@@ -206,7 +216,7 @@ def hyperbolic_factorization(
     if relation_report is not None and not relation_report.overall:
         raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
     frame = tuple(tuple(_as_surd(x) for x in f) for f in (u, v, w))
-    t = frame_table(T, frame)
+    t = _frame_table(T, frame, relation_report)
     if not t[1, 2, 3]:
         raise GeometricInconsistency(HODGE_INDEX, "B = T(u, v, w) = 0")
     quadric = _checked_quadric(t, "hyperbolic split C = z(A z^2 + 6B xy)",
@@ -265,7 +275,7 @@ def check_unipotent_relations(
         _row("w·w2^2 = -2·w1^2·w2", ww22, t[2, 2, 3] * (-2)),
         _row("w·w2^2 ≠ 0", ww22, equal=False),
     ]
-    return RelationReport.from_rows(rows)
+    return RelationReport.from_rows(rows, (T, (w, w1, w2), t))
 
 
 def unipotent_factorization(
@@ -280,7 +290,7 @@ def unipotent_factorization(
     hyperplane theorem and raises GeometricInconsistency. The split is
     post-checked on the frame table, and L = z must be tangent to Q at w."""
     frame = tuple(tuple(int(x) for x in f) for f in (w, w1, w2))
-    t = frame_table(T, frame)
+    t = _frame_table(T, frame, relation_report)
     if not t[1, 3, 3]:
         raise GeometricInconsistency(LEFSCHETZ, "E = 3·T(w, w2, w2)/2 = 0")
     if relation_report is not None and not relation_report.overall:
@@ -288,7 +298,7 @@ def unipotent_factorization(
     q = _checked_quadric(t, "unipotent split C = z·Q")
     # L in frame coordinates is z; it must be tangent to Q at w = (1, 0, 0).
     plane = tangent_plane(q, (1, 0, 0))
-    if plane != (QuadSurd(0), QuadSurd(0), QuadSurd(1)):
+    if plane != (0, 0, 1):
         raise PostCheckFailed("tangent plane", f"L is not tangent to Q at w: {plane}")
     return UnipotentSplit(T, frame, q)
 

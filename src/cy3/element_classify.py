@@ -7,9 +7,8 @@ the kernel line of 2g - (s + f√d)·id, one cross product of two of its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core_arith import CubicPolyZ, QuadSurd, solve_unit_quadratic
+from .core_arith import CubicPolyZ, QuadSurd, _from_ints, solve_unit_quadratic
 from .errors import (
     DoesNotPreserveL,
     InconsistentTag,
@@ -160,8 +159,7 @@ def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
     (s + f√d)/2, normalized to a first nonzero coordinate of 1."""
     p, q = _kernel_line(g, s, f, d,
                         f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
-    return projective_normalize(
-        [QuadSurd._canonical(Fraction(x), Fraction(y), d) for x, y in zip(p, q)])
+    return projective_normalize([_from_ints(x, y, 1, d) for x, y in zip(p, q)])
 
 
 def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int,
@@ -201,7 +199,7 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     |alpha| < 1. The eigen-equations are checked before returning."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
-    f, d = int(2 * alpha.b), alpha.d  # 2·alpha = s + f√d
+    f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d
     u = _eigenvector_real_pair(g, s, -f, d)
     v = _eigenvector_real_pair(g, s, f, d)
     w = _eigenvector_1(g)

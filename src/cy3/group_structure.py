@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .core_arith import QuadSurd, _pair_sign
+from .core_arith import QuadSurd, _from_ints, _pair_sign
 from .cubic_geometry import (
     FULL_JORDAN,
     Factorization,
@@ -54,6 +54,7 @@ from .lattice_forms import (
     LinearForm,
     TrilinearForm,
     _adjugate3,
+    _as_surd,
     _det3,
     _dot,
     _int_pairs,
@@ -130,7 +131,7 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
     i = next(i for i in range(3) if p[i] or q[i])
     a, b, P, Q = p[i], q[i], img[0][i], img[1][i]
     n = a * a - d * b * b
-    beta = QuadSurd._canonical(Fraction(P * a - d * Q * b, n), Fraction(Q * a - P * b, n), d)
+    beta = _from_ints(P * a - d * Q * b, Q * a - P * b, n, d)
     if beta.sign() <= 0:
         raise LinesNotPreserved("4th-power scalar is not positive")
     return beta
@@ -157,7 +158,7 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     that is not a unit of that ring (a rational value other than 1 included)
     gives Inconclusive; values over two fields raise IncompatibleFields.
     """
-    values = [v if isinstance(v, QuadSurd) else QuadSurd(v) for v in values]
+    values = [_as_surd(v) for v in values]
     if any(not v > 0 for v in values):
         raise ValueError("character values must be positive")
     if all(v == 1 for v in values):
@@ -166,7 +167,7 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     if len(fields) > 1:
         raise IncompatibleFields(f"sqrt({fields[0]}) vs sqrt({fields[1]})")
     for v in values:
-        if v != 1 and ((2 * v.a).denominator != 1 or v.norm() not in (1, -1)):
+        if v != 1 and (2 * v.p % v.den or v.norm() not in (1, -1)):
             return CyclicCertificate(
                 kind="Inconclusive",
                 reason=f"{v} is not a unit of the ring of integers (norm {v.norm()})",
@@ -176,11 +177,11 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     # Each value as u**sign with u >= 1.
     above = [(v, 1) if v > 1 else (v.inverse(), -1) for v in values]
     smallest = min(u for u, _ in above if u != 1)
-    eps = _fundamental_unit(d, (int(2 * smallest.a), int(2 * smallest.b)))
-    generator = QuadSurd._canonical(Fraction(eps[0], 2), Fraction(eps[1], 2), d)
+    eps = _fundamental_unit(d, (2 * smallest.p // smallest.den, 2 * smallest.q // smallest.den))
+    generator = _from_ints(eps[0], eps[1], 2, d)
     exponents = []
     for v, (u, sign) in zip(values, above):
-        ux, uy = int(2 * u.a), int(2 * u.b)
+        ux, uy = 2 * u.p // u.den, 2 * u.q // u.den
         x, y, k = 2, 0, 0  # eps**k = (x + y√d)/2, stepped up to u
         while _pair_sign(ux - x, uy - y, d) > 0:
             x, y = (x * eps[0] + d * y * eps[1]) // 2, (x * eps[1] + y * eps[0]) // 2
@@ -235,9 +236,7 @@ def frame_coordinates_matrix(h: LatticeMap, frame) -> list[list[Fraction]]:
             for row in _matmul(_adjugate3(m), _matmul(h.rows, m))]
 
 
-def verify_unipotent_constraints(
-    h: LatticeMap, frame, p: int
-) -> UnipotentConstraintRecord:
+def verify_unipotent_constraints(h: LatticeMap, frame) -> UnipotentConstraintRecord:
     """Check that h is unit upper triangular in the frame with a = c and
     d = a(a-1)/2; violations mean h does not belong to a group of the certified
     shape."""

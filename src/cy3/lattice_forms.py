@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core_arith import QuadSurd
+from .core_arith import QuadSurd, _from_ints
 from .errors import IncompatibleFields, NotUnimodular, ZeroVector
 
 # Monomial key -> sorted index triple (1-based: 1=x, 2=y, 3=z).
@@ -240,20 +240,20 @@ def _adjugate3(rows):
 
 
 def _as_surd(x) -> QuadSurd:
-    return x if isinstance(x, QuadSurd) else QuadSurd(x)
+    s = QuadSurd._coerce(x)
+    return QuadSurd(x) if s is None else s
 
 
 def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """(d, den, p, q) with v = (p + q·√d)/den coordinatewise, in plain ints,
     for a vector of ints, Fractions and surds over one field ℚ(√d)."""
-    pairs = [(x.a, x.b) if isinstance(x, QuadSurd)
-             else (x if isinstance(x, (int, Fraction)) else Fraction(x), 0) for x in v]
-    fields = {x.d for x in v if isinstance(x, QuadSurd) and x.d}
+    xs = [_as_surd(x) for x in v]
+    fields = {x.d for x in xs if x.d}
     if len(fields) > 1:
         raise IncompatibleFields(f"radicands {sorted(fields)} in one vector")
-    den = lcm(*(y.denominator for pair in pairs for y in pair))
-    p = tuple(a.numerator * (den // a.denominator) for a, _ in pairs)
-    q = tuple(b.numerator * (den // b.denominator) for _, b in pairs)
+    den = lcm(*(x.den for x in xs))
+    p = tuple(x.p * (den // x.den) for x in xs)
+    q = tuple(x.q * (den // x.den) for x in xs)
     return max(fields, default=0), den, p, q
 
 
@@ -271,10 +271,6 @@ def _pair_dot(x, y, d: int) -> tuple[int, int]:
     return _dot(a, p) + d * _dot(b, q), _dot(a, q) + _dot(b, p)
 
 
-def _surd(pair: tuple[int, int], den: int, d: int) -> QuadSurd:
-    return QuadSurd._canonical(Fraction(pair[0], den), Fraction(pair[1], den), d)
-
-
 def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> QuadSurd:
     """Fully symmetric exact evaluation T(a, b, c).
 
@@ -287,7 +283,7 @@ def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> Q
         raise IncompatibleFields(f"radicands {da}, {db}, {dc}")
     d = da or db or dc
     s = _pair_apply((T.contract(p_a), T.contract(q_a)), (p_b, q_b), d)
-    return _surd(_pair_dot(s, (p_c, q_c), d), T.scale * den_a * den_b * den_c, d)
+    return _from_ints(*_pair_dot(s, (p_c, q_c), d), T.scale * den_a * den_b * den_c, d)
 
 
 def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
@@ -300,7 +296,7 @@ def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
     integer-pair contraction of v."""
     d, den, p, q = _int_pairs(v)
     s = _pair_apply((T.contract(p), T.contract(q)), (p, q), d)
-    return tuple(_surd(pair, T.scale * den * den, d) for pair in zip(*s))
+    return tuple(_from_ints(x, y, T.scale * den * den, d) for x, y in zip(*s))
 
 
 def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> dict:
@@ -326,8 +322,9 @@ def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, Quad
     p, q = (p[:3], p[3:6], p[6:]), (q[:3], q[3:6], q[6:])
     scale = T.scale * den ** 3
     if not d:
-        return {key: _surd((x, 0), scale, 0) for key, x in _scaled_pullback(T, p).items()}
-    return {key: _surd(pair, scale, d) for key, pair in _scaled_pullback(T, p, q, d).items()}
+        return {key: _from_ints(x, 0, scale, 0) for key, x in _scaled_pullback(T, p).items()}
+    return {key: _from_ints(x, y, scale, d)
+            for key, (x, y) in _scaled_pullback(T, p, q, d).items()}
 
 
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:

@@ -26,6 +26,28 @@ def latticemap_builds(monkeypatch):
 
 
 @pytest.fixture
+def fraction_builds(monkeypatch):
+    """fraction_builds(fn, *args) -> (fn(*args), the number of Fractions built
+    meanwhile)."""
+
+    def run(fn, *args):
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *a, **kw):
+            built.append(a)
+            return new(cls, *a, **kw)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        try:
+            return fn(*args), len(built)
+        finally:
+            monkeypatch.undo()
+
+    return run
+
+
+@pytest.fixture
 def golden_cubic():
     """C = z(x^2 - xy - y^2)."""
     return TrilinearForm.from_cubic_coefficients({"x2z": 1, "xyz": -1, "y2z": -1})

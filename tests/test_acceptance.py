@@ -126,7 +126,7 @@ def test_criterion_2_unipotent_pipeline():
         _FACTORIZATIONS.append(fact)
 
         for n in range(1, 11):
-            rec = verify_unipotent_constraints(UNIPOTENT_GEN**n, frame, 1)
+            rec = verify_unipotent_constraints(UNIPOTENT_GEN**n, frame)
             assert rec.a == n
             assert rec.d == Fraction(n * (n - 1), 2)
             assert tau(rec, 1) == n
@@ -221,7 +221,7 @@ def test_criterion_6_negative_controls():
 
         bad = LatticeMap([[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # d = 1 != a(a-1)/2 = 0
         with pytest.raises(ConstraintViolated):
-            verify_unipotent_constraints(bad, (w, w1, w2), 1)
+            verify_unipotent_constraints(bad, (w, w1, w2))
 
     _verdict(6, "negative controls (c2 = 0, deficient block, E = 0, bad d entry)", body)
 

@@ -125,21 +125,12 @@ class TestScalingCharacter:
         assert str(info.value) == "4th-power scalar is not positive"
 
     def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_lines,
-                                               monkeypatch):
-        """Lines, images and same-line tests stay in ints: the two Fractions
-        built are the parts of the eigenvalue."""
-        built = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            built.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counted)
-        value = scaling_character(golden_generator, *golden_lines)
-        monkeypatch.undo()
+                                               fraction_builds):
+        """Lines, images, same-line tests and the eigenvalue itself stay in
+        ints: no Fraction is built."""
+        value, built = fraction_builds(scaling_character, golden_generator, *golden_lines)
         assert value == GOLDEN_ALPHA**4
-        assert len(built) == 2
+        assert built == 0
 
 
 class TestCertifyDiscreteCyclic:
@@ -299,7 +290,7 @@ class TestUnipotentConstraints:
         cls = classify(unipotent_generator, L_z)
         frame = (cls.w, cls.w1, cls.w2)
         for n in (1, 2, 3, 10):
-            rec = verify_unipotent_constraints(unipotent_generator**n, frame, 1)
+            rec = verify_unipotent_constraints(unipotent_generator**n, frame)
             assert rec.a == n
             assert rec.c == n
             assert rec.d == Fraction(n * (n - 1), 2)
@@ -310,7 +301,7 @@ class TestUnipotentConstraints:
         frame = (cls.w, cls.w1, cls.w2)
         values = {}
         for n in range(1, 6):
-            rec = verify_unipotent_constraints(unipotent_generator**n, frame, 1)
+            rec = verify_unipotent_constraints(unipotent_generator**n, frame)
             values[n] = tau(rec, 1)
         for a in range(1, 3):
             for b in range(1, 3):
@@ -320,7 +311,7 @@ class TestUnipotentConstraints:
         cls = classify(unipotent_generator, L_z)
         frame = (cls.w, cls.w1, cls.w2)
         with pytest.raises(NotUnipotentInFrame):
-            verify_unipotent_constraints(golden_generator, frame, 1)
+            verify_unipotent_constraints(golden_generator, frame)
 
     @given(st.randoms(use_true_random=False), st.integers(-3, 3))
     def test_frame_coordinates_match_a_rational_inverse(self, rng, k):
@@ -364,7 +355,7 @@ class TestUnipotentConstraints:
         # unit upper triangular but a != c
         h = LatticeMap([[1, 2, 0], [0, 1, 1], [0, 0, 1]])
         with pytest.raises(ConstraintViolated):
-            verify_unipotent_constraints(h, frame, 1)
+            verify_unipotent_constraints(h, frame)
 
 
 class TestEnumeration:
@@ -490,9 +481,9 @@ class TestCertifySeed:
     def test_one_frame_table_per_check(self, golden_cubic_quadric, golden_generator, L_z,
                                         monkeypatch):
         """On a conjugated hyperbolic seed the frame is cleared to integer
-        pairs once for the relations, once for the factorization and once per
-        singular line: 4 times, where clearing each vector of each trilinear
-        evaluation took 48."""
+        pairs once for the frame table, which the factorization reads off the
+        relation report, and once per singular line: 3 times, where clearing
+        each vector of each trilinear evaluation took 48."""
         rng = random.Random(5)
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
@@ -505,7 +496,7 @@ class TestCertifySeed:
         cert = certify_seed(T, L, lines)
         assert isinstance(cert.factorization, QuadricLine)
         assert len(cert.singular_lines) == 2
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
     def test_analyze_runs_the_unipotent_singular_locus_post_check(
             self, unipotent_cubic, unipotent_generator, L_z, monkeypatch):

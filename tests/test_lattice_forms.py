@@ -425,6 +425,25 @@ def test_trilinear_eval_rejects_mixed_fields(vectors, golden_cubic_quadric):
         trilinear_eval(golden_cubic_quadric, *vectors)
 
 
+def test_sqrt5_frame_table_and_normalization_build_no_fraction(golden_cubic_quadric,
+                                                               fraction_builds):
+    """Surds stay integer pairs through the frame table of a √5 frame and the
+    projective normalization of its lines."""
+    u = (QuadSurd(-1, 1, 5) / 2, 1, 0)
+    v = (QuadSurd(-1, -1, 5) / 2, 1, 0)
+    frame = (u, v, (0, 0, 1))
+    table, built = fraction_builds(frame_table, golden_cubic_quadric, frame)
+    assert built == 0
+    assert table == {(i, j, k): trilinear_eval(golden_cubic_quadric, frame[i - 1],
+                                                frame[j - 1], frame[k - 1])
+                     for i, j, k in ENTRY_KEYS}
+    assert any(x.d == 5 for x in table.values())
+    for line in (u, v):
+        normal, built = fraction_builds(projective_normalize, line)
+        assert normal == (1, QuadSurd(1, 1, 5) / 2 if line is u else QuadSurd(1, -1, 5) / 2, 0)
+        assert built == 0
+
+
 @given(cubics(), st.sampled_from([2, 3, 5, 13]).flatmap(
     lambda d: st.tuples(vectors_over(d), vectors_over(d), vectors_over(d))))
 def test_frame_table_and_polar_match_trilinear_eval(T, frame):
