@@ -35,7 +35,6 @@ from .element_classify import (
     UnipotentDeficient,
     UnipotentFull,
     classify,
-    real_pair_lines,
 )
 from .errors import (
     BoundTooLarge,
@@ -53,6 +52,7 @@ from .group_structure import (
     analyze_group,
     certify_seed,
     enumerate_symmetries,
+    seed_of,
 )
 from .lattice_forms import (
     MONOMIAL_INDICES,
@@ -98,9 +98,6 @@ def parse_problem(text: str) -> ProblemFile:
     bad = set(cubic_raw) - set(MONOMIAL_INDICES)
     if bad:
         raise ValidationError(f"unknown monomial keys: {sorted(bad)}")
-    for key, value in cubic_raw.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"monomial coefficient '{key}' must be an integer")
     cubic = TrilinearForm.from_cubic_coefficients(cubic_raw)
 
     c2_raw = data.get("c2")
@@ -366,10 +363,9 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
     for g in problem.matrices:
         entry, cls = _element(g, T, L)
         report["elements"].append(entry)
-        if isinstance(cls, UnipotentDeficient):
-            raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
-        if seed is None:
-            seed = cls if isinstance(cls, UnipotentFull) else real_pair_lines(g, cls)
+        # past the first seed, a generator is only checked for full Jordan blocks
+        if seed is None or isinstance(cls, UnipotentDeficient):
+            seed = seed_of(g, cls)
     if seed is None:
         report["verdict"] = {
             "kind": "Inconclusive",

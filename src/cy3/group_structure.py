@@ -12,7 +12,7 @@ quadratic field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -112,8 +112,8 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
     Passing to 4th powers removes the finite ambiguity of line swaps and signs,
     so the returned value is a multiplicative character on the group. Both
     lines are cleared once to integer pairs p + q√d over one field; images and
-    same-line tests stay in plain ints, and one surd is built for the
-    eigenvalue."""
+    same-line tests stay in plain ints, and the eigenvalue is one surd
+    quotient of two coordinates."""
     d, _, p, q = _int_pairs((*line1, *line2))
     x1, x2 = (p[:3], q[:3]), (p[3:], q[3:])
 
@@ -127,11 +127,9 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
     img = image((h ** 4).rows, x1)
     if not same_line(img, x1, d):
         raise LinesNotPreserved("4th power does not fix line1")
-    # beta = (P + Q√d)/(a + b√d) at a pivot i of line1, times the conjugate a - b√d
+    # beta = (P + Q√d)/(a + b√d) at a pivot i of line1
     i = next(i for i in range(3) if p[i] or q[i])
-    a, b, P, Q = p[i], q[i], img[0][i], img[1][i]
-    n = a * a - d * b * b
-    beta = _from_ints(P * a - d * Q * b, Q * a - P * b, n, d)
+    beta = _from_ints(img[0][i], img[1][i], 1, d) / _from_ints(p[i], q[i], 1, d)
     if beta.sign() <= 0:
         raise LinesNotPreserved("4th-power scalar is not positive")
     return beta
@@ -384,6 +382,15 @@ def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
     return SeedCertificate(relations, fact, tuple(singular_locus(fact)))
 
 
+def seed_of(g: LatticeMap, cls):
+    """The seed a generator g of class cls offers `certify_seed`: its
+    UnipotentFull class or its real-pair eigenlines, else None. A
+    UnipotentDeficient class violates the full-Jordan condition and raises."""
+    if isinstance(cls, UnipotentDeficient):
+        raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
+    return cls if isinstance(cls, UnipotentFull) else real_pair_lines(g, cls)
+
+
 # -- the dichotomy pipeline -------------------------------------------------------
 
 
@@ -396,18 +403,24 @@ def analyze_group(
     allow_large_bound: bool = False,
 ) -> GroupVerdict:
     """Certify the Finite / AlmostAbelianRankOne dichotomy for the group
-    generated by the given symmetries (or by a bounded enumeration)."""
+    generated by the given symmetries (or by a bounded enumeration).
+
+    Every step that replaces the generators appends to one list of
+    reductions, which the verdict receives once."""
     reductions: list[str] = []
     if generators is None:
         generators = enumerate_symmetries(T, L, bound, allow_large_bound=allow_large_bound)
         reductions.append(f"generators from brute-force enumeration, bound {bound}")
-    generators = list(generators)
+    verdict = _dichotomy(T, L, list(generators), reductions)
+    return replace(verdict, reductions=tuple(reductions))
+
+
+def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
     for g in generators:
         if not preserves_pair(g, T, L):
             raise NonPreservingGenerator(f"{g!r} does not preserve the pair")
     if not generators:
-        return GroupVerdict(kind="Finite", elements=(LatticeMap.identity(),),
-                            reductions=tuple(reductions))
+        return GroupVerdict(kind="Finite", elements=(LatticeMap.identity(),))
 
     neg = [g for g in generators if g.det == -1]
     pos = [g for g in generators if g.det == 1]
@@ -422,40 +435,31 @@ def analyze_group(
         reductions.append("determinant -1 generators replaced by det-1 products (index ≤ 2)")
 
     classes = [classify(g, L) for g in generators]
-    lines = [real_pair_lines(g, c) for g, c in zip(generators, classes)]
+    seeds = []
+    for g, cls in zip(generators, classes):
+        seed = seed_of(g, cls)
+        if seed is not None:
+            seeds.append(seed)
+        elif isinstance(cls, OutOfTheory):
+            return GroupVerdict(kind="Inconclusive", reason=cls.reason)
+    if not seeds:
+        return _finite_closure(generators)
+    unipotent = isinstance(seeds[0], UnipotentFull)
+    if any(isinstance(seed, UnipotentFull) != unipotent for seed in seeds):
+        return GroupVerdict(kind="Inconclusive",
+                            reason="mixed unipotent and hyperbolic generators")
 
-    for cls, real_pair in zip(classes, lines):
-        if isinstance(cls, UnipotentDeficient):
-            raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
-        if isinstance(cls, OutOfTheory) and real_pair is None:
-            return GroupVerdict(kind="Inconclusive", reason=cls.reason,
-                                reductions=tuple(reductions))
-
-    unipotents = [c for c in classes if isinstance(c, UnipotentFull)]
-    hyperbolics = [real_pair for real_pair in lines if real_pair is not None]
-
-    if unipotents and hyperbolics:
-        return GroupVerdict(
-            kind="Inconclusive",
-            reason="mixed unipotent and hyperbolic generators",
-            reductions=tuple(reductions),
-        )
-
-    if not unipotents and not hyperbolics:
-        return _finite_closure(generators, reductions)
-
-    cert = certify_seed(T, L, unipotents[0] if unipotents else hyperbolics[0])
+    cert = certify_seed(T, L, seeds[0])
     if cert.inconsistency is not None:
         raise cert.inconsistency
     if cert.reason is not None:
-        return GroupVerdict(kind="Inconclusive", reason=cert.reason,
-                            reductions=tuple(reductions))
-    if unipotents:
+        return GroupVerdict(kind="Inconclusive", reason=cert.reason)
+    if unipotent:
         return _unipotent_route(generators, cert.factorization, reductions)
     return _hyperbolic_route(generators, cert.factorization, reductions)
 
 
-def _finite_closure(generators, reductions) -> GroupVerdict:
+def _finite_closure(generators) -> GroupVerdict:
     gens = {g for g in generators} | {g.inverse() for g in generators}
     elements = {LatticeMap.identity()} | gens
     frontier = set(elements)
@@ -470,8 +474,7 @@ def _finite_closure(generators, reductions) -> GroupVerdict:
             ordered = sorted(elements, key=lambda g: g.rows)
             if any(finite_order(g) is None for g in ordered):
                 raise PostCheckFailed("closure elements of finite order")
-            return GroupVerdict(kind="Finite", elements=tuple(ordered),
-                                reductions=tuple(reductions))
+            return GroupVerdict(kind="Finite", elements=tuple(ordered))
         elements |= new
         frontier = new
         if len(elements) > CLOSURE_ELEMENT_CAP:
@@ -480,7 +483,6 @@ def _finite_closure(generators, reductions) -> GroupVerdict:
         kind="Inconclusive",
         reason=f"closure exceeded {CLOSURE_ELEMENT_CAP} elements without an "
                "infinite-order witness",
-        reductions=tuple(reductions),
     )
 
 
@@ -498,24 +500,18 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
             try:
                 record = _unipotent_constraints(hf)
             except NotUnipotentInFrame:
-                return GroupVerdict(
-                    kind="Inconclusive",
-                    reason=f"generator not unipotent in the frame: {exc}",
-                    reductions=tuple(reductions),
-                )
-            reductions = list(reductions) + [
-                "generator squared to reach det(h|_L) = 1 (index ≤ 2)"
-            ]
+                return GroupVerdict(kind="Inconclusive",
+                                    reason=f"generator not unipotent in the frame: {exc}")
+            reductions.append("generator squared to reach det(h|_L) = 1 (index ≤ 2)")
         quadric_preserved_in_frame(hf, split)
         taus.append(tau(record, p))
     nonzero = [abs(t) for t in taus if t]
     generator_value = math.gcd(*nonzero) if nonzero else 0
     if generator_value == 0:
         # all generators act trivially on the frame, hence are the identity
-        return _finite_closure(generators, reductions)
+        return _finite_closure(generators)
     witness = TauWitness(p=p, values=tuple(taus), generator_value=generator_value)
-    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness,
-                        reductions=tuple(reductions))
+    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness)
 
 
 def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdict:
@@ -526,21 +522,16 @@ def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdi
             # v carries the larger root alpha of the seed generator
             values.append(scaling_character(h, v, u))
         except LinesNotPreserved as exc:
-            return GroupVerdict(kind="Inconclusive", reason=str(exc),
-                                reductions=tuple(reductions))
-    reductions = list(reductions) + [
-        "scaling character computed on 4th powers (index ≤ 4)"
-    ]
+            return GroupVerdict(kind="Inconclusive", reason=str(exc))
+    reductions.append("scaling character computed on 4th powers (index ≤ 4)")
     cert = certify_discrete_cyclic(values)
     if cert.kind == "Inconclusive":
-        return GroupVerdict(kind="Inconclusive", reason=cert.reason,
-                            reductions=tuple(reductions))
+        return GroupVerdict(kind="Inconclusive", reason=cert.reason)
     if cert.kind == "Finite":
-        return _finite_closure(generators, reductions)
+        return _finite_closure(generators)
     witness = CharacterWitness(
         generator=cert.generator,
         exponents=cert.exponents,
         values=tuple(values),
     )
-    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness,
-                        reductions=tuple(reductions))
+    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness)

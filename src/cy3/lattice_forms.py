@@ -1,21 +1,22 @@
 """The rank-3 lattice layer: symmetric trilinear (cubic) forms, integral linear
 forms, unimodular lattice maps, and the invariance predicates tying them together.
 
-On disk a cubic is a vector of 10 integer monomial coefficients; internally each
-trilinear entry t[ijk] is the monomial coefficient divided by its multinomial
-weight, stored as an exact rational, and the form also keeps the integer tensor
-D·T on which pullbacks and invariance checks run.
+On disk a cubic is a vector of 10 integer monomial coefficients. Each trilinear
+entry t[ijk] is the monomial coefficient divided by its multinomial weight; the
+form holds only the integer tensor D·T over the common denominator D, on which
+evaluation, pullbacks and invariance checks run, and its rational entries are
+views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core_arith import QuadSurd, _from_ints
-from .errors import IncompatibleFields, NotUnimodular, ZeroVector
+from .errors import IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
 
 # Monomial key -> sorted index triple (1-based: 1=x, 2=y, 3=z).
 MONOMIAL_INDICES: dict[str, tuple[int, int, int]] = {
@@ -35,6 +36,10 @@ INDEX_MONOMIALS = {v: k for k, v in MONOMIAL_INDICES.items()}
 
 ENTRY_KEYS = tuple(sorted(INDEX_MONOMIALS))
 
+# The sorted index triple of each tensor position (i, j, k), nested like D·T.
+_TENSOR_KEYS = tuple(tuple(tuple(tuple(sorted((i, j, k))) for k in (1, 2, 3)) for j in (1, 2, 3))
+                     for i in (1, 2, 3))
+
 
 def multinomial(i: int, j: int, k: int) -> int:
     """Number of permutations of the multiset {i, j, k}."""
@@ -48,26 +53,36 @@ def multinomial(i: int, j: int, k: int) -> int:
 class TrilinearForm:
     """Fully symmetric trilinear form on the rank-3 lattice, exact entries.
 
-    Alongside the rational entries it keeps the integer tensor `scaled` = D·T,
-    where `scale` = D is the lcm of the entry denominators (a divisor of 6 for
-    an integral cubic), as nested 3x3x3 tuples indexed from 0. Invariance
-    checks and enumeration run on it in plain ints.
+    The form is held as the integer tensor `scaled` = D·T, nested 3x3x3 tuples
+    indexed from 0, over the least common denominator `scale` = D of its
+    entries (a divisor of 6 for an integral cubic). Pullbacks, invariance
+    checks and enumeration run on it in plain ints; the entries T[ijk] are
+    `Fraction` views.
     """
 
-    __slots__ = ("_t", "scale", "scaled")
+    __slots__ = ("scale", "scaled")
 
     def __init__(self, entries: Mapping[tuple[int, int, int], Fraction]):
-        t = {}
-        for key in ENTRY_KEYS:
-            t[key] = Fraction(entries.get(key, 0))
-        self._t = t
-        scale = lcm(*(v.denominator for v in t.values()))
-        scaled = {key: v.numerator * (scale // v.denominator) for key, v in t.items()}
-        self.scale = scale
-        self.scaled = tuple(
-            tuple(tuple(scaled[tuple(sorted((i, j, k)))] for k in (1, 2, 3)) for j in (1, 2, 3))
-            for i in (1, 2, 3)
-        )
+        unknown = set(entries) - set(ENTRY_KEYS)
+        if unknown:
+            raise KeyError(f"entry keys {sorted(unknown)} are not among {list(ENTRY_KEYS)}")
+        values = {key: Fraction(entries.get(key, 0)) for key in ENTRY_KEYS}
+        scale = lcm(*(v.denominator for v in values.values()))
+        form = TrilinearForm._from_scaled(
+            {key: v.numerator * (scale // v.denominator) for key, v in values.items()}, scale)
+        self.scale, self.scaled = form.scale, form.scaled
+
+    @classmethod
+    def _from_scaled(cls, scaled: Mapping[tuple[int, int, int], int], scale: int):
+        """The trusted constructor: the form with entries scaled[key]/scale, for
+        integers on the ten sorted index triples and scale > 0. Divides out one
+        gcd, so (scale, scaled) is canonical, and builds the nested tensor."""
+        g = gcd(scale, *scaled.values())
+        obj = object.__new__(cls)
+        obj.scale = scale // g
+        obj.scaled = tuple(tuple(tuple(scaled[key] // g for key in row) for row in plane)
+                           for plane in _TENSOR_KEYS)
+        return obj
 
     def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """The integer matrix (D·T)(v, ·, ·) for an integer vector v."""
@@ -80,39 +95,40 @@ class TrilinearForm:
 
     @classmethod
     def from_cubic_coefficients(cls, coeffs: Mapping[str, int]) -> "TrilinearForm":
-        """Build from integer monomial coefficients of C(x, y, z); missing keys are 0."""
+        """Build from integer monomial coefficients of C(x, y, z); missing keys
+        are 0. The coefficient c of a monomial of weight m enters as c·(6/m)/6."""
         unknown = set(coeffs) - set(MONOMIAL_INDICES)
         if unknown:
             raise KeyError(f"unknown monomial keys: {sorted(unknown)}")
-        entries = {}
-        for name, (i, j, k) in MONOMIAL_INDICES.items():
-            entries[(i, j, k)] = Fraction(coeffs.get(name, 0), multinomial(i, j, k))
-        return cls(entries)
+        scaled = dict.fromkeys(ENTRY_KEYS, 0)
+        for name, c in coeffs.items():
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)) or c.denominator != 1:
+                raise ValidationError(f"monomial coefficient '{name}' must be an integer")
+            key = MONOMIAL_INDICES[name]
+            scaled[key] = c.numerator * (6 // multinomial(*key))
+        return cls._from_scaled(scaled, 6)
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self._t[tuple(sorted((i, j, k)))]
+        return Fraction(self.scaled[i - 1][j - 1][k - 1], self.scale)
 
     def entries(self) -> dict[tuple[int, int, int], Fraction]:
-        return dict(self._t)
+        return {key: self.entry(*key) for key in ENTRY_KEYS}
 
     def cubic_coefficients(self) -> dict[str, Fraction]:
         """Monomial coefficients of the induced cubic (integers for valid input)."""
-        return {
-            INDEX_MONOMIALS[key]: self._t[key] * multinomial(*key)
-            for key in ENTRY_KEYS
-        }
+        return {INDEX_MONOMIALS[key]: self.entry(*key) * multinomial(*key)
+                for key in ENTRY_KEYS}
 
     def __eq__(self, other):
         if not isinstance(other, TrilinearForm):
             return NotImplemented
-        return self._t == other._t
+        return (self.scale, self.scaled) == (other.scale, other.scaled)
 
     def __hash__(self):
-        return hash(tuple(self._t[k] for k in ENTRY_KEYS))
+        return hash((self.scale, self.scaled))
 
     def __repr__(self):
-        nonzero = {INDEX_MONOMIALS[k]: str(v * multinomial(*k))
-                   for k, v in self._t.items() if v}
+        nonzero = {name: str(c) for name, c in self.cubic_coefficients().items() if c}
         return f"TrilinearForm({nonzero})"
 
 
@@ -274,16 +290,12 @@ def _pair_dot(x, y, d: int) -> tuple[int, int]:
 def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> QuadSurd:
     """Fully symmetric exact evaluation T(a, b, c).
 
-    Each vector is cleared to integer pairs (p + q·√d)/den over one field, the
-    pairs are contracted with the integer tensor D·T, and one surd is built for
-    the result."""
-    (da, den_a, p_a, q_a), (db, den_b, p_b, q_b), (dc, den_c, p_c, q_c) = (
-        _int_pairs(a), _int_pairs(b), _int_pairs(c))
-    if len({da, db, dc} - {0}) > 1:
-        raise IncompatibleFields(f"radicands {da}, {db}, {dc}")
-    d = da or db or dc
-    s = _pair_apply((T.contract(p_a), T.contract(q_a)), (p_b, q_b), d)
-    return _from_ints(*_pair_dot(s, (p_c, q_c), d), T.scale * den_a * den_b * den_c, d)
+    The three vectors are cleared at once to integer pairs (p + q·√d)/den over
+    one field, the pairs are contracted with the integer tensor D·T, and one
+    surd is built for the result."""
+    d, den, p, q = _int_pairs((*a, *b, *c))
+    s = _pair_apply((T.contract(p[:3]), T.contract(q[:3])), (p[3:6], q[3:6]), d)
+    return _from_ints(*_pair_dot(s, (p[6:], q[6:]), d), T.scale * den ** 3, d)
 
 
 def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
@@ -329,10 +341,7 @@ def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, Quad
 
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:
     """Pullback (g·T)(a, b, c) = T(g a, g b, g c), exact."""
-    return TrilinearForm({
-        key: Fraction(value, T.scale)
-        for key, value in _scaled_pullback(T, tuple(zip(*g.rows))).items()
-    })
+    return TrilinearForm._from_scaled(_scaled_pullback(T, tuple(zip(*g.rows))), T.scale)
 
 
 def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:

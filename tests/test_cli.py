@@ -16,8 +16,9 @@ from cy3.cli import (
     render_factorization,
     run,
 )
-from cy3.cubic_geometry import LEFSCHETZ, RelationReport
+from cy3.cubic_geometry import FULL_JORDAN, LEFSCHETZ, RelationReport
 from cy3.errors import ParseError, PostCheckFailed, ValidationError
+from cy3.lattice_forms import MONOMIAL_INDICES
 
 GOLDEN = {
     "cubic": {"x2z": 1, "xyz": -1, "y2z": -1},
@@ -99,6 +100,12 @@ class TestParse:
     def test_bad_bound_rejected(self):
         with pytest.raises(ValidationError):
             problem({"cubic": {}, "c2": [0, 0, 1], "bound": "big"})
+
+    def test_parsing_a_cubic_builds_no_fraction(self, fraction_builds):
+        parsed, built = fraction_builds(problem, GOLDEN_QUADRIC)
+        assert built == 0
+        assert parsed.cubic.cubic_coefficients() == {
+            name: GOLDEN_QUADRIC["cubic"].get(name, 0) for name in MONOMIAL_INDICES}
 
 
 class TestClassifyCommand:
@@ -224,6 +231,17 @@ class TestSeedCertificate:
         assert report["verdict"]["mechanism"] == LEFSCHETZ
         rows = {r["name"]: r["holds"] for r in report["relations"][0]["rows"]}
         assert rows["w·w2^2 ≠ 0"] is False
+
+
+def test_factor_checks_full_jordan_past_the_seed():
+    """The unipotent seed comes first; the shear x -> x + y after it has
+    rank(g - id) = 1 and still raises, with both elements reported."""
+    shear = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    report, code = run(problem({**UNIPOTENT, "matrices": UNIPOTENT["matrices"] + [shear]}),
+                       "factor")
+    assert code == EXIT_GEOMETRIC
+    assert report["verdict"]["mechanism"] == FULL_JORDAN
+    assert len(report["elements"]) == 2
 
 
 class TestAnalyzeCommand:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cy3.core_arith import QuadSurd
-from cy3.errors import IncompatibleFields, NotUnimodular, ZeroVector
+from cy3.errors import IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
 from cy3.lattice_forms import (
     ENTRY_KEYS,
     LatticeMap,
@@ -70,6 +70,42 @@ class TestTrilinearForm:
     def test_unknown_monomial_rejected(self):
         with pytest.raises(KeyError):
             TrilinearForm.from_cubic_coefficients({"w3": 1})
+
+    def test_unsorted_entry_key_rejected(self):
+        """(3, 1, 2) is not one of the ten sorted triples; dropping it would
+        build the zero form."""
+        with pytest.raises(KeyError, match=r"\(3, 1, 2\)"):
+            TrilinearForm({(3, 1, 2): Fraction(1, 6)})
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, True, "1"])
+    def test_non_integer_coefficient_rejected(self, value):
+        with pytest.raises(ValidationError, match="xyz"):
+            TrilinearForm.from_cubic_coefficients({"xyz": value})
+
+    def test_constructors_build_no_fraction(self, golden_generator, fraction_builds):
+        coeffs = {"x2z": 1, "xyz": -1, "y2z": -1, "z3": 1}
+        T, built = fraction_builds(TrilinearForm.from_cubic_coefficients, coeffs)
+        assert built == 0
+        pulled, built = fraction_builds(transform_cubic, T, golden_generator)
+        assert built == 0
+        assert pulled.entries() == fraction_pullback(T, golden_generator)
+
+    def test_constructors_agree_on_one_cubic(self, golden_generator):
+        """From monomials, from rational entries and by a pullback and its
+        inverse, one cubic gives one canonical (scale, scaled) and one hash."""
+        g = golden_generator
+        coeffs = {"x2z": 2, "xyz": -2, "y2z": -2, "z3": 4}  # entries in (1/3)Z
+        forms = [TrilinearForm.from_cubic_coefficients(coeffs)]
+        forms.append(TrilinearForm(forms[0].entries()))
+        forms.append(transform_cubic(transform_cubic(forms[0], g), g.inverse()))
+        assert forms[0].scale == 3
+        sevenths = TrilinearForm({key: Fraction(i - 4, 7) for i, key in enumerate(ENTRY_KEYS)})
+        pulled = transform_cubic(sevenths, g)
+        for same in (forms, [sevenths, transform_cubic(pulled, g.inverse()),
+                             TrilinearForm(sevenths.entries())]):
+            assert all(f == same[0] and hash(f) == hash(same[0]) for f in same)
+            assert len({(f.scale, f.scaled) for f in same}) == 1
+        assert sevenths.scale == 7 and pulled != sevenths
 
 
 class TestEvaluation:
