@@ -60,7 +60,6 @@ from .lattice_forms import (
     _int_pairs,
     _matmul,
     _matvec,
-    cross,
     preserves_pair,
     primitive_part,
     same_line,
@@ -292,52 +291,51 @@ def enumerate_symmetries(
 ) -> list[LatticeMap]:
     """All unimodular maps with entries in [-bound, bound] preserving (T, L).
 
-    Brute-force oracle over the integer tensor D·T: columns are pooled by L
-    and the cubic value, pairs by the entries (1,1,2) and (1,2,2), and third
-    columns by dot products with the slices (D·T)(c1,c1,·), (D·T)(c1,c2,·),
-    (D·T)(c2,c2,·) and the det. Every survivor is re-verified by the full
-    pullback in `preserves_pair`."""
+    Brute-force oracle over the integer tensor D·T, third column first.
+    Columns are pooled by L and the cubic value, each with its covector
+    (D·T)(c, c, ·). For each third column c3, first columns are kept by the
+    entries (1,3,3) and (1,1,3), second columns by (2,3,3) and (2,2,3), and
+    pairs of those by (1,2,3), (1,1,2), (1,2,2) and the det, so a survivor
+    matches all ten entries. The full pullback in `preserves_pair` still
+    re-verifies every survivor."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound > ENUMERATION_BOUND_GUARD and not allow_large_bound:
-        raise BoundTooLarge(
-            f"bound {bound} exceeds the guard {ENUMERATION_BOUND_GUARD}"
-        )
+        raise BoundTooLarge(f"bound {bound} exceeds the guard {ENUMERATION_BOUND_GUARD}")
     dt = T.scaled
     l = L.coefficients()
     # Column pools: c is a candidate j-th column iff L(c) = l_j and
-    # (D·T)(c, c, c) = (D·T)_jjj; each is kept with its contraction (D·T)(c, ·, ·).
+    # (D·T)(c, c, c) = (D·T)_jjj; each is kept with s = (D·T)(c, c, ·).
     pools = ([], [], [])
     for c in product(range(-bound, bound + 1), repeat=3):
         lc = _dot(l, c)
         if lc not in l:
             continue
-        m = T.contract(c)
-        cc = _dot(_matvec(m, c), c)
+        s = tuple(_dot(_matvec(plane, c), c) for plane in dt)
+        cc = _dot(s, c)
         for j in range(3):
             if lc == l[j] and cc == dt[j][j][j]:
-                pools[j].append((c, m))
-    t112, t122 = dt[0][0][1], dt[0][1][1]
-    t113, t123, t223 = dt[0][0][2], dt[0][1][2], dt[1][1][2]
-    second = [(c2, _matvec(m2, c2)) for c2, m2 in pools[1]]
-    third = [c3 for c3, _ in pools[2]]
+                pools[j].append((c, s))
+    t112, t113, t122, t123 = dt[0][0][1], dt[0][0][2], dt[0][1][1], dt[0][1][2]
+    t133, t223, t233 = dt[0][2][2], dt[1][1][2], dt[1][2][2]
     found = []
-    for c1, m1 in pools[0]:
-        s11 = _matvec(m1, c1)  # (D·T)(c1, c1, ·)
-        for c2, s22 in second:
-            if _dot(s11, c2) != t112:
-                continue
-            s12 = _matvec(m1, c2)  # (D·T)(c1, c2, ·)
-            if _dot(s12, c2) != t122:
-                continue
-            n = cross(c1, c2)  # det(c1, c2, c3) = n·c3
-            for c3 in third:
-                if (_dot(s11, c3) != t113 or _dot(s12, c3) != t123
-                        or _dot(s22, c3) != t223 or _dot(n, c3) not in (1, -1)):
-                    continue
-                g = LatticeMap(tuple(zip(c1, c2, c3)))
-                if preserves_pair(g, T, L):
-                    found.append(g)
+    for c3, s33 in pools[2]:
+        m3 = T.contract(c3)  # (D·T)(c3, ·, ·)
+        firsts = []
+        for c1, s11 in pools[0]:
+            if _dot(s33, c1) == t133:
+                s13 = _matvec(m3, c1)  # (D·T)(c1, c3, ·)
+                if _dot(s13, c1) == t113:
+                    firsts.append((c1, s11, s13))
+        seconds = [(c2, s22) for c2, s22 in pools[1]
+                   if _dot(s33, c2) == t233 and _dot(_matvec(m3, c2), c2) == t223]
+        for c1, s11, s13 in firsts:
+            for c2, s22 in seconds:
+                if (_dot(s13, c2) == t123 and _dot(s11, c2) == t112 and _dot(s22, c1) == t122
+                        and _det3((c1, c2, c3)) in (1, -1)):
+                    g = LatticeMap._from_rows(tuple(zip(c1, c2, c3)))
+                    if preserves_pair(g, T, L):
+                        found.append(g)
     found.sort(key=lambda g: g.rows)
     return found
 
@@ -425,12 +423,7 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
     neg = [g for g in generators if g.det == -1]
     pos = [g for g in generators if g.det == 1]
     if neg:
-        reduced = set(pos)
-        for a in neg:
-            reduced.add(a @ a)
-            for b in neg:
-                if b is not a:
-                    reduced.add(a @ b)
+        reduced = set(pos) | {a @ b for a in neg for b in neg}
         generators = sorted(reduced, key=lambda g: g.rows)
         reductions.append("determinant -1 generators replaced by det-1 products (index ≤ 2)")
 
@@ -460,16 +453,11 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
 
 
 def _finite_closure(generators) -> GroupVerdict:
-    gens = {g for g in generators} | {g.inverse() for g in generators}
+    gens = set(generators) | {g.inverse() for g in generators}
     elements = {LatticeMap.identity()} | gens
     frontier = set(elements)
     for _ in range(CLOSURE_WORD_CAP):
-        new = set()
-        for a in frontier:
-            for g in gens:
-                prod = a @ g
-                if prod not in elements:
-                    new.add(prod)
+        new = {a @ g for a in frontier for g in gens} - elements
         if not new:
             ordered = sorted(elements, key=lambda g: g.rows)
             if any(finite_order(g) is None for g in ordered):
@@ -529,9 +517,6 @@ def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdi
         return GroupVerdict(kind="Inconclusive", reason=cert.reason)
     if cert.kind == "Finite":
         return _finite_closure(generators)
-    witness = CharacterWitness(
-        generator=cert.generator,
-        exponents=cert.exponents,
-        values=tuple(values),
-    )
+    witness = CharacterWitness(generator=cert.generator, exponents=cert.exponents,
+                               values=tuple(values))
     return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness)

@@ -41,6 +41,11 @@ _TENSOR_KEYS = tuple(tuple(tuple(tuple(sorted((i, j, k))) for k in (1, 2, 3)) fo
                      for i in (1, 2, 3))
 
 
+def _is_integer(x) -> bool:
+    """True for an int or an integral Fraction; False for a bool, a float or a str."""
+    return not isinstance(x, bool) and isinstance(x, (int, Fraction)) and x.denominator == 1
+
+
 def multinomial(i: int, j: int, k: int) -> int:
     """Number of permutations of the multiset {i, j, k}."""
     if i == j == k:
@@ -65,7 +70,7 @@ class TrilinearForm:
     def __init__(self, entries: Mapping[tuple[int, int, int], Fraction]):
         unknown = set(entries) - set(ENTRY_KEYS)
         if unknown:
-            raise KeyError(f"entry keys {sorted(unknown)} are not among {list(ENTRY_KEYS)}")
+            raise ValidationError(f"entry keys {sorted(unknown)} are not among {list(ENTRY_KEYS)}")
         values = {key: Fraction(entries.get(key, 0)) for key in ENTRY_KEYS}
         scale = lcm(*(v.denominator for v in values.values()))
         form = TrilinearForm._from_scaled(
@@ -99,10 +104,10 @@ class TrilinearForm:
         are 0. The coefficient c of a monomial of weight m enters as c·(6/m)/6."""
         unknown = set(coeffs) - set(MONOMIAL_INDICES)
         if unknown:
-            raise KeyError(f"unknown monomial keys: {sorted(unknown)}")
+            raise ValidationError(f"unknown monomial keys: {sorted(unknown)}")
         scaled = dict.fromkeys(ENTRY_KEYS, 0)
         for name, c in coeffs.items():
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)) or c.denominator != 1:
+            if not _is_integer(c):
                 raise ValidationError(f"monomial coefficient '{name}' must be an integer")
             key = MONOMIAL_INDICES[name]
             scaled[key] = c.numerator * (6 // multinomial(*key))
@@ -163,16 +168,26 @@ class LatticeMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
-        self.rows = rows
+        if not all(_is_integer(x) for r in rows for x in r):
+            raise ValidationError(f"matrix entries must be integers: {rows}")
+        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
         if self.det not in (1, -1):
             raise NotUnimodular(f"determinant {self.det}")
 
     @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "LatticeMap":
+        """The trusted constructor: 3x3 int rows whose determinant is known to
+        be ±1, as for products, inverses and enumeration survivors."""
+        obj = object.__new__(cls)
+        obj.rows = rows
+        return obj
+
+    @classmethod
     def identity(cls) -> "LatticeMap":
-        return cls(_IDENTITY_ROWS)
+        return cls._from_rows(_IDENTITY_ROWS)
 
     @property
     def det(self) -> int:
@@ -187,12 +202,12 @@ class LatticeMap:
         return _matvec(self.rows, v)
 
     def __matmul__(self, other: "LatticeMap") -> "LatticeMap":
-        return LatticeMap(_matmul(self.rows, other.rows))
+        return LatticeMap._from_rows(_matmul(self.rows, other.rows))
 
     def inverse(self) -> "LatticeMap":
         d = self.det
         adj = _adjugate3(self.rows)
-        return LatticeMap(tuple(tuple(x * d for x in row) for row in adj))
+        return LatticeMap._from_rows(tuple(tuple(x * d for x in row) for row in adj))
 
     def __pow__(self, n: int) -> "LatticeMap":
         """Square and multiply: g**4 builds only g^2 and g^4, g**5 also g^4·g."""
@@ -367,12 +382,10 @@ class PrimitivePart(NamedTuple):
 def primitive_part(v: Sequence[int]) -> PrimitivePart:
     """v = +-scale * vector with gcd(vector) = 1 and first nonzero coordinate
     positive; `flipped` records whether the orientation was reversed."""
-    from math import gcd
-
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         raise ZeroVector("primitive part of the zero vector")
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    g = gcd(*v)
     w = tuple(x // g for x in v)
     first = next(x for x in w if x != 0)
     if first < 0:

@@ -15,13 +15,18 @@ def L_z():
 def latticemap_builds(monkeypatch):
     """A list that gains one entry per LatticeMap constructed from here on."""
     builds = []
-    init = LatticeMap.__init__
+    init, trusted = LatticeMap.__init__, LatticeMap._from_rows.__func__
 
     def counted(self, rows):
         builds.append(rows)
         init(self, rows)
 
+    def counted_trusted(cls, rows):
+        builds.append(rows)
+        return trusted(cls, rows)
+
     monkeypatch.setattr(LatticeMap, "__init__", counted)
+    monkeypatch.setattr(LatticeMap, "_from_rows", classmethod(counted_trusted))
     return builds
 
 

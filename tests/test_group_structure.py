@@ -1,8 +1,12 @@
 import dataclasses
+import functools
 import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,6 +39,7 @@ from cy3.group_structure import (
     verify_unipotent_constraints,
 )
 from cy3.lattice_forms import (
+    MONOMIAL_INDICES,
     LatticeMap,
     LinearForm,
     TrilinearForm,
@@ -445,6 +450,93 @@ def test_enumeration_matches_seed_pins(name, bound, pinned_problems):
                 if max(abs(x) for row in rows for x in row) <= bound]
     assert len(expected) == PINNED_COUNTS[name][bound - 1]
     assert [g.rows for g in enumerate_symmetries(T, L, bound)] == expected
+
+
+# The monomials a cubic may use so that L = z divides it twice, once or not at all.
+SHAPES = {
+    "L^2 | C": ("xz2", "yz2", "z3"),
+    "L | C": ("x2z", "xyz", "y2z", "xz2", "yz2", "z3"),
+    "L does not divide C": tuple(MONOMIAL_INDICES),
+}
+
+
+@functools.cache
+def _unimodular_box_1():
+    """Every integer 3x3 matrix with entries in [-1, 1] and det ±1, in row order."""
+    box = product(product((-1, 0, 1), repeat=3), repeat=3)
+    return [LatticeMap(rows) for rows in box if lattice_forms._det3(rows) in (1, -1)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(SHAPES)),
+       st.lists(st.integers(-2, 2), min_size=10, max_size=10))
+def test_enumeration_matches_brute_force(rng, shape, coefficients):
+    """Bounds 0 and 1 against all 3^9 integer matrices filtered by the det and
+    the full pullback, for a small cubic of the drawn shape over L = z, put in
+    the coordinates of a random unimodular P. The pullback runs once per map
+    found: no map that fails an entry gets past the prefilter."""
+    cubic = {m: c for m, c in zip(MONOMIAL_INDICES, coefficients) if m in SHAPES[shape]}
+    if shape == "L does not divide C":
+        assume(any(cubic[m] for m in ("x3", "x2y", "xy2", "y3")))
+    p = random_unimodular(rng, steps=rng.randint(0, 3))
+    T = transform_cubic(TrilinearForm.from_cubic_coefficients(cubic), p)
+    L = LinearForm(0, 0, 1).compose(p)
+    expected = [g for g in _unimodular_box_1() if preserves_pair(g, T, L)]
+    with mock.patch.object(group_structure, "preserves_pair", wraps=preserves_pair) as pullback:
+        assert enumerate_symmetries(T, L, 1) == expected
+    assert pullback.call_count == len(expected)
+    assert enumerate_symmetries(T, L, 0) == []  # the zero matrix is not unimodular
+
+
+# For each entry checked after the column pools, a pair with a map of entries
+# in [-1, 1] and det ±1 that fixes L and every entry of the cubic but that one,
+# found by a seeded search over random cubics.
+NEAR_MISSES = {
+    (1, 1, 2): ({"x3": -2, "x2y": 1, "x2z": 1, "xy2": 2, "xz2": 1, "y2z": -1, "z3": -1},
+                (1, 0, 1)),
+    (1, 1, 3): ({"x3": -2, "x2y": -2, "x2z": 2, "y3": -1, "yz2": 1}, (-1, -1, 0)),
+    (1, 2, 2): ({"x2y": -2, "x2z": -1, "xy2": 2, "y2z": 1, "yz2": -1, "z3": -2}, (0, 0, -1)),
+    (1, 2, 3): ({"x3": 1, "x2z": 1, "xy2": 1, "xyz": -2, "xz2": -2, "y2z": 1, "z3": 1},
+                (-1, 0, -1)),
+    (1, 3, 3): ({"x2y": -1, "xz2": 1, "y3": 2, "y2z": 1, "yz2": 1, "z3": -2}, (0, -1, 0)),
+    (2, 2, 3): ({"x3": 1, "x2y": 2, "xy2": 2, "xz2": -2, "y3": -2, "y2z": 1, "yz2": 1},
+                (0, 1, 0)),
+    (2, 3, 3): ({"x3": -2, "xy2": -1, "yz2": 1}, (1, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEAR_MISSES), ids=str)
+def test_near_miss_stops_at_its_entry(entry):
+    """The near miss fails only `entry`, and the prefilter keeps it from the
+    full pullback, which runs once per map found."""
+    cubic, l = NEAR_MISSES[entry]
+    T, L = TrilinearForm.from_cubic_coefficients(cubic), LinearForm(*l)
+    entries = T.entries()
+
+    def failing(g):
+        moved = transform_cubic(T, g).entries()
+        return {key for key in entries if moved[key] != entries[key]}
+
+    assert any(L.compose(g) == L and failing(g) == {entry} for g in _unimodular_box_1())
+    with mock.patch.object(group_structure, "preserves_pair", wraps=preserves_pair) as pullback:
+        found = enumerate_symmetries(T, L, 1)
+    assert pullback.call_count == len(found)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_every_enumeration_survivor_is_a_symmetry(bound, monkeypatch):
+    """On each benchmark catalogue entry, the full pullback runs once per map
+    found: the prefilter has already matched all ten entries and L."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import problems
+
+    for name in sorted(problems.ENUM_CATALOGUE):
+        problem = problems.enum_problem(name, bound, "enumerate")
+        T, L = TrilinearForm.from_cubic_coefficients(problem.cubic), LinearForm(*problem.c2)
+        with mock.patch.object(group_structure, "preserves_pair",
+                               wraps=preserves_pair) as pullback:
+            found = enumerate_symmetries(T, L, bound)
+        assert found and pullback.call_count == len(found), name
 
 
 class TestCertifySeed:

@@ -68,13 +68,13 @@ class TestTrilinearForm:
         assert rebuilt == unipotent_cubic
 
     def test_unknown_monomial_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError):
             TrilinearForm.from_cubic_coefficients({"w3": 1})
 
     def test_unsorted_entry_key_rejected(self):
         """(3, 1, 2) is not one of the ten sorted triples; dropping it would
         build the zero form."""
-        with pytest.raises(KeyError, match=r"\(3, 1, 2\)"):
+        with pytest.raises(ValidationError, match=r"\(3, 1, 2\)"):
             TrilinearForm({(3, 1, 2): Fraction(1, 6)})
 
     @pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, True, "1"])
@@ -162,6 +162,16 @@ class TestLatticeMap:
     def test_non_unimodular_rejected(self):
         with pytest.raises(NotUnimodular):
             LatticeMap([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("value", [1.5, True, Fraction(3, 2), "1"])
+    def test_non_integer_entry_rejected(self, value):
+        """1.5 is not truncated to the identity; True is not read as 1."""
+        with pytest.raises(ValidationError, match="must be integers"):
+            LatticeMap([[value, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_integral_fraction_entry_accepted(self):
+        g = LatticeMap([[Fraction(-1), 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert g.rows[0] == (-1, 0, 0) and type(g.rows[0][0]) is int
 
     def test_inverse(self, golden_generator):
         assert (golden_generator @ golden_generator.inverse()).is_identity()
