@@ -278,6 +278,3 @@ def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
         return OutOfTheory("infinite order with eigenvalue -1 Jordan block")
     return FiniteOrder(n, finite_eigenvalue_tag(g))
 
-
-def is_finite_class(c: ElementClass) -> bool:
-    return isinstance(c, (Identity, FiniteOrder))

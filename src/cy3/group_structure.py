@@ -48,6 +48,7 @@ from .errors import (
     NotUnipotentInFrame,
     PostCheckFailed,
     RelationsNotVerified,
+    ValidationError,
 )
 from .lattice_forms import (
     LatticeMap,
@@ -268,15 +269,20 @@ def tau(record: UnipotentConstraintRecord, p: int) -> int:
 
 
 def quadric_preserved_in_frame(hf, split: UnipotentSplit) -> None:
-    """Entrywise check that Hf^t Q Hf = Q (the invariance scalar is 1)."""
-    q = [[x.to_fraction() for x in row] for row in split.quadric.m]
-    ht_q_h = _matmul(_matmul(tuple(zip(*hf)), q), hf)
+    """Entrywise check that Hf^t Q Hf = Q (the invariance scalar is 1), on
+    integers: with Hf = H/e and Q = Q'/f over the lcm denominators, it reads
+    H^t Q' H = e²·Q'."""
+    e = math.lcm(*(x.denominator for row in hf for x in row))
+    h = tuple(tuple(x.numerator * (e // x.denominator) for x in row) for row in hf)
+    f = math.lcm(*(x.den for row in split.quadric.m for x in row))
+    q = tuple(tuple(x.p * (f // x.den) for x in row) for row in split.quadric.m)
+    m = _matmul(_matmul(tuple(zip(*h)), q), h)
     # the scalar is forced to 1 by taking determinants; read it off a pivot entry
-    lam = ht_q_h[0][2] / q[0][2]
-    if any(ht_q_h[i][j] != lam * q[i][j] for i in range(3) for j in range(3)):
+    if any(m[i][j] * q[0][2] != m[0][2] * q[i][j] for i in range(3) for j in range(3)):
         raise ConstraintViolated("frame action does not rescale the quadric")
-    if lam != 1:
-        raise ConstraintViolated(f"quadric invariance scalar {lam} != 1")
+    if m[0][2] != e * e * q[0][2]:
+        raise ConstraintViolated(
+            f"quadric invariance scalar {Fraction(m[0][2], e * e * q[0][2])} != 1")
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -299,7 +305,7 @@ def enumerate_symmetries(
     matches all ten entries. The full pullback in `preserves_pair` still
     re-verifies every survivor."""
     if bound < 0:
-        raise ValueError("bound must be nonnegative")
+        raise ValidationError(f"bound {bound} must be nonnegative")
     if bound > ENUMERATION_BOUND_GUARD and not allow_large_bound:
         raise BoundTooLarge(f"bound {bound} exceeds the guard {ENUMERATION_BOUND_GUARD}")
     dt = T.scaled
@@ -407,16 +413,18 @@ def analyze_group(
     reductions, which the verdict receives once."""
     reductions: list[str] = []
     if generators is None:
+        # every enumerated map has passed preserves_pair inside the enumeration
         generators = enumerate_symmetries(T, L, bound, allow_large_bound=allow_large_bound)
         reductions.append(f"generators from brute-force enumeration, bound {bound}")
+    else:
+        for g in generators:
+            if not preserves_pair(g, T, L):
+                raise NonPreservingGenerator(f"{g!r} does not preserve the pair")
     verdict = _dichotomy(T, L, list(generators), reductions)
     return replace(verdict, reductions=tuple(reductions))
 
 
 def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
-    for g in generators:
-        if not preserves_pair(g, T, L):
-            raise NonPreservingGenerator(f"{g!r} does not preserve the pair")
     if not generators:
         return GroupVerdict(kind="Finite", elements=(LatticeMap.identity(),))
 

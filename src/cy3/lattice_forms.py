@@ -89,14 +89,10 @@ class TrilinearForm:
                            for plane in _TENSOR_KEYS)
         return obj
 
-    def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    def contract(self, v: Sequence[int]) -> list[list[int]]:
         """The integer matrix (D·T)(v, ·, ·) for an integer vector v."""
         a, b, c = v
-        x, y, z = self.scaled
-        return tuple(
-            tuple(a * p + b * q + c * r for p, q, r in zip(rx, ry, rz))
-            for rx, ry, rz in zip(x, y, z)
-        )
+        return [[a * p + b * q + c * r for p, q, r in zip(*rows)] for rows in zip(*self.scaled)]
 
     @classmethod
     def from_cubic_coefficients(cls, coeffs: Mapping[str, int]) -> "TrilinearForm":
@@ -244,13 +240,16 @@ def _dot(u: Sequence, v: Sequence):
 
 
 def _matvec(m, v: Sequence) -> tuple:
-    return (_dot(m[0], v), _dot(m[1], v), _dot(m[2], v))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
 def _matmul(a, b) -> tuple:
     """a·b for a 3x3 b and any number of length-3 rows in a."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
+    (b1, b2, b3), (c1, c2, c3), (d1, d2, d3) = b
+    return tuple([(x * b1 + y * c1 + z * d1, x * b2 + y * c2 + z * d2, x * b3 + y * c3 + z * d3)
+                  for x, y, z in a])
 
 
 def _det3(rows):
@@ -292,8 +291,11 @@ def _pair_apply(m, v, d: int):
     """(mp + mq·√d)(p + q·√d) as an integer pair of vectors, for an integer
     pair of matrices m = (mp, mq) and of vectors v = (p, q)."""
     (mp, mq), (p, q) = m, v
-    return (tuple(x + d * y for x, y in zip(_matvec(mp, p), _matvec(mq, q))),
-            tuple(x + y for x, y in zip(_matvec(mp, q), _matvec(mq, p))))
+    x1, y1, z1 = _matvec(mp, p)
+    x2, y2, z2 = _matvec(mq, q)
+    x3, y3, z3 = _matvec(mp, q)
+    x4, y4, z4 = _matvec(mq, p)
+    return (x1 + d * x2, y1 + d * y2, z1 + d * z2), (x3 + x4, y3 + y4, z3 + z4)
 
 
 def _pair_dot(x, y, d: int) -> tuple[int, int]:
@@ -326,18 +328,31 @@ def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
     return tuple(_from_ints(x, y, T.scale * den * den, d) for x, y in zip(*s))
 
 
+# The pairs i <= j of column indices whose covectors (D·T)(f_i, f_j, ·) give
+# every sorted entry (i, j, k), k >= j, in the order of ENTRY_KEYS.
+_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
 def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> dict:
     """Entries of (D·T)(f_i, f_j, f_k) on sorted index triples, for columns
     f = p + q·√d given as integer vectors: ints when q is None (the columns of
-    a lattice map), else integer pairs (rational part, √d part)."""
-    mp = [T.contract(c) for c in p]
+    a lattice map), else integer pairs (rational part, √d part). Each covector
+    (D·T)(f_i, f_j, ·), i <= j, is formed once and dotted with every f_k, k >= j."""
+    out = {}
     if q is None:
-        return {(i, j, k): _dot(_matvec(mp[i - 1], p[j - 1]), p[k - 1])
-                for i, j, k in ENTRY_KEYS}
+        m = [T.contract(c) for c in p]
+        for i, j in _PAIRS:
+            s = _matvec(m[i - 1], p[j - 1])
+            for k in range(j, 4):
+                out[i, j, k] = _dot(s, p[k - 1])
+        return out
     cols = tuple(zip(p, q))
-    m = [(a, T.contract(c)) for a, c in zip(mp, q)]
-    return {(i, j, k): _pair_dot(_pair_apply(m[i - 1], cols[j - 1], d), cols[k - 1], d)
-            for i, j, k in ENTRY_KEYS}
+    m = [(T.contract(a), T.contract(b)) for a, b in cols]
+    for i, j in _PAIRS:
+        s = _pair_apply(m[i - 1], cols[j - 1], d)
+        for k in range(j, 4):
+            out[i, j, k] = _pair_dot(s, cols[k - 1], d)
+    return out
 
 
 def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, QuadSurd]:

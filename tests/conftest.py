@@ -4,6 +4,7 @@ import pytest
 
 from cy3 import LatticeMap, LinearForm, TrilinearForm
 from cy3.core_arith import QuadSurd
+from cy3.element_classify import FiniteOrder, Identity
 
 
 @pytest.fixture
@@ -95,3 +96,8 @@ def surd(a, b=0, d=0):
 
 
 GOLDEN_ALPHA = surd(Fraction(3, 2), Fraction(1, 2), 5)  # (3 + sqrt5)/2
+
+
+def is_finite_class(c) -> bool:
+    """True for the element classes of finite order."""
+    return isinstance(c, (Identity, FiniteOrder))

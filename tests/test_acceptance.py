@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_finite_class
 from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
     QuadricLine,
@@ -29,7 +30,6 @@ from cy3.element_classify import (
     UnipotentDeficient,
     UnipotentFull,
     classify,
-    is_finite_class,
     unipotent_frame,
 )
 from cy3.errors import ConstraintViolated, GeometricInconsistency, ValidationError

@@ -383,6 +383,17 @@ class TestEnumerateCommand:
         report, code = run(problem(data), "enumerate", bound=1)
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["enumerate", "analyze"])
+    def test_negative_bound_is_an_input_error(self, command):
+        """A negative bound, in the problem file or given to run, is reported
+        as an InputError with exit 1, not raised."""
+        data = {"cubic": GOLDEN["cubic"], "c2": [0, 0, 1]}
+        for report, code in (run(problem({**data, "bound": -1}), command),
+                             run(problem(data), command, bound=-1)):
+            assert code == EXIT_INPUT
+            assert report["verdict"] == {"kind": "InputError",
+                                         "message": "bound -1 must be nonnegative"}
+
 
 class TestRenderDispatch:
     """An object the renderers do not know raises a named error, also under
@@ -450,6 +461,14 @@ class TestMain:
         code = main(["factor", "--input", self._write(tmp_path, SPLIT)])
         assert code == EXIT_GEOMETRIC
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["enumerate", "analyze"])
+    def test_negative_bound_flag(self, tmp_path, capsys, command):
+        data = {"cubic": GOLDEN["cubic"], "c2": [0, 0, 1]}
+        code = main([command, "--input", self._write(tmp_path, data), "--bound", "-1"])
+        assert code == EXIT_INPUT
+        out = capsys.readouterr().out
+        assert json.loads(out)["verdict"]["kind"] == "InputError"
 
     def test_allow_large_bound_flag(self, tmp_path, capsys):
         data = {"cubic": GOLDEN["cubic"], "c2": [0, 0, 1]}

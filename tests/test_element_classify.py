@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GOLDEN_ALPHA
+from conftest import GOLDEN_ALPHA, is_finite_class
 from cy3 import core_arith, element_classify
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import (
@@ -18,7 +18,6 @@ from cy3.element_classify import (
     classify,
     finite_eigenvalue_tag,
     finite_order,
-    is_finite_class,
     unipotent_frame,
 )
 from cy3.errors import (

@@ -34,6 +34,7 @@ from cy3.group_structure import (
     certify_seed,
     enumerate_symmetries,
     frame_coordinates_matrix,
+    quadric_preserved_in_frame,
     scaling_character,
     tau,
     verify_unipotent_constraints,
@@ -363,6 +364,74 @@ class TestUnipotentConstraints:
             verify_unipotent_constraints(h, frame)
 
 
+def unipotent_split(p=LatticeMap.identity()):
+    """The unipotent example conjugated by p: its split and its generator."""
+    g = p.inverse() @ LatticeMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) @ p
+    T = TrilinearForm.from_cubic_coefficients({"z3": 1, "xz2": 6, "y2z": -3, "yz2": 3})
+    L = LinearForm(0, 0, 1).compose(p)
+    return certify_seed(transform_cubic(T, p), L, classify(g, L)).factorization, g
+
+
+class TestQuadricPreservedInFrame:
+    """Hf^t Q Hf = Q on the frame of the unipotent example; the messages are
+    those of the Fraction check that the integer one replaced."""
+
+    @staticmethod
+    def fraction_check(hf, split):
+        """The reference over Fractions: the message it raises, or None."""
+        q = [[x.to_fraction() for x in row] for row in split.quadric.m]
+        m = _mat_mul(_mat_mul([list(c) for c in zip(*hf)], q), hf)
+        lam = m[0][2] / q[0][2]
+        if any(m[i][j] != lam * q[i][j] for i in range(3) for j in range(3)):
+            return "frame action does not rescale the quadric"
+        return None if lam == 1 else f"quadric invariance scalar {lam} != 1"
+
+    @pytest.mark.parametrize("scale, message", [
+        (2, "quadric invariance scalar 4 != 1"),
+        (Fraction(1, 2), "quadric invariance scalar 1/4 != 1"),
+        (Fraction(2, 3), "quadric invariance scalar 4/9 != 1"),
+    ])
+    def test_rescaled_quadric(self, scale, message):
+        split, g = unipotent_split()
+        hf = [[x * scale for x in row] for row in frame_coordinates_matrix(g, split.frame)]
+        with pytest.raises(ConstraintViolated) as info:
+            quadric_preserved_in_frame(hf, split)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows", [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[1, 0, 0], [0, -1, 0], [0, 0, 1]]])
+    def test_quadric_not_rescaled(self, rows):
+        split, _ = unipotent_split()
+        with pytest.raises(ConstraintViolated) as info:
+            quadric_preserved_in_frame(frame_coordinates_matrix(LatticeMap(rows), split.frame),
+                                       split)
+        assert str(info.value) == "frame action does not rescale the quadric"
+
+    def test_passing_check_builds_no_fraction(self, fraction_builds):
+        p = LatticeMap([[2, 1, 0], [1, 1, 0], [1, 2, 1]])
+        for split, g in (unipotent_split(), unipotent_split(p)):
+            for n in (1, 2, -3):
+                hf = frame_coordinates_matrix(g ** n, split.frame)
+                assert fraction_builds(quadric_preserved_in_frame, hf, split) == (None, 0)
+
+    @given(st.integers(-4, 4), st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]),
+           st.randoms(use_true_random=False))
+    def test_matches_the_fraction_check(self, k, scale, rng):
+        """Scaled frame matrices of powers and of random maps, in the frame of
+        a random conjugate, raise exactly what the Fraction check would."""
+        split, g = unipotent_split(random_unimodular(rng, steps=4))
+        h = g ** k
+        if rng.random() < 0.5:
+            h = h @ random_unimodular(rng, steps=2)
+        hf = [[x * scale for x in row] for row in frame_coordinates_matrix(h, split.frame)]
+        try:
+            quadric_preserved_in_frame(hf, split)
+            message = None
+        except ConstraintViolated as exc:
+            message = str(exc)
+        assert message == self.fraction_check(hf, split)
+
+
 class TestEnumeration:
     def test_golden_bound_2(self, golden_cubic, golden_generator, L_z):
         found = enumerate_symmetries(golden_cubic, L_z, 2)
@@ -670,6 +739,19 @@ class TestAnalyzeGroup:
         verdict = analyze_group(golden_cubic, L_z, None, bound=2)
         assert verdict.kind == "AlmostAbelianRankOne"
         assert any("enumeration" in r for r in verdict.reductions)
+
+    def test_each_generator_is_checked_once(self, golden_cubic, golden_generator, L_z):
+        """Enumerated generators pass preserves_pair inside the enumeration
+        only; given generators pass it once each in analyze_group."""
+        with mock.patch.object(group_structure, "preserves_pair",
+                               wraps=preserves_pair) as pullback:
+            analyze_group(golden_cubic, L_z, None, bound=2)
+        assert pullback.call_count == 10
+        gens = [golden_generator, golden_generator ** 2, golden_generator.inverse()]
+        with mock.patch.object(group_structure, "preserves_pair",
+                               wraps=preserves_pair) as pullback:
+            analyze_group(golden_cubic, L_z, gens)
+        assert [call.args[0] for call in pullback.call_args_list] == gens
 
     def test_non_preserving_generator_rejected(self, golden_cubic, L_z):
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,9 @@ from cy3.lattice_forms import (
     LinearForm,
     TrilinearForm,
     _int_pairs,
+    _matmul,
+    _matvec,
+    _scaled_pullback,
     cross,
     cubic_eval,
     frame_table,
@@ -502,3 +507,65 @@ def test_frame_table_and_polar_match_trilinear_eval(T, frame):
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for f in frame:
         assert polar(T, f) == tuple(trilinear_eval(T, f, f, e) for e in basis)
+
+
+# -- the unrolled 3x3 kernels against naive sums -----------------------------------
+
+
+def naive_dot(u, v):
+    return reduce(add, (x * y for x, y in zip(u, v)))
+
+
+def naive_pullback(dt, p, q, d):
+    """(D·T)(f_i, f_j, f_k) for columns f = p + q·√d as an integer pair, from
+    the 27-term triple sum over pair products."""
+
+    def mul(x, y):
+        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    f = [tuple(zip(a, b)) for a, b in zip(p, q)]
+    out = {}
+    for i, j, k in ENTRY_KEYS:
+        terms = [(dt[a][b][c], mul(mul(f[i - 1][a], f[j - 1][b]), f[k - 1][c]))
+                 for a, b, c in product(range(3), repeat=3)]
+        out[i, j, k] = (sum(t * x for t, (x, _) in terms), sum(t * y for t, (_, y) in terms))
+    return out
+
+
+big = st.integers(-10**6, 10**6)
+int_columns = st.tuples(*[st.tuples(big, big, big)] * 3)
+scaled_forms = st.builds(lambda values, scale: TrilinearForm._from_scaled(
+    dict(zip(ENTRY_KEYS, values)), scale), st.tuples(*[big] * 10), st.integers(1, 42))
+
+
+@given(scaled_forms, int_columns)
+def test_scaled_pullback_matches_the_triple_sum(T, p):
+    zero = ((0, 0, 0),) * 3
+    assert _scaled_pullback(T, p) == {
+        key: x for key, (x, _) in naive_pullback(T.scaled, p, zero, 0).items()}
+    assert list(_scaled_pullback(T, p)) == list(ENTRY_KEYS)
+
+
+@given(scaled_forms, int_columns, int_columns, st.sampled_from([2, 3, 5, 13]))
+def test_scaled_pullback_on_pairs_matches_the_triple_sum(T, p, q, d):
+    table = _scaled_pullback(T, p, q, d)
+    assert table == naive_pullback(T.scaled, p, q, d)
+    assert list(table) == list(ENTRY_KEYS)
+
+
+def entries(kind, d):
+    return {"int": big, "Fraction": rationals,
+            "QuadSurd": st.builds(lambda a, b: QuadSurd(a, b, d), rationals, rationals),
+            "mixed": coordinates(d)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction", "QuadSurd", "mixed"])
+@given(data=st.data(), d=st.sampled_from([2, 3, 5, 13]), rows=st.integers(1, 3))
+def test_matvec_and_matmul_match_naive_sums(kind, data, d, rows):
+    vector = st.tuples(*[entries(kind, d)] * 3)
+    a = data.draw(st.tuples(*[vector] * rows))
+    b, v = data.draw(st.tuples(vector, vector, vector)), data.draw(vector)
+    assert _matmul(a, b) == tuple(tuple(naive_dot(r, c) for c in zip(*b)) for r in a)
+    assert _matvec(b, v) == tuple(naive_dot(r, v) for r in b)
+    if kind == "int":
+        assert all(type(x) is int for r in _matmul(a, b) for x in r)
