@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .core_arith import QuadSurd
@@ -72,8 +72,7 @@ COMMANDS = ("classify", "factor", "analyze", "enumerate")
 PROBLEM_KEYS = {"cubic", "c2", "matrices", "bound"}
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     cubic: TrilinearForm
     c2: LinearForm
     matrices: tuple[LatticeMap, ...]
@@ -330,11 +329,12 @@ def run(
 
 
 def _effective_bound(problem: ProblemFile, cli_bound: int | None, default: int) -> int:
-    if cli_bound is not None:
-        return cli_bound
-    if problem.bound is not None:
-        return problem.bound
-    return default
+    """The bound given to run, else the problem's, else `default`; a negative
+    bound is bad input also when matrices make it unused."""
+    bound = next(b for b in (cli_bound, problem.bound, default) if b is not None)
+    if bound < 0:
+        raise ValidationError(f"bound {bound} must be nonnegative")
+    return bound
 
 
 def _element(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> tuple[dict, object]:

@@ -19,7 +19,6 @@ decomposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -294,18 +293,26 @@ def solve_unit_quadratic(s: int) -> tuple[QuadSurd, QuadSurd]:
     return _from_ints(s, f, 2, d), _from_ints(s, -f, 2, d)
 
 
-@dataclass(frozen=True)
 class CubicPolyZ:
     """Integer cubic c3*t^3 + c2*t^2 + c1*t + c0 with c3 = +-1."""
 
-    c3: int
-    c2: int
-    c1: int
-    c0: int
+    __slots__ = ("c3", "c2", "c1", "c0")
 
-    def __post_init__(self):
-        if self.c3 not in (1, -1):
+    def __init__(self, c3: int, c2: int, c1: int, c0: int):
+        if c3 not in (1, -1):
             raise ValueError("leading coefficient must be +-1")
+        self.c3, self.c2, self.c1, self.c0 = c3, c2, c1, c0
+
+    def __eq__(self, other):
+        if not isinstance(other, CubicPolyZ):
+            return NotImplemented
+        return self.coefficients() == other.coefficients()
+
+    def __hash__(self):
+        return hash(self.coefficients())
+
+    def __repr__(self):
+        return "CubicPolyZ(c3={}, c2={}, c1={}, c0={})".format(*self.coefficients())
 
     def __call__(self, t):
         return ((self.c3 * t + self.c2) * t + self.c1) * t + self.c0

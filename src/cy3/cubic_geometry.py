@@ -11,9 +11,8 @@ A hyperbolic frame (u, v, w) gives z(A z^2 + 6B xy), a full unipotent frame
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core_arith import QuadSurd
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     PostCheckFailed,
     RelationsNotVerified,
     SingularPoint,
+    ValidationError,
 )
 from .lattice_forms import (
     LinearForm,
@@ -43,21 +43,19 @@ FULL_JORDAN = (
 )
 
 
-@dataclass(frozen=True)
-class RelationRow:
+class RelationRow(NamedTuple):
     name: str
     left: QuadSurd
     right: QuadSurd
     holds: bool
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     rows: tuple[RelationRow, ...]
     overall: bool
     # (T, frame, table): the frame table the rows were read off, for the
     # factorization of the same cubic and frame; not rendered.
-    source: tuple | None = field(default=None, compare=False, repr=False)
+    source: tuple | None = None
 
     @classmethod
     def from_rows(cls, rows, source=None) -> "RelationReport":
@@ -84,9 +82,9 @@ class QuadraticForm:
     def __init__(self, m: Sequence[Sequence]):
         m = tuple(tuple(_as_surd(x) for x in row) for row in m)
         if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValueError("expected a 3x3 matrix")
+            raise ValidationError("expected a 3x3 matrix")
         if m != tuple(zip(*m)):
-            raise ValueError("matrix is not symmetric")
+            raise ValidationError("matrix is not symmetric")
         self.m = m
 
     def eval(self, v: Sequence) -> QuadSurd:
@@ -106,8 +104,7 @@ class QuadraticForm:
         return f"QuadraticForm({[[str(x) for x in row] for row in self.m]})"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """C = z·Q(x, y, z) in the coordinates of `frame`, Q as read off the
     frame table. Each kind is a subclass; its named constants are views of Q."""
 
@@ -118,6 +115,8 @@ class Factorization:
 
 class _HyperbolicSplit(Factorization):
     """Frame (u, v, w): C = z(A z^2 + 6B xy)."""
+
+    __slots__ = ()
 
     @property
     def a(self) -> QuadSurd:
@@ -133,14 +132,20 @@ class _HyperbolicSplit(Factorization):
 class ThreeLines(_HyperbolicSplit):
     """A = 0: C = 6B y · x · z, three planes of the frame."""
 
+    __slots__ = ()
+
 
 class QuadricLine(_HyperbolicSplit):
     """A != 0: the quadric A z^2 + 6B xy meets the plane z in the lines u, v."""
+
+    __slots__ = ()
 
 
 class UnipotentSplit(Factorization):
     """Frame (w, w1, w2) of integer vectors: C = z(F z^2 + 2E xz - E y^2 + E yz),
     with Q tangent to the plane z at w."""
+
+    __slots__ = ()
 
     @property
     def e(self) -> Fraction:

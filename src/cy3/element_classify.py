@@ -6,7 +6,7 @@ the kernel line of 2g - (s + f√d)·id, one cross product of two of its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core_arith import CubicPolyZ, QuadSurd, _from_ints, solve_unit_quadratic
 from .errors import (
@@ -43,19 +43,16 @@ _TAG_ORDERS = {-2: 2, -1: 3, 0: 4, 1: 6}
 ALLOWED_TAGS = frozenset(LAMBDA_TAGS.values()) | {"real-pair"}
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteOrder:
+class FiniteOrder(NamedTuple):
     n: int
     lambda_tag: str
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(NamedTuple):
     s: int  # trace of the quadratic factor t^2 - s*t + 1
     alpha: QuadSurd  # the root > 1
     u: tuple  # eigenvector for 1/alpha, projective
@@ -63,20 +60,17 @@ class Hyperbolic:
     w: tuple[int, int, int]  # primitive integer eigenvector for 1
 
 
-@dataclass(frozen=True)
-class UnipotentFull:
+class UnipotentFull(NamedTuple):
     w: tuple[int, int, int]
     w1: tuple[int, int, int]
     w2: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class UnipotentDeficient:
+class UnipotentDeficient(NamedTuple):
     rank_of_g_minus_id: int = 1
 
 
-@dataclass(frozen=True)
-class OutOfTheory:
+class OutOfTheory(NamedTuple):
     reason: str
 
 

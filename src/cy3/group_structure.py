@@ -12,10 +12,9 @@ quadratic field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core_arith import QuadSurd, _from_ints, _pair_sign
 from .cubic_geometry import (
@@ -71,30 +70,26 @@ CLOSURE_ELEMENT_CAP = 5000
 CLOSURE_WORD_CAP = 24
 
 
-@dataclass(frozen=True)
-class UnipotentConstraintRecord:
+class UnipotentConstraintRecord(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
 
-@dataclass(frozen=True)
-class TauWitness:
+class TauWitness(NamedTuple):
     p: int
     values: tuple[int, ...]  # tau of each generator, same order
     generator_value: int  # gcd of the nonzero tau values
 
 
-@dataclass(frozen=True)
-class CharacterWitness:
+class CharacterWitness(NamedTuple):
     generator: QuadSurd  # gamma > 1 generating the certified cyclic group
     exponents: tuple[int, ...]  # exponent of each generator's 4th-power value
     values: tuple[QuadSurd, ...]  # the 4th-power scaling values themselves
 
 
-@dataclass(frozen=True)
-class GroupVerdict:
+class GroupVerdict(NamedTuple):
     kind: str  # "Finite" | "AlmostAbelianRankOne" | "Inconclusive"
     elements: tuple[LatticeMap, ...] | None = None
     witness: TauWitness | CharacterWitness | None = None
@@ -138,8 +133,7 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
 # -- discrete cyclic certification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicCertificate:
+class CyclicCertificate(NamedTuple):
     kind: str  # "Finite" | "Cyclic" | "Inconclusive"
     generator: QuadSurd | None = None
     exponents: tuple[int, ...] = ()
@@ -349,8 +343,7 @@ def enumerate_symmetries(
 # -- seed certification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedCertificate:
+class SeedCertificate(NamedTuple):
     """The relation report of one infinite-order seed, then either the
     factorization of C with its singular lines, or the reason the relation gate
     gave, or the inconsistency the factorization found."""
@@ -421,7 +414,7 @@ def analyze_group(
             if not preserves_pair(g, T, L):
                 raise NonPreservingGenerator(f"{g!r} does not preserve the pair")
     verdict = _dichotomy(T, L, list(generators), reductions)
-    return replace(verdict, reductions=tuple(reductions))
+    return verdict._replace(reductions=tuple(reductions))
 
 
 def _dichotomy(T, L, generators, reductions) -> GroupVerdict:

@@ -10,7 +10,6 @@ views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -133,8 +132,7 @@ class TrilinearForm:
         return f"TrilinearForm({nonzero})"
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """Integral covector; pairs a lattice vector with the c2-class."""
 
     l1: int
@@ -166,7 +164,7 @@ class LatticeMap:
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("expected a 3x3 matrix")
+            raise ValidationError("expected a 3x3 matrix")
         if not all(_is_integer(x) for r in rows for x in r):
             raise ValidationError(f"matrix entries must be integers: {rows}")
         self.rows = tuple(tuple(int(x) for x in r) for r in rows)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -210,7 +209,7 @@ class TestSeedCertificate:
 
         def failing(*args):
             return RelationReport.from_rows(
-                dataclasses.replace(r, holds=False) if r.name == row else r
+                r._replace(holds=False) if r.name == row else r
                 for r in relations(*args).rows
             )
 
@@ -386,10 +385,12 @@ class TestEnumerateCommand:
     @pytest.mark.parametrize("command", ["enumerate", "analyze"])
     def test_negative_bound_is_an_input_error(self, command):
         """A negative bound, in the problem file or given to run, is reported
-        as an InputError with exit 1, not raised."""
+        as an InputError with exit 1, not raised; also when matrices make
+        enumeration unused."""
         data = {"cubic": GOLDEN["cubic"], "c2": [0, 0, 1]}
         for report, code in (run(problem({**data, "bound": -1}), command),
-                             run(problem(data), command, bound=-1)):
+                             run(problem(data), command, bound=-1),
+                             run(problem({**GOLDEN, "bound": -1}), command)):
             assert code == EXIT_INPUT
             assert report["verdict"] == {"kind": "InputError",
                                          "message": "bound -1 must be nonnegative"}

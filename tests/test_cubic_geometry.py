@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from cy3.errors import (
     PostCheckFailed,
     RelationsNotVerified,
     SingularPoint,
+    ValidationError,
 )
 from cy3.lattice_forms import (
     LatticeMap,
@@ -142,6 +142,34 @@ class TestHyperbolicFactorization:
         assert fact.quadric.eval((0, 1, 0)) == 0
         assert tangent_plane(fact.quadric, (1, 0, 0)) == (surd(0), surd(1), surd(0))
         assert tangent_plane(fact.quadric, (0, 1, 0)) == (surd(1), surd(0), surd(0))
+
+
+class TestQuadraticFormInput:
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
+            QuadraticForm(((1, 0), (0, 1)))
+
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="matrix is not symmetric"):
+            QuadraticForm(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+
+
+class TestFactorizationRecord:
+    """A Factorization is a NamedTuple; each kind is a slotted subclass."""
+
+    def test_replace_keeps_the_kind(self, golden_cubic, golden_frame):
+        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+        assert isinstance(fact, ThreeLines)
+        flipped = fact._replace(frame=fact.frame[::-1])
+        assert type(flipped) is ThreeLines
+        assert flipped.frame == fact.frame[::-1] and flipped.quadric == fact.quadric
+
+    def test_fields_are_read_only(self, golden_cubic, golden_frame):
+        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+        with pytest.raises(AttributeError):
+            fact.frame = ()
+        with pytest.raises(AttributeError):
+            fact.extra = 1
 
 
 class TestSignature:
@@ -358,13 +386,13 @@ class TestReconstructionAndSingularLocus:
             for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
                 m = [list(row) for row in fact.quadric.m]
                 m[i][j] = m[j][i] = m[i][j] + 1
-                tampered = dataclasses.replace(fact, quadric=QuadraticForm(m))
+                tampered = fact._replace(quadric=QuadraticForm(m))
                 assert not reconstruction_matches(tampered), (type(fact).__name__, i, j)
 
     def test_degenerate_frame_fails_the_named_post_check(self, golden_cubic, golden_frame):
         fact = hyperbolic_factorization(golden_cubic, *golden_frame)
         u, v, _ = fact.frame
-        flat = dataclasses.replace(fact, frame=(u, v, tuple(a + b for a, b in zip(u, v))))
+        flat = fact._replace(frame=(u, v, tuple(a + b for a, b in zip(u, v))))
         with pytest.raises(PostCheckFailed) as info:
             reconstruction_matches(flat)
         assert info.value.check == "frame is degenerate"

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -667,7 +666,7 @@ class TestCertifySeed:
 
         def tampered(*args, **kwargs):
             split = factor(*args, **kwargs)
-            return dataclasses.replace(split, frame=split.frame[::-1])
+            return split._replace(frame=split.frame[::-1])
 
         monkeypatch.setattr(group_structure, "unipotent_factorization", tampered)
         with pytest.raises(PostCheckFailed) as info:

@@ -163,6 +163,24 @@ class TestEvaluation:
         assert L_z(u) == 0
 
 
+class TestLinearFormRecord:
+    """LinearForm is a NamedTuple; DoesNotPreserveL messages quote its str,
+    which is this repr."""
+
+    def test_repr(self):
+        assert repr(LinearForm(0, 0, 1)) == "LinearForm(l1=0, l2=0, l3=1)"
+
+    def test_equal_records_hash_alike(self):
+        assert LinearForm(1, -2, 3) == LinearForm(1, -2, 3)
+        assert hash(LinearForm(1, -2, 3)) == hash(LinearForm(1, -2, 3))
+        assert LinearForm(1, -2, 3) != LinearForm(1, -2, 4)
+
+    def test_fields_are_read_only(self):
+        L = LinearForm(0, 0, 1)
+        with pytest.raises(AttributeError):
+            L.l3 = 2
+
+
 class TestLatticeMap:
     def test_non_unimodular_rejected(self):
         with pytest.raises(NotUnimodular):
@@ -173,6 +191,10 @@ class TestLatticeMap:
         """1.5 is not truncated to the identity; True is not read as 1."""
         with pytest.raises(ValidationError, match="must be integers"):
             LatticeMap([[value, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
+            LatticeMap([[1, 0], [0, 1]])
 
     def test_integral_fraction_entry_accepted(self):
         g = LatticeMap([[Fraction(-1), 0, 0], [0, 1, 0], [0, 0, 1]])
