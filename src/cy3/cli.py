@@ -55,7 +55,6 @@ from .group_structure import (
     seed_of,
 )
 from .lattice_forms import (
-    MONOMIAL_INDICES,
     LatticeMap,
     LinearForm,
     TrilinearForm,
@@ -94,9 +93,6 @@ def parse_problem(text: str) -> ProblemFile:
     cubic_raw = data.get("cubic", {})
     if not isinstance(cubic_raw, dict):
         raise ValidationError("'cubic' must be an object of monomial coefficients")
-    bad = set(cubic_raw) - set(MONOMIAL_INDICES)
-    if bad:
-        raise ValidationError(f"unknown monomial keys: {sorted(bad)}")
     cubic = TrilinearForm.from_cubic_coefficients(cubic_raw)
 
     c2_raw = data.get("c2")

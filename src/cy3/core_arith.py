@@ -35,8 +35,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     Trial division runs only while p**3 <= m, the cofactor left after removing
     every prime below p, so it costs O(n**(1/3)) steps. The m left then has at
     most two prime factors, all >= p: it is 1, q, q*r or q**2, and a single
-    `isqrt` tells the square apart. No floating point is used. A cofactor that
-    would need a divisor past TRIAL_DIVISION_LIMIT raises RadicandTooLarge."""
+    `isqrt` tells the square apart. No floating point is used. When the next
+    divisor would pass TRIAL_DIVISION_LIMIT, a cofactor that is a perfect
+    square r**2 still gives f*r; any other raises RadicandTooLarge."""
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
@@ -45,6 +46,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     p = 2
     while p * p * p <= m:
         if p > TRIAL_DIVISION_LIMIT:
+            r = isqrt(m)
+            if r * r == m:
+                return s, f * r
             raise RadicandTooLarge(
                 f"a {n.bit_length()}-bit radicand needs trial division past "
                 f"TRIAL_DIVISION_LIMIT = {TRIAL_DIVISION_LIMIT}"
@@ -73,6 +77,12 @@ def _pair_sign(p: int, q: int, d: int) -> int:
     if sp * sq >= 0:
         return sp or sq
     return sp if p * p > q * q * d else sq
+
+
+def _ratio_str(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, read off the ints."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _from_ints(p: int, q: int, den: int, d: int) -> "QuadSurd":
@@ -252,13 +262,13 @@ class QuadSurd:
         return f"QuadSurd({self.a!r}, {self.b!r}, {self.d})"
 
     def __str__(self):
-        if self.d == 0:  # gcd(p, den) = 1 when q = 0
-            return str(self.p) if self.den == 1 else f"{self.p}/{self.den}"
-        b = abs(self.b)
-        tail = f"{'' if b == 1 else str(b)}√{self.d}"
+        if self.d == 0:
+            return _ratio_str(self.p, self.den)
+        q = abs(self.q)
+        tail = f"{'' if q == self.den else _ratio_str(q, self.den)}√{self.d}"
         if self.p == 0:
             return tail if self.q > 0 else f"-{tail}"
-        return f"{self.a} {'+' if self.q > 0 else '-'} {tail}"
+        return f"{_ratio_str(self.p, self.den)} {'+' if self.q > 0 else '-'} {tail}"
 
 
 _ZERO, _ONE = Fraction(0), _from_ints(1, 0, 1, 0)

@@ -1,7 +1,10 @@
 """Classify a single unimodular lattice map: finite order, hyperbolic (a real
 eigenvalue alpha > 1 in a real quadratic field), or unipotent with full or
-deficient Jordan block. All eigen-data is computed exactly: each eigenline is
-the kernel line of 2g - (s + f√d)·id, one cross product of two of its rows.
+deficient Jordan block. All eigen-data is computed exactly on integers. The
+eigenline v of alpha = (s + f√d)/2 is the kernel line of 2g - (s + f√d)·id, one
+cross product of two of its rows, normalized on integer pairs; since g is
+integral, the eigenline u of 1/alpha is the Galois conjugate of v, coordinate
+by coordinate. Every returned eigenvector is checked against its eigen-equation.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .lattice_forms import (
     _matvec,
     cross,
     primitive_part,
-    projective_normalize,
 )
 
 # Conjugate eigenvalue pair tags, keyed by s = lambda + conj(lambda).
@@ -150,10 +152,14 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
 
 def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
     """Projective kernel vector of 2g - (s + f√d)·id, the eigenline of
-    (s + f√d)/2, normalized to a first nonzero coordinate of 1."""
+    (s + f√d)/2, normalized to a first nonzero coordinate of 1 on integers:
+    with pivot a + b√d, the first nonzero kernel coordinate, each coordinate
+    p + q√d becomes (p + q√d)(a - b√d)/(a² - d·b²)."""
     p, q = _kernel_line(g, s, f, d,
                         f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
-    return projective_normalize([_from_ints(x, y, 1, d) for x, y in zip(p, q)])
+    a, b = next((x, y) for x, y in zip(p, q) if x or y)
+    n = a * a - d * b * b
+    return tuple(_from_ints(x * a - d * y * b, y * a - x * b, n, d) for x, y in zip(p, q))
 
 
 def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int,
@@ -194,12 +200,14 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
     f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d
-    u = _eigenvector_real_pair(g, s, -f, d)
     v = _eigenvector_real_pair(g, s, f, d)
+    # g is integral, so √d -> -√d maps the eigenline of alpha onto that of 1/alpha.
+    u = tuple(x.conjugate() for x in v)
     w = _eigenvector_1(g)
     _check_real_pair_eigenvector(g, u, s, -f, d, "eigen-equation g u = u / alpha")
     _check_real_pair_eigenvector(g, v, s, f, d, "eigen-equation g v = alpha v")
-    _check_real_pair_eigenvector(g, w, 2, 0, d, "eigen-equation g w = w")
+    if g.apply(w) != w:
+        raise PostCheckFailed("eigen-equation g w = w")
     if not (alpha * beta == 1 and alpha + beta == s):
         raise PostCheckFailed("alpha·beta = 1 and alpha + beta = s")
     return alpha, u, v, w

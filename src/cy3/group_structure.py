@@ -148,11 +148,12 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     eps itself, computed from one continued-fraction period, and the exponent
     of each value is read off exactly and confirmed by eps**k == v. A value
     that is not a unit of that ring (a rational value other than 1 included)
-    gives Inconclusive; values over two fields raise IncompatibleFields.
+    gives Inconclusive; values over two fields raise IncompatibleFields and a
+    value that is not positive raises ValidationError.
     """
     values = [_as_surd(v) for v in values]
     if any(not v > 0 for v in values):
-        raise ValueError("character values must be positive")
+        raise ValidationError("character values must be positive")
     if all(v == 1 for v in values):
         return CyclicCertificate(kind="Finite")
     fields = sorted({v.d for v in values if v.d})

@@ -100,6 +100,21 @@ class TestTrialDivisionLimit:
         with pytest.raises(RadicandTooLarge, match="61-bit radicand"):
             squarefree_decompose(self.ABOVE**3)
 
+    def test_square_cofactor_past_the_limit_is_accepted(self):
+        """The cofactor (q1*q2)^2 left at the limit has no divisor below it,
+        but as a perfect square it needs none."""
+        q1, q2 = self.ABOVE, 1048589
+        assert squarefree_decompose((q1 * q2) ** 2 * 7) == (7, q1 * q2)
+
+
+@pytest.mark.parametrize("x", [QuadSurd(Fraction(3, 2), Fraction(1, 2), 5),
+                               QuadSurd(Fraction(-1, 6), Fraction(-4, 3), 94),
+                               QuadSurd(0, 1, 2), QuadSurd(0, Fraction(-2, 7), 3)])
+def test_str_of_a_surd_builds_no_fraction(x, fraction_builds):
+    text, built = fraction_builds(str, x)
+    assert text == str(x)
+    assert built == 0
+
 
 class TestNormalize:
     def test_square_factor_pulled_into_b(self):

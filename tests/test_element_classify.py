@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN_ALPHA, is_finite_class
 from cy3 import core_arith, element_classify
@@ -249,12 +250,19 @@ class TestLargeTrace:
         assert alpha + beta == s
         assert alpha > 1
 
-    def test_huge_trace_raises_radicand_too_large(self, golden_generator, L_z):
-        """The 300th power of the golden generator has s ≈ 2.5e125: its
-        radicand needs trial division past the limit, so classify stops with a
-        named error instead of running for ever."""
-        with pytest.raises(RadicandTooLarge):
-            classify(golden_generator**300, L_z)
+    def test_huge_trace_with_square_cofactors_is_hyperbolic(self, golden_generator, L_z):
+        """The 300th power of the golden generator has s = L_600 ≈ 2.5e125,
+        s - 2 = 5·F_300² and s + 2 = L_300²: trial division up to the limit
+        leaves perfect-square cofactors, which need no larger divisor."""
+        verdict = classify(golden_generator**300, L_z)
+        assert isinstance(verdict, Hyperbolic)
+        assert verdict.alpha == GOLDEN_ALPHA**300
+
+    def test_non_square_cofactor_raises_radicand_too_large(self, L_z):
+        """s - 2 = 1048583³ is the cube of the least prime past the limit, no
+        square: classify stops with a named error instead of running for ever."""
+        with pytest.raises(RadicandTooLarge, match="TRIAL_DIVISION_LIMIT"):
+            classify(_companion(1048583**3 + 2), L_z)
 
 
 def surd_apply(g, x):
@@ -283,15 +291,13 @@ class TestRealPairEigenvectors:
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_wrong_eigenvector_fails_the_post_check(self, wrong, golden_generator, L_z,
                                                     monkeypatch):
-        original = element_classify._eigenvector_real_pair
-
-        def swapped(g, s, f, d):
-            # the eigenline of the other root in place of the requested one
-            if (f < 0) == (wrong == "u"):
-                return original(g, s, -f, d)
-            return original(g, s, f, d)
-
-        monkeypatch.setattr(element_classify, "_eigenvector_real_pair", swapped)
+        # With conjugation a no-op, u is v itself: the eigenline of the other root.
+        monkeypatch.setattr(QuadSurd, "conjugate", lambda self: self)
+        if wrong == "v":
+            # v becomes the eigenline of 1/alpha, so u = v is right and v is not
+            original = element_classify._kernel_line
+            monkeypatch.setattr(element_classify, "_kernel_line",
+                                lambda g, s, f, d, check: original(g, s, -f, d, check))
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == {
@@ -305,12 +311,58 @@ class TestRealPairEigenvectors:
     ])
     def test_non_eigenvector_fails_the_post_check(self, x, golden_generator, L_z,
                                                   monkeypatch):
-        original = element_classify._eigenvector_real_pair
-        monkeypatch.setattr(element_classify, "_eigenvector_real_pair",
-                            lambda g, s, f, d: x if f < 0 else original(g, s, f, d))
+        # u is read off x, one coordinate per conjugation
+        coordinates = iter(x)
+        monkeypatch.setattr(QuadSurd, "conjugate", lambda self: next(coordinates))
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == "eigen-equation g u = u / alpha"
+
+    @pytest.mark.parametrize("s", [3, 7, 99_991])
+    def test_one_kernel_line_per_real_pair(self, s, L_z, monkeypatch):
+        """One kernel line for v and one for w: u is the conjugate of v."""
+        calls = []
+        original = element_classify._kernel_line
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(element_classify, "_kernel_line", counted)
+        assert isinstance(classify(FRAME_CHANGE.inverse() @ _companion(s) @ FRAME_CHANGE, L_z),
+                          Hyperbolic)
+        assert len(calls) == 2
+
+
+def _reference_line(g, root):
+    """The kernel line of g - root·id in QuadSurd arithmetic: the first nonzero
+    cross product of two of its rows, divided by its first nonzero coordinate."""
+    m = [[QuadSurd(x) - root if i == j else QuadSurd(x) for j, x in enumerate(row)]
+         for i, row in enumerate(g.rows)]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        r, t = m[a], m[b]
+        c = (r[1] * t[2] - r[2] * t[1], r[2] * t[0] - r[0] * t[2], r[0] * t[1] - r[1] * t[0])
+        if any(c):
+            pivot = next(x for x in c if x)
+            return tuple(x / pivot for x in c)
+    raise AssertionError("kernel is not a line")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False),
+       st.integers(3, 10**6).flatmap(lambda s: st.sampled_from([s, -s])))
+def test_real_pair_lines_match_a_surd_reference(rng, s):
+    """u and v of a random unimodular conjugate of a companion block are its
+    two kernel lines, each computed and normalized with QuadSurd arithmetic;
+    for s < -2 through real_pair_lines of the OutOfTheory verdict."""
+    P = random_unimodular(rng, steps=rng.randint(1, 6))
+    g = P.inverse() @ _companion(s) @ P
+    root = QuadSurd(Fraction(s, 2), Fraction(1, 2), s * s - 4)
+    verdict = classify(g)
+    assert isinstance(verdict, Hyperbolic if s > 0 else OutOfTheory)
+    u, v, _ = element_classify.real_pair_lines(g, verdict)
+    assert v == _reference_line(g, root)
+    assert u == _reference_line(g, root.conjugate())
 
 
 class TestPostChecks:

@@ -24,6 +24,7 @@ from cy3.errors import (
     NonPreservingGenerator,
     NotUnipotentInFrame,
     PostCheckFailed,
+    ValidationError,
 )
 from cy3.group_structure import (
     CharacterWitness,
@@ -178,7 +179,7 @@ class TestCertifyDiscreteCyclic:
         assert cert.kind == "Inconclusive"
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="character values must be positive"):
             certify_discrete_cyclic([QuadSurd(-2)])
 
     def test_only_candidates_in_the_value_field_are_powered(self, monkeypatch):
