@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
@@ -27,15 +26,7 @@ from .cubic_geometry import (
     UnipotentSplit,
     quadric_signature,
 )
-from .element_classify import (
-    FiniteOrder,
-    Hyperbolic,
-    Identity,
-    OutOfTheory,
-    UnipotentDeficient,
-    UnipotentFull,
-    classify,
-)
+from .element_classify import ElementClass, FiniteOrder, UnipotentDeficient, classify
 from .errors import (
     BoundTooLarge,
     Cy3Error,
@@ -70,6 +61,8 @@ COMMANDS = ("classify", "factor", "analyze", "enumerate")
 
 PROBLEM_KEYS = {"cubic", "c2", "matrices", "bound"}
 
+WITNESS_TYPES = {TauWitness: "tau", CharacterWitness: "character"}
+
 
 class ProblemFile(NamedTuple):
     cubic: TrilinearForm
@@ -84,6 +77,8 @@ def parse_problem(text: str) -> ProblemFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level value must be a JSON object")
     unknown = set(data) - PROBLEM_KEYS
@@ -109,23 +104,17 @@ def parse_problem(text: str) -> ProblemFile:
             "assumed nonzero"
         )
 
+    matrices_raw = data.get("matrices", [])
+    if not isinstance(matrices_raw, list):
+        raise ValidationError("'matrices' must be an array of 3x3 integer matrices")
     matrices = []
-    for i, m in enumerate(data.get("matrices", [])):
-        if (
-            not isinstance(m, list)
-            or len(m) != 3
-            or any(
-                not isinstance(r, list)
-                or len(r) != 3
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in r)
-                for r in m
-            )
-        ):
-            raise ValidationError(f"matrix {i} must be a 3x3 integer array")
+    for i, m in enumerate(matrices_raw):
         try:
             matrices.append(LatticeMap(m))
         except NotUnimodular as exc:
             raise ValidationError(f"matrix {i} is not unimodular: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"matrix {i}: {exc}") from exc
 
     bound = data.get("bound")
     if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool)):
@@ -136,18 +125,21 @@ def parse_problem(text: str) -> ProblemFile:
 # -- rendering -------------------------------------------------------------------
 
 
-def render_scalar(x) -> str:
-    if isinstance(x, QuadSurd):
-        return str(x)
-    return str(Fraction(x))
+def render(record, out: dict) -> dict:
+    """out, followed by a record's fields in order: a QuadSurd as its str and a
+    vector as a list, whose surd coordinates print as str."""
+    for name, x in zip(record._fields, record):
+        t = type(x)
+        if t is QuadSurd:
+            x = str(x)
+        elif t is tuple:
+            x = [str(y) if type(y) is QuadSurd else y for y in x]
+        out[name] = x
+    return out
 
 
 def render_vector(v) -> list[str]:
-    return [render_scalar(x) for x in v]
-
-
-def render_matrix_exact(m) -> list[list[str]]:
-    return [[render_scalar(x) for x in row] for row in m]
+    return [str(x) for x in v]
 
 
 def render_relation_report(report: RelationReport) -> dict:
@@ -155,8 +147,8 @@ def render_relation_report(report: RelationReport) -> dict:
         "rows": [
             {
                 "name": r.name,
-                "left": render_scalar(r.left),
-                "right": render_scalar(r.right),
+                "left": str(r.left),
+                "right": str(r.right),
                 "holds": r.holds,
             }
             for r in report.rows
@@ -166,35 +158,16 @@ def render_relation_report(report: RelationReport) -> dict:
 
 
 def render_class(cls) -> dict:
-    if isinstance(cls, Identity):
-        return {"kind": "Identity"}
+    """{"kind": class name, **fields}; FiniteOrder's tag is keyed "lambda", and
+    UnipotentDeficient notes the full-Jordan condition it violates."""
+    if not isinstance(cls, ElementClass):
+        raise PostCheckFailed("known element class", type(cls).__name__)
+    out = render(cls, {"kind": type(cls).__name__})
     if isinstance(cls, FiniteOrder):
-        return {"kind": "FiniteOrder", "n": cls.n, "lambda": cls.lambda_tag}
-    if isinstance(cls, Hyperbolic):
-        return {
-            "kind": "Hyperbolic",
-            "s": cls.s,
-            "alpha": render_scalar(cls.alpha),
-            "u": render_vector(cls.u),
-            "v": render_vector(cls.v),
-            "w": list(cls.w),
-        }
-    if isinstance(cls, UnipotentFull):
-        return {
-            "kind": "UnipotentFull",
-            "w": list(cls.w),
-            "w1": list(cls.w1),
-            "w2": list(cls.w2),
-        }
-    if isinstance(cls, UnipotentDeficient):
-        return {
-            "kind": "UnipotentDeficient",
-            "rank_of_g_minus_id": cls.rank_of_g_minus_id,
-            "note": FULL_JORDAN,
-        }
-    if isinstance(cls, OutOfTheory):
-        return {"kind": "OutOfTheory", "reason": cls.reason}
-    raise PostCheckFailed("known element class", type(cls).__name__)
+        out["lambda"] = out.pop("lambda_tag")
+    elif isinstance(cls, UnipotentDeficient):
+        out["note"] = FULL_JORDAN
+    return out
 
 
 def render_factorization(fact) -> dict:
@@ -202,7 +175,7 @@ def render_factorization(fact) -> dict:
         return {
             "kind": "ThreeLines",
             "frame": [render_vector(col) for col in fact.frame],
-            "B": render_scalar(fact.b),
+            "B": str(fact.b),
             # C = L1·L2·L with the covectors 6B·y, x and z of the frame
             "lines_in_frame": {
                 "L1": render_vector((0, fact.b * 6, 0)),
@@ -214,9 +187,9 @@ def render_factorization(fact) -> dict:
         return {
             "kind": "QuadricLine",
             "frame": [render_vector(col) for col in fact.frame],
-            "A": render_scalar(fact.a),
-            "B": render_scalar(fact.b),
-            "quadric_in_frame": render_matrix_exact(fact.quadric.m),
+            "A": str(fact.a),
+            "B": str(fact.b),
+            "quadric_in_frame": [render_vector(row) for row in fact.quadric.m],
             "signature": list(quadric_signature(fact.quadric)),
             "tangency_points": [render_vector(p) for p in fact.frame[:2]],
             "tangent": False,
@@ -226,9 +199,9 @@ def render_factorization(fact) -> dict:
     return {
         "kind": "QuadricLine",
         "frame": [list(col) for col in fact.frame],
-        "E": render_scalar(fact.e),
-        "F": render_scalar(fact.f),
-        "quadric_in_frame": render_matrix_exact(fact.quadric.m),
+        "E": str(fact.e),
+        "F": str(fact.f),
+        "quadric_in_frame": [render_vector(row) for row in fact.quadric.m],
         "signature": list(quadric_signature(fact.quadric)),
         "tangency_points": [render_vector(fact.frame[0])],
         "tangent": True,
@@ -240,34 +213,12 @@ def render_verdict(verdict: GroupVerdict) -> dict:
     if verdict.elements is not None:
         out["elements"] = [[list(r) for r in g.rows] for g in verdict.elements]
         out["order"] = len(verdict.elements)
-    if isinstance(verdict.witness, TauWitness):
-        out["witness"] = {
-            "type": "tau",
-            "p": verdict.witness.p,
-            "values": list(verdict.witness.values),
-            "generator_value": verdict.witness.generator_value,
-        }
-    elif isinstance(verdict.witness, CharacterWitness):
-        out["witness"] = {
-            "type": "character",
-            "generator": render_scalar(verdict.witness.generator),
-            "exponents": list(verdict.witness.exponents),
-            "values": [render_scalar(v) for v in verdict.witness.values],
-        }
+    if verdict.witness is not None:
+        out["witness"] = render(verdict.witness,
+                                {"type": WITNESS_TYPES[type(verdict.witness)]})
     if verdict.reason:
         out["reason"] = verdict.reason
     return out
-
-
-def _empty_report() -> dict:
-    return {
-        "version": __version__,
-        "elements": [],
-        "relations": [],
-        "factorization": None,
-        "verdict": None,
-        "reductions": [],
-    }
 
 
 # -- command pipelines ------------------------------------------------------------
@@ -283,11 +234,21 @@ def run(
     """Run one pipeline; returns (report, exit code)."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    report = _empty_report()
+    report = {
+        "version": __version__,
+        "elements": [],
+        "relations": [],
+        "factorization": None,
+        "verdict": None,
+        "reductions": [],
+    }
     T, L = problem.cubic, problem.c2
     try:
+        if command in ("classify", "factor") and not problem.matrices:
+            raise ValidationError(f"{command} needs at least one matrix")
         if command == "classify":
-            return _run_classify(problem, report)
+            report["elements"] = [_element(g, T, L)[0] for g in problem.matrices]
+            return report, EXIT_OK
         if command == "factor":
             return _run_factor(problem, report)
         if command == "analyze":
@@ -343,17 +304,7 @@ def _element(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> tuple[dict, obje
     }, cls
 
 
-def _run_classify(problem: ProblemFile, report: dict) -> tuple[dict, int]:
-    if not problem.matrices:
-        raise ValidationError("classify needs at least one matrix")
-    T, L = problem.cubic, problem.c2
-    report["elements"] = [_element(g, T, L)[0] for g in problem.matrices]
-    return report, EXIT_OK
-
-
 def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
-    if not problem.matrices:
-        raise ValidationError("factor needs at least one matrix")
     T, L = problem.cubic, problem.c2
     seed = None
     for g in problem.matrices:

@@ -42,8 +42,6 @@ LAMBDA_TAGS = {
 # Order of the pair as roots of unity, keyed by the same s.
 _TAG_ORDERS = {-2: 2, -1: 3, 0: 4, 1: 6}
 
-ALLOWED_TAGS = frozenset(LAMBDA_TAGS.values()) | {"real-pair"}
-
 
 class Identity(NamedTuple):
     pass
@@ -130,10 +128,10 @@ def unipotent_frame(g: LatticeMap):
     return UnipotentDeficient(rank_of_g_minus_id=1)
 
 
-def _kernel_line(g: LatticeMap, s: int, f: int, d: int, check: str) -> tuple:
+def _kernel_line(g: LatticeMap, s: int, f: int, d: int) -> tuple | None:
     """Integer vectors (p, q) with p + q√d the first nonzero cross product of two
     rows n_i - f√d·e_i of 2g - (s + f√d)·id, n = 2g - s·id: it spans the kernel
-    when that is a line. Raises PostCheckFailed(check) if every product is 0."""
+    when that is a line. None if every product is 0."""
     n = _shifted(g, 2, s)
     e = _IDENTITY_ROWS
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -141,13 +139,15 @@ def _kernel_line(g: LatticeMap, s: int, f: int, d: int, check: str) -> tuple:
         q = [-f * (x + y) for x, y in zip(cross(n[i], e[j]), cross(e[i], n[j]))]
         if any(p) or any(q):
             return p, q
-    raise PostCheckFailed(check)
+    return None
 
 
 def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
     """Primitive integer eigenvector for eigenvalue 1: the kernel line of 2g - 2·id."""
-    p, _ = _kernel_line(g, 2, 0, 0, "eigenspace for 1 is not one-dimensional")
-    return primitive_part(p).vector
+    line = _kernel_line(g, 2, 0, 0)
+    if line is None:
+        raise PostCheckFailed("eigenspace for 1 is not one-dimensional")
+    return primitive_part(line[0]).vector
 
 
 def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
@@ -155,8 +155,10 @@ def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
     (s + f√d)/2, normalized to a first nonzero coordinate of 1 on integers:
     with pivot a + b√d, the first nonzero kernel coordinate, each coordinate
     p + q√d becomes (p + q√d)(a - b√d)/(a² - d·b²)."""
-    p, q = _kernel_line(g, s, f, d,
-                        f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+    line = _kernel_line(g, s, f, d)
+    if line is None:
+        raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+    p, q = line
     a, b = next((x, y) for x, y in zip(p, q) if x or y)
     n = a * a - d * b * b
     return tuple(_from_ints(x * a - d * y * b, y * a - x * b, n, d) for x, y in zip(p, q))

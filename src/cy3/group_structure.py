@@ -66,8 +66,7 @@ from .lattice_forms import (
 )
 
 ENUMERATION_BOUND_GUARD = 6
-CLOSURE_ELEMENT_CAP = 5000
-CLOSURE_WORD_CAP = 24
+FINITE_SUBGROUP_BOUND = 24  # the largest order of a finite subgroup of SL3(Z)
 
 
 class UnipotentConstraintRecord(NamedTuple):
@@ -455,10 +454,14 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
 
 
 def _finite_closure(generators) -> GroupVerdict:
+    """The group generated by det-1 maps, listed while it has at most
+    FINITE_SUBGROUP_BOUND elements; past that bound it is infinite."""
+    if any(g.det != 1 for g in generators):
+        raise PostCheckFailed("closure generators of determinant 1")
     gens = set(generators) | {g.inverse() for g in generators}
     elements = {LatticeMap.identity()} | gens
     frontier = set(elements)
-    for _ in range(CLOSURE_WORD_CAP):
+    while len(elements) <= FINITE_SUBGROUP_BOUND:
         new = {a @ g for a in frontier for g in gens} - elements
         if not new:
             ordered = sorted(elements, key=lambda g: g.rows)
@@ -467,12 +470,11 @@ def _finite_closure(generators) -> GroupVerdict:
             return GroupVerdict(kind="Finite", elements=tuple(ordered))
         elements |= new
         frontier = new
-        if len(elements) > CLOSURE_ELEMENT_CAP:
-            break
     return GroupVerdict(
         kind="Inconclusive",
-        reason=f"closure exceeded {CLOSURE_ELEMENT_CAP} elements without an "
-               "infinite-order witness",
+        reason=f"the group is infinite: its closure passed {FINITE_SUBGROUP_BOUND} "
+               "elements, the most a finite subgroup of SL3(Z) has, but no "
+               "infinite-order witness was found",
     )
 
 

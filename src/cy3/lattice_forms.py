@@ -162,7 +162,10 @@ class LatticeMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(r) for r in rows)
+        try:
+            rows = tuple(tuple(r) for r in rows)
+        except TypeError:
+            raise ValidationError("expected a 3x3 matrix") from None
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValidationError("expected a 3x3 matrix")
         if not all(_is_integer(x) for r in rows for x in r):

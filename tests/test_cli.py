@@ -96,6 +96,28 @@ class TestParse:
                      "matrices": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]})
         assert "matrix 0" in str(exc.value)
 
+    @pytest.mark.parametrize("matrices", [5, None, True, 1.5, "[[1, 0, 0]]"])
+    def test_matrices_must_be_an_array(self, matrices):
+        """A string is not read one character at a time."""
+        with pytest.raises(ValidationError, match="'matrices' must be an array"):
+            problem({**GOLDEN, "matrices": matrices})
+
+    @pytest.mark.parametrize("matrix, message", [
+        (5, "matrix 0: expected a 3x3 matrix"),
+        ([[1, 0, 0], 7, [0, 0, 1]], "matrix 0: expected a 3x3 matrix"),
+        ([[1, 0], [0, 1]], "matrix 0: expected a 3x3 matrix"),
+        ([[1, 0, 0], [0, True, 0], [0, 0, 1]], "matrix 0: matrix entries must be integers"),
+        ([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix 0: matrix entries must be integers"),
+    ])
+    def test_bad_matrix_names_its_index(self, matrix, message):
+        with pytest.raises(ValidationError) as exc:
+            problem({**GOLDEN, "matrices": [matrix]})
+        assert str(exc.value).startswith(message)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_problem("[" * 100_000 + "]" * 100_000)
+
     def test_bad_bound_rejected(self):
         with pytest.raises(ValidationError):
             problem({"cubic": {}, "c2": [0, 0, 1], "bound": "big"})
@@ -456,6 +478,16 @@ class TestMain:
         path.write_text('{"cubic": {}, "c2": [0, 0, 0]}')
         code = main(["analyze", "--input", str(path)])
         assert code == EXIT_INPUT
+        assert "invalid problem file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"cubic": {"z3": 1}, "c2": [0, 0, 1], "matrices": 5}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["matrices-5", "nested-100000"])
+    def test_bad_matrices_and_deep_nesting_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == EXIT_INPUT
         assert "invalid problem file" in capsys.readouterr().err
 
     def test_geometric_inconsistency_exit_code(self, tmp_path, capsys):

@@ -297,7 +297,7 @@ class TestRealPairEigenvectors:
             # v becomes the eigenline of 1/alpha, so u = v is right and v is not
             original = element_classify._kernel_line
             monkeypatch.setattr(element_classify, "_kernel_line",
-                                lambda g, s, f, d, check: original(g, s, -f, d, check))
+                                lambda g, s, f, d: original(g, s, -f, d))
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == {

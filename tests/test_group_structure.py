@@ -694,6 +694,23 @@ class TestAnalyzeGroup:
             analyze_group(golden_cubic, L_z, [flip])
         assert info.value.check == "closure elements of finite order"
 
+    def test_infinite_closure_says_so(self, L_z):
+        """Two order-4 maps that fix z generate an infinite group (their
+        product is a translation in the x-y plane): the closure stops past
+        24 elements, the most a finite subgroup of SL3(Z) has."""
+        z3 = TrilinearForm.from_cubic_coefficients({"z3": 1})
+        gens = [LatticeMap([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+                LatticeMap([[0, -1, 1], [1, 0, 0], [0, 0, 1]])]
+        verdict = analyze_group(z3, L_z, gens)
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason.startswith("the group is infinite: its closure passed 24")
+
+    def test_closure_takes_only_det_1_generators(self):
+        flip = LatticeMap([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(PostCheckFailed) as info:
+            group_structure._finite_closure([flip])
+        assert info.value.check == "closure generators of determinant 1"
+
     def test_hyperbolic_verdict(self, golden_cubic, golden_generator, L_z):
         verdict = analyze_group(golden_cubic, L_z, [golden_generator])
         assert verdict.kind == "AlmostAbelianRankOne"

@@ -196,6 +196,12 @@ class TestLatticeMap:
         with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
             LatticeMap([[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("rows", [5, None, [1, 0, 0], [[1, 0, 0], 0, [0, 0, 1]]])
+    def test_non_iterable_matrix_or_row_rejected(self, rows):
+        """A shape error, not a TypeError."""
+        with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
+            LatticeMap(rows)
+
     def test_integral_fraction_entry_accepted(self):
         g = LatticeMap([[Fraction(-1), 0, 0], [0, 1, 0], [0, 0, 1]])
         assert g.rows[0] == (-1, 0, 0) and type(g.rows[0][0]) is int
