@@ -41,13 +41,11 @@ from .group_structure import (
     CharacterWitness,
     GroupVerdict,
     TauWitness,
-    UnipotentConstraintRecord,
     analyze_group,
     certify_discrete_cyclic,
     enumerate_symmetries,
     scaling_character,
-    tau,
-    verify_unipotent_constraints,
+    unipotent_shear,
 )
 from .lattice_forms import (
     LatticeMap,

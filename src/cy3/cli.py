@@ -79,6 +79,8 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(str(exc)) from None
     if not isinstance(data, dict):
         raise ParseError("top-level value must be a JSON object")
     unknown = set(data) - PROBLEM_KEYS
@@ -90,14 +92,10 @@ def parse_problem(text: str) -> ProblemFile:
         raise ValidationError("'cubic' must be an object of monomial coefficients")
     cubic = TrilinearForm.from_cubic_coefficients(cubic_raw)
 
-    c2_raw = data.get("c2")
-    if (
-        not isinstance(c2_raw, list)
-        or len(c2_raw) != 3
-        or any(not isinstance(x, int) or isinstance(x, bool) for x in c2_raw)
-    ):
-        raise ValidationError("'c2' must be an array of 3 integers")
-    c2 = LinearForm(*c2_raw)
+    try:  # any JSON value but an array of 3 integers fails to unpack or to validate
+        c2 = LinearForm(*data.get("c2", ()))
+    except (TypeError, ValidationError):
+        raise ValidationError("'c2' must be an array of 3 integers") from None
     if c2.is_zero():
         raise ValidationError(
             "c2 = 0 is rejected: the pairing with the second Chern class is "
@@ -143,18 +141,7 @@ def render_vector(v) -> list[str]:
 
 
 def render_relation_report(report: RelationReport) -> dict:
-    return {
-        "rows": [
-            {
-                "name": r.name,
-                "left": str(r.left),
-                "right": str(r.right),
-                "holds": r.holds,
-            }
-            for r in report.rows
-        ],
-        "overall": report.overall,
-    }
+    return {"rows": [render(r, {}) for r in report.rows], "overall": report.overall}
 
 
 def render_class(cls) -> dict:

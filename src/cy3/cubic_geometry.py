@@ -11,7 +11,6 @@ A hyperbolic frame (u, v, w) gives z(A z^2 + 6B xy), a full unipotent frame
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core_arith import QuadSurd
@@ -148,14 +147,14 @@ class UnipotentSplit(Factorization):
     __slots__ = ()
 
     @property
-    def e(self) -> Fraction:
-        """E = q_13 = 3 T(w, w2, w2) / 2."""
-        return self.quadric.m[0][2].to_fraction()
+    def e(self) -> QuadSurd:
+        """E = q_13 = 3 T(w, w2, w2) / 2, rational."""
+        return self.quadric.m[0][2]
 
     @property
-    def f(self) -> Fraction:
-        """F = q_33 = T(w2, w2, w2)."""
-        return self.quadric.m[2][2].to_fraction()
+    def f(self) -> QuadSurd:
+        """F = q_33 = T(w2, w2, w2), rational."""
+        return self.quadric.m[2][2]
 
 
 # The entries of the frame table that C∘M = z·Q forces to vanish.

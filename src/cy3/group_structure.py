@@ -2,21 +2,21 @@
 of the symmetries of a pair (cubic, linear form), decide Finite versus
 almost abelian of rank 1, with an explicit witness.
 
-The unipotent witness is the integer-valued homomorphism h -> p * a_h read off
-the frame matrix; the hyperbolic witness is the scaling character, the
-eigenvalue of h^4 on an eigenline in Z^3 read on integer pairs, certified to
-land in the discrete cyclic group generated by the fundamental unit of a real
-quadratic field.
+The unipotent witness is the integer-valued homomorphism h -> p * a_h, with
+a_h = H01/e read off the integer frame matrix (H, e) of h, so the unipotent
+route runs on integers alone. The hyperbolic witness is the scaling
+character, the eigenvalue of h^4 on an eigenline in Z^3 read on integer pairs,
+certified to land in the discrete cyclic group generated by the fundamental
+unit of a real quadratic field.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .core_arith import QuadSurd, _from_ints, _pair_sign
+from .core_arith import QuadSurd, _from_ints, _pair_sign, _ratio_str
 from .cubic_geometry import (
     FULL_JORDAN,
     Factorization,
@@ -67,13 +67,6 @@ from .lattice_forms import (
 
 ENUMERATION_BOUND_GUARD = 6
 FINITE_SUBGROUP_BOUND = 24  # the largest order of a finite subgroup of SL3(Z)
-
-
-class UnipotentConstraintRecord(NamedTuple):
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
 
 
 class TauWitness(NamedTuple):
@@ -217,57 +210,46 @@ def _fundamental_unit(d: int, ceiling: tuple[int, int]) -> tuple[int, int]:
 # -- unipotent constraints -------------------------------------------------------
 
 
-def frame_coordinates_matrix(h: LatticeMap, frame) -> list[list[Fraction]]:
-    """h expressed in the (w, w1, w2) frame basis, exact rational entries:
-    adj(M)·(h·M)/det(M) on integers, M holding the frame vectors as columns."""
+def frame_coordinates_matrix(h: LatticeMap, frame) -> tuple[tuple, int]:
+    """h expressed in the (w, w1, w2) frame basis as (H, e) with M⁻¹·h·M = H/e,
+    M holding the frame vectors as columns: H = ±adj(M)·h·M and e = |det M| > 0,
+    all integers."""
     m = tuple(zip(*frame))
     det = _det3(m)
     if det == 0:
         raise PostCheckFailed("degenerate frame")
-    return [[Fraction(x, det) for x in row]
-            for row in _matmul(_adjugate3(m), _matmul(h.rows, m))]
+    hm = _matmul(_adjugate3(m), _matmul(h.rows, m))
+    if det < 0:
+        hm = tuple(tuple(-x for x in row) for row in hm)
+    return hm, abs(det)
 
 
-def verify_unipotent_constraints(h: LatticeMap, frame) -> UnipotentConstraintRecord:
-    """Check that h is unit upper triangular in the frame with a = c and
-    d = a(a-1)/2; violations mean h does not belong to a group of the certified
-    shape."""
-    return _unipotent_constraints(frame_coordinates_matrix(h, frame))
-
-
-def _unipotent_constraints(hf) -> UnipotentConstraintRecord:
-    """The checks of `verify_unipotent_constraints` on the frame matrix hf."""
-    if hf[1][0] != 0 or hf[2][0] != 0 or hf[2][1] != 0:
+def unipotent_shear(hf) -> int:
+    """Check that h, given by its frame matrix hf = (H, e), is unit upper
+    triangular with a = c and d = a(a-1)/2, and return H01 = e·a. Violations
+    mean h does not belong to a group of the certified shape."""
+    h, e = hf
+    if h[1][0] or h[2][0] or h[2][1]:
         raise NotUnipotentInFrame("not upper triangular in the frame basis")
-    if hf[0][0] != 1 or hf[2][2] != 1:
+    if h[0][0] != e or h[2][2] != e:
         raise NotUnipotentInFrame("outer diagonal entries differ from 1")
-    b = hf[1][1]
-    if b != 1:
-        raise NotUnipotentInFrame(
-            f"restricted determinant is {b}; apply the index-2 reduction first"
-        )
-    a, d, c = hf[0][1], hf[0][2], hf[1][2]
+    if h[1][1] != e:
+        raise NotUnipotentInFrame(f"restricted determinant is {_ratio_str(h[1][1], e)}; "
+                                  "apply the index-2 reduction first")
+    a, d, c = h[0][1], h[0][2], h[1][2]
     if a != c:
-        raise ConstraintViolated(f"a = {a} differs from c = {c}")
-    if d != a * (a - 1) / 2:
-        raise ConstraintViolated(f"d = {d} differs from a(a-1)/2 = {a * (a - 1) / 2}")
-    return UnipotentConstraintRecord(a=a, b=b, c=c, d=d)
-
-
-def tau(record: UnipotentConstraintRecord, p: int) -> int:
-    """The integer p * a_h; the primitivity scale p clears the denominator."""
-    value = record.a * p
-    if value.denominator != 1:
-        raise NonIntegral(f"p·a = {value} is not an integer")
-    return int(value)
+        raise ConstraintViolated(f"a = {_ratio_str(a, e)} differs from c = {_ratio_str(c, e)}")
+    if 2 * e * d != a * (a - e):
+        raise ConstraintViolated(f"d = {_ratio_str(d, e)} differs from a(a-1)/2 = "
+                                 f"{_ratio_str(a * (a - e), 2 * e * e)}")
+    return a
 
 
 def quadric_preserved_in_frame(hf, split: UnipotentSplit) -> None:
-    """Entrywise check that Hf^t Q Hf = Q (the invariance scalar is 1), on
-    integers: with Hf = H/e and Q = Q'/f over the lcm denominators, it reads
-    H^t Q' H = e²·Q'."""
-    e = math.lcm(*(x.denominator for row in hf for x in row))
-    h = tuple(tuple(x.numerator * (e // x.denominator) for x in row) for row in hf)
+    """Entrywise check that Hfᵀ·Q·Hf = Q (the invariance scalar is 1) for the
+    frame matrix hf = (H, e), on integers: with Q = Q'/f over the lcm
+    denominator, it reads Hᵀ·Q'·H = e²·Q'."""
+    h, e = hf
     f = math.lcm(*(x.den for row in split.quadric.m for x in row))
     q = tuple(tuple(x.p * (f // x.den) for x in row) for row in split.quadric.m)
     m = _matmul(_matmul(tuple(zip(*h)), q), h)
@@ -276,7 +258,7 @@ def quadric_preserved_in_frame(hf, split: UnipotentSplit) -> None:
         raise ConstraintViolated("frame action does not rescale the quadric")
     if m[0][2] != e * e * q[0][2]:
         raise ConstraintViolated(
-            f"quadric invariance scalar {Fraction(m[0][2], e * e * q[0][2])} != 1")
+            f"quadric invariance scalar {_from_ints(m[0][2], 0, e * e * q[0][2], 0)} != 1")
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -485,18 +467,22 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
     for h in generators:
         hf = frame_coordinates_matrix(h, frame)
         try:
-            record = _unipotent_constraints(hf)
+            shear = unipotent_shear(hf)
         except NotUnipotentInFrame as exc:
             # det(h|_L) = -1: pass to the square (index-2 reduction)
             hf = frame_coordinates_matrix(h @ h, frame)
             try:
-                record = _unipotent_constraints(hf)
+                shear = unipotent_shear(hf)
             except NotUnipotentInFrame:
                 return GroupVerdict(kind="Inconclusive",
                                     reason=f"generator not unipotent in the frame: {exc}")
             reductions.append("generator squared to reach det(h|_L) = 1 (index ≤ 2)")
         quadric_preserved_in_frame(hf, split)
-        taus.append(tau(record, p))
+        # tau = p·a = p·H01/e; the primitivity scale p clears the denominator
+        t, r = divmod(p * shear, hf[1])
+        if r:
+            raise NonIntegral(f"p·a = {_ratio_str(p * shear, hf[1])} is not an integer")
+        taus.append(t)
     nonzero = [abs(t) for t in taus if t]
     generator_value = math.gcd(*nonzero) if nonzero else 0
     if generator_value == 0:

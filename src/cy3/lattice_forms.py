@@ -132,12 +132,22 @@ class TrilinearForm:
         return f"TrilinearForm({nonzero})"
 
 
-class LinearForm(NamedTuple):
-    """Integral covector; pairs a lattice vector with the c2-class."""
-
+class _Covector(NamedTuple):
     l1: int
     l2: int
     l3: int
+
+
+class LinearForm(_Covector):
+    """Integral covector; pairs a lattice vector with the c2-class. A
+    coefficient that is not an integer raises ValidationError."""
+
+    __slots__ = ()
+
+    def __new__(cls, l1, l2, l3):
+        if not (_is_integer(l1) and _is_integer(l2) and _is_integer(l3)):
+            raise ValidationError(f"linear form coefficients must be integers: {(l1, l2, l3)}")
+        return super().__new__(cls, int(l1), int(l2), int(l3))
 
     def coefficients(self) -> tuple[int, int, int]:
         return (self.l1, self.l2, self.l3)
@@ -150,7 +160,7 @@ class LinearForm(NamedTuple):
 
     def compose(self, g: "LatticeMap") -> "LinearForm":
         """The covector L∘g, i.e. v -> L(g v)."""
-        return LinearForm(*_matmul((self.coefficients(),), g.rows)[0])
+        return LinearForm._make(_matmul((self.coefficients(),), g.rows)[0])
 
 
 _IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -37,8 +37,8 @@ from cy3.group_structure import (
     analyze_group,
     certify_discrete_cyclic,
     enumerate_symmetries,
-    tau,
-    verify_unipotent_constraints,
+    frame_coordinates_matrix,
+    unipotent_shear,
 )
 from cy3.lattice_forms import (
     LatticeMap,
@@ -126,10 +126,13 @@ def test_criterion_2_unipotent_pipeline():
         _FACTORIZATIONS.append(fact)
 
         for n in range(1, 11):
-            rec = verify_unipotent_constraints(UNIPOTENT_GEN**n, frame)
-            assert rec.a == n
-            assert rec.d == Fraction(n * (n - 1), 2)
-            assert tau(rec, 1) == n
+            hf = frame_coordinates_matrix(UNIPOTENT_GEN**n, frame)
+            h, e = hf
+            assert unipotent_shear(hf) == h[0][1]
+            assert Fraction(h[0][1], e) == n  # a
+            assert Fraction(h[0][2], e) == Fraction(n * (n - 1), 2)  # d
+        verdict = analyze_group(UNIPOTENT_CUBIC, L_Z, [UNIPOTENT_GEN**n for n in range(1, 11)])
+        assert verdict.witness.values == tuple(range(1, 11))  # tau
 
     _verdict(2, "unipotent pipeline (frame, chain relations, E/F, tangency, tau)", body)
 
@@ -221,7 +224,7 @@ def test_criterion_6_negative_controls():
 
         bad = LatticeMap([[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # d = 1 != a(a-1)/2 = 0
         with pytest.raises(ConstraintViolated):
-            verify_unipotent_constraints(bad, (w, w1, w2))
+            unipotent_shear(frame_coordinates_matrix(bad, (w, w1, w2)))
 
     _verdict(6, "negative controls (c2 = 0, deficient block, E = 0, bad d entry)", body)
 

@@ -43,6 +43,9 @@ SPLIT = {
     "matrices": [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]],
 }
 
+# c2 = (0, 0, 10^5000): one more digit than Python's default int-string limit
+DIGITS_5001 = '{"cubic": {"z3": 1}, "c2": [0, 0, 1' + "0" * 5000 + "]}"
+
 
 def problem(data):
     return parse_problem(json.dumps(data))
@@ -117,6 +120,17 @@ class TestParse:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_problem("[" * 100_000 + "]" * 100_000)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="5001 digits"):
+            parse_problem(DIGITS_5001)
+
+    @pytest.mark.parametrize("c2", [[0, 0, 1.0], [0, True, 1], [0, "1", 1], None, "123",
+                                    {"a": 1, "b": 2, "c": 3}, [0, 0, 0, 1]])
+    def test_c2_must_be_three_integers(self, c2):
+        with pytest.raises(ValidationError) as exc:
+            problem({**GOLDEN, "c2": c2})
+        assert str(exc.value) == "'c2' must be an array of 3 integers"
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValidationError):
@@ -483,7 +497,8 @@ class TestMain:
     @pytest.mark.parametrize("text", [
         '{"cubic": {"z3": 1}, "c2": [0, 0, 1], "matrices": 5}',
         "[" * 100_000 + "]" * 100_000,
-    ], ids=["matrices-5", "nested-100000"])
+        DIGITS_5001,
+    ], ids=["matrices-5", "nested-100000", "digits-5001"])
     def test_bad_matrices_and_deep_nesting_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

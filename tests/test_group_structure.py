@@ -36,8 +36,7 @@ from cy3.group_structure import (
     frame_coordinates_matrix,
     quadric_preserved_in_frame,
     scaling_character,
-    tau,
-    verify_unipotent_constraints,
+    unipotent_shear,
 )
 from cy3.lattice_forms import (
     MONOMIAL_INDICES,
@@ -291,33 +290,53 @@ class TestFundamentalUnit:
         assert exc.value.check == "fundamental unit below every unit > 1"
 
 
-class TestUnipotentConstraints:
-    def test_generator_powers(self, unipotent_generator, L_z):
-        cls = classify(unipotent_generator, L_z)
-        frame = (cls.w, cls.w1, cls.w2)
-        for n in (1, 2, 3, 10):
-            rec = verify_unipotent_constraints(unipotent_generator**n, frame)
-            assert rec.a == n
-            assert rec.c == n
-            assert rec.d == Fraction(n * (n - 1), 2)
-            assert tau(rec, 1) == n
+def _unipotent_frame(g, L=LinearForm(0, 0, 1)):
+    cls = classify(g, L)
+    return cls.w, cls.w1, cls.w2
 
-    def test_tau_additive_on_products(self, unipotent_generator, L_z):
-        cls = classify(unipotent_generator, L_z)
-        frame = (cls.w, cls.w1, cls.w2)
-        values = {}
-        for n in range(1, 6):
-            rec = verify_unipotent_constraints(unipotent_generator**n, frame)
-            values[n] = tau(rec, 1)
+
+class TestUnipotentConstraints:
+    def test_generator_powers(self, unipotent_generator):
+        frame = _unipotent_frame(unipotent_generator)
+        for n in (1, 2, 3, 10):
+            hf = frame_coordinates_matrix(unipotent_generator**n, frame)
+            h, e = hf
+            assert unipotent_shear(hf) == h[0][1]
+            assert Fraction(h[0][1], e) == n  # a
+            assert Fraction(h[1][2], e) == n  # c
+            assert Fraction(h[0][2], e) == Fraction(n * (n - 1), 2)  # d
+
+    def test_tau_additive_on_products(self, unipotent_cubic, unipotent_generator, L_z):
+        """tau(g^n) = n in the frame of g, read off the witness of g, ..., g^10."""
+        g = unipotent_generator
+        verdict = analyze_group(unipotent_cubic, L_z, [g**n for n in range(1, 11)])
+        assert verdict.witness.p == 1
+        values = dict(zip(range(1, 11), verdict.witness.values))
+        assert values == {n: n for n in range(1, 11)}
         for a in range(1, 3):
             for b in range(1, 3):
                 assert values[a] + values[b] == values[a + b]
 
-    def test_not_unipotent_in_frame(self, unipotent_generator, golden_generator, L_z):
-        cls = classify(unipotent_generator, L_z)
-        frame = (cls.w, cls.w1, cls.w2)
+    def test_unipotent_route_builds_no_fraction(self, unipotent_cubic, unipotent_generator,
+                                                L_z, fraction_builds):
+        """On the unipotent example and its conjugate by p, whose frame has
+        det 8; the route built 39 Fractions on each when its frame matrix had
+        Fraction entries."""
+        p = LatticeMap([[1, 2, -1], [0, 1, 0], [2, 5, -1]])
+        gens = [unipotent_generator, unipotent_generator**2, unipotent_generator.inverse()]
+        conjugate = (transform_cubic(unipotent_cubic, p), L_z.compose(p),
+                     [p.inverse() @ h @ p for h in gens])
+        assert abs(lattice_forms._det3(_unipotent_frame(conjugate[2][0], conjugate[1]))) == 8
+        for problem, witness in (((unipotent_cubic, L_z, gens), TauWitness(1, (1, 2, -1), 1)),
+                                 (conjugate, TauWitness(2, (2, 4, -2), 2))):
+            verdict, built = fraction_builds(analyze_group, *problem)
+            assert verdict.witness == witness
+            assert built == 0
+
+    def test_not_unipotent_in_frame(self, unipotent_generator, golden_generator):
+        frame = _unipotent_frame(unipotent_generator)
         with pytest.raises(NotUnipotentInFrame):
-            verify_unipotent_constraints(golden_generator, frame)
+            unipotent_shear(frame_coordinates_matrix(golden_generator, frame))
 
     @given(st.randoms(use_true_random=False), st.integers(-3, 3))
     def test_frame_coordinates_match_a_rational_inverse(self, rng, k):
@@ -330,7 +349,45 @@ class TestUnipotentConstraints:
         h = g**k @ random_unimodular(rng, steps=3)
         m = [[frame[j][i] for j in range(3)] for i in range(3)]
         expected = _mat_mul(_rational_inverse(m), _mat_mul(h.rows, m))
-        assert frame_coordinates_matrix(h, frame) == expected
+        hm, e = frame_coordinates_matrix(h, frame)
+        assert e == abs(lattice_forms._det3(m))
+        assert [[Fraction(x, e) for x in row] for row in hm] == expected
+
+    @staticmethod
+    def fraction_check(hf):
+        """The reference over Fractions for hf = H/e: (error class, message) or None."""
+        hf = [[Fraction(x, hf[1]) for x in row] for row in hf[0]]
+        if hf[1][0] != 0 or hf[2][0] != 0 or hf[2][1] != 0:
+            return NotUnipotentInFrame, "not upper triangular in the frame basis"
+        if hf[0][0] != 1 or hf[2][2] != 1:
+            return NotUnipotentInFrame, "outer diagonal entries differ from 1"
+        b = hf[1][1]
+        if b != 1:
+            return (NotUnipotentInFrame,
+                    f"restricted determinant is {b}; apply the index-2 reduction first")
+        a, d, c = hf[0][1], hf[0][2], hf[1][2]
+        if a != c:
+            return ConstraintViolated, f"a = {a} differs from c = {c}"
+        if d != a * (a - 1) / 2:
+            return ConstraintViolated, f"d = {d} differs from a(a-1)/2 = {a * (a - 1) / 2}"
+        return None
+
+    @given(st.integers(1, 4), st.integers(-3, 3),
+           st.lists(st.tuples(st.integers(0, 9), st.integers(-5, 5)), max_size=2))
+    def test_matches_the_fraction_check(self, e, k, edits):
+        """The shear e·(g^k in its frame), with up to two entries overwritten,
+        raises what the Fraction check on H/e raises, message bytes included;
+        edit 9 changes nothing."""
+        h = [[e, e * k, e * k * (k - 1) // 2], [0, e, e * k], [0, 0, e]]
+        for at, value in edits:
+            if at < 9:
+                h[at // 3][at % 3] = value
+        try:
+            outcome = unipotent_shear((h, e))
+        except (NotUnipotentInFrame, ConstraintViolated) as exc:
+            outcome = type(exc), str(exc)
+        expected = self.fraction_check((h, e))
+        assert outcome == (h[0][1] if expected is None else expected)
 
     def test_degenerate_frame_fails_the_named_post_check(self, unipotent_generator, L_z):
         cls = classify(unipotent_generator, L_z)
@@ -355,13 +412,12 @@ class TestUnipotentConstraints:
         assert verdict.kind == "AlmostAbelianRankOne"
         assert calls == [g, g**2, g**3]
 
-    def test_constraint_violation(self, unipotent_generator, L_z):
-        cls = classify(unipotent_generator, L_z)
-        frame = (cls.w, cls.w1, cls.w2)
+    def test_constraint_violation(self, unipotent_generator):
+        frame = _unipotent_frame(unipotent_generator)
         # unit upper triangular but a != c
         h = LatticeMap([[1, 2, 0], [0, 1, 1], [0, 0, 1]])
         with pytest.raises(ConstraintViolated):
-            verify_unipotent_constraints(h, frame)
+            unipotent_shear(frame_coordinates_matrix(h, frame))
 
 
 def unipotent_split(p=LatticeMap.identity()):
@@ -372,13 +428,21 @@ def unipotent_split(p=LatticeMap.identity()):
     return certify_seed(transform_cubic(T, p), L, classify(g, L)).factorization, g
 
 
+def scaled(hf, scale):
+    """The frame matrix (H, e) of scale·H/e."""
+    scale = Fraction(scale)
+    h, e = hf
+    return [[x * scale.numerator for x in row] for row in h], e * scale.denominator
+
+
 class TestQuadricPreservedInFrame:
     """Hf^t Q Hf = Q on the frame of the unipotent example; the messages are
     those of the Fraction check that the integer one replaced."""
 
     @staticmethod
     def fraction_check(hf, split):
-        """The reference over Fractions: the message it raises, or None."""
+        """The reference over Fractions for hf = H/e: the message it raises, or None."""
+        hf = [[Fraction(x, hf[1]) for x in row] for row in hf[0]]
         q = [[x.to_fraction() for x in row] for row in split.quadric.m]
         m = _mat_mul(_mat_mul([list(c) for c in zip(*hf)], q), hf)
         lam = m[0][2] / q[0][2]
@@ -393,7 +457,7 @@ class TestQuadricPreservedInFrame:
     ])
     def test_rescaled_quadric(self, scale, message):
         split, g = unipotent_split()
-        hf = [[x * scale for x in row] for row in frame_coordinates_matrix(g, split.frame)]
+        hf = scaled(frame_coordinates_matrix(g, split.frame), scale)
         with pytest.raises(ConstraintViolated) as info:
             quadric_preserved_in_frame(hf, split)
         assert str(info.value) == message
@@ -423,7 +487,7 @@ class TestQuadricPreservedInFrame:
         h = g ** k
         if rng.random() < 0.5:
             h = h @ random_unimodular(rng, steps=2)
-        hf = [[x * scale for x in row] for row in frame_coordinates_matrix(h, split.frame)]
+        hf = scaled(frame_coordinates_matrix(h, split.frame), scale)
         try:
             quadric_preserved_in_frame(hf, split)
             message = None

@@ -180,6 +180,20 @@ class TestLinearFormRecord:
         with pytest.raises(AttributeError):
             L.l3 = 2
 
+    @pytest.mark.parametrize("value", [1.0, True, "1", Fraction(1, 2)])
+    def test_non_integer_coefficient_rejected(self, value):
+        """A float is not decided on, True is not read as 1."""
+        with pytest.raises(ValidationError, match="linear form coefficients must be integers"):
+            LinearForm(0, 0, value)
+
+    def test_integral_fraction_becomes_an_int(self):
+        L = LinearForm(0, Fraction(4, 2), 1)
+        assert L == (0, 2, 1) and type(L.l2) is int
+
+    def test_compose_is_a_linear_form(self, golden_generator):
+        L = LinearForm(1, -2, 3).compose(golden_generator)
+        assert type(L) is LinearForm and L == LinearForm(0, -1, 3)
+
 
 class TestLatticeMap:
     def test_non_unimodular_rejected(self):
