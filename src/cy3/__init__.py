@@ -4,7 +4,6 @@ unimodular symmetries on a rank-3 lattice."""
 __version__ = "0.1.0"
 
 from .core_arith import (
-    CubicPolyZ,
     QuadSurd,
     solve_unit_quadratic,
     surd_compare,
@@ -31,11 +30,8 @@ from .element_classify import (
     OutOfTheory,
     UnipotentDeficient,
     UnipotentFull,
-    char_poly,
     classify,
-    finite_eigenvalue_tag,
     finite_order,
-    unipotent_frame,
 )
 from .group_structure import (
     CharacterWitness,

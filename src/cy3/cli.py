@@ -393,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"cy3: invalid problem file: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # Accepted input may still yield report integers past the int-string digit limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         report, code = run(
             problem,
@@ -400,13 +403,15 @@ def main(argv: list[str] | None = None) -> int:
             bound=args.bound,
             allow_large_bound=args.allow_large_bound,
         )
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=False))
+        else:
+            print(format_text(report), end="")
     except Cy3Error as exc:
         print(f"cy3: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=False))
-    else:
-        print(format_text(report), end="")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -1,5 +1,4 @@
-"""Exact scalars: real quadratic surds (p + q*sqrt(d))/den on integers, and
-monic-up-to-sign integer cubics.
+"""Exact scalars: real quadratic surds (p + q*sqrt(d))/den on integers.
 
 Every comparison is decided by exact sign analysis; no floating point enters any
 result. A surd with d in {0, 1} collapses to a rational, so a single scalar type
@@ -302,40 +301,3 @@ def solve_unit_quadratic(s: int) -> tuple[QuadSurd, QuadSurd]:
     d, f = (d1 // g) * (d2 // g), f1 * f2 * g
     return _from_ints(s, f, 2, d), _from_ints(s, -f, 2, d)
 
-
-class CubicPolyZ:
-    """Integer cubic c3*t^3 + c2*t^2 + c1*t + c0 with c3 = +-1."""
-
-    __slots__ = ("c3", "c2", "c1", "c0")
-
-    def __init__(self, c3: int, c2: int, c1: int, c0: int):
-        if c3 not in (1, -1):
-            raise ValueError("leading coefficient must be +-1")
-        self.c3, self.c2, self.c1, self.c0 = c3, c2, c1, c0
-
-    def __eq__(self, other):
-        if not isinstance(other, CubicPolyZ):
-            return NotImplemented
-        return self.coefficients() == other.coefficients()
-
-    def __hash__(self):
-        return hash(self.coefficients())
-
-    def __repr__(self):
-        return "CubicPolyZ(c3={}, c2={}, c1={}, c0={})".format(*self.coefficients())
-
-    def __call__(self, t):
-        return ((self.c3 * t + self.c2) * t + self.c1) * t + self.c0
-
-    def coefficients(self) -> tuple[int, int, int, int]:
-        return (self.c3, self.c2, self.c1, self.c0)
-
-    def __str__(self):
-        terms = []
-        for c, mon in zip(self.coefficients(), ("t^3", "t^2", "t", "")):
-            if c == 0:
-                continue
-            cs = "" if abs(c) == 1 and mon else str(abs(c))
-            terms.append(("- " if c < 0 else "+ ") + (cs + mon if mon else str(abs(c))))
-        s = " ".join(terms) if terms else "0"
-        return s[2:] if s.startswith("+ ") else ("-" + s[2:] if s.startswith("- ") else s)

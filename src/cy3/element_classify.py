@@ -11,36 +11,21 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core_arith import CubicPolyZ, QuadSurd, _from_ints, solve_unit_quadratic
-from .errors import (
-    DoesNotPreserveL,
-    InconsistentTag,
-    IsIdentity,
-    NotFiniteOrder,
-    NotUnipotent,
-    PostCheckFailed,
-)
+from .core_arith import QuadSurd, _from_ints, solve_unit_quadratic
+from .errors import DoesNotPreserveL, PostCheckFailed
 from .lattice_forms import (
     _IDENTITY_ROWS,
     LatticeMap,
     LinearForm,
-    _adjugate3,
     _int_pairs,
     _matvec,
     cross,
     primitive_part,
 )
 
-# Conjugate eigenvalue pair tags, keyed by s = lambda + conj(lambda).
-LAMBDA_TAGS = {
-    -2: "-1",
-    -1: "(-1±i√3)/2",
-    0: "±i",
-    1: "(1±i√3)/2",
-}
-
-# Order of the pair as roots of unity, keyed by the same s.
-_TAG_ORDERS = {-2: 2, -1: 3, 0: 4, 1: 6}
+# The conjugate eigenvalue pair of a finite-order det-1 map, keyed by
+# s = lambda + conj(lambda): its tag and its order as roots of unity.
+FINITE_PAIRS = {-2: ("-1", 2), -1: ("(-1±i√3)/2", 3), 0: ("±i", 4), 1: ("(1±i√3)/2", 6)}
 
 
 class Identity(NamedTuple):
@@ -81,11 +66,11 @@ ElementClass = (
 ORDER_SEARCH_BOUND = 12  # covers det -1 elements; the det-1 bound is 6
 
 
-def char_poly(g: LatticeMap) -> CubicPolyZ:
-    """det(tI - g) = t^3 - tr*t^2 + m*t - det, m the sum of principal 2x2
-    minors, which is the trace of the adjugate."""
-    adj = _adjugate3(g.rows)
-    return CubicPolyZ(1, -g.trace, adj[0][0] + adj[1][1] + adj[2][2], -g.det)
+def _has_eigenvalue_1(g: LatticeMap) -> bool:
+    """det(g - id) = 0, written out on the entries."""
+    (a, b, c), (d, e, f), (h, i, j) = g.rows
+    a, e, j = a - 1, e - 1, j - 1
+    return a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h) == 0
 
 
 def finite_order(g: LatticeMap) -> int | None:
@@ -104,19 +89,14 @@ def _shifted(g: LatticeMap, k: int, s: int) -> tuple:
                  for i, row in enumerate(g.rows))
 
 
-def unipotent_frame(g: LatticeMap):
-    """Jordan frame (w, w1, w2) of a full unipotent block, or UnipotentDeficient.
+def _unipotent_frame(g: LatticeMap) -> UnipotentFull | UnipotentDeficient:
+    """Jordan frame (w, w1, w2) of a unipotent g other than the identity.
 
     w2 is the first standard basis vector with (g-id)^2 w2 != 0, w1 = (g-id)w2,
     w = (g-id)w1. If there is none, (g-id)^2 = 0 puts im(g-id) in ker(g-id), so
     rank(g-id) = 1: that deficient block cannot arise from a geometric action
     and is returned as a verdict, not raised.
     """
-    cp = char_poly(g)
-    if cp.coefficients() != (1, -3, 3, -1):
-        raise NotUnipotent(f"characteristic polynomial {cp} is not (t-1)^3")
-    if g.is_identity():
-        raise IsIdentity("the identity has no Jordan frame")
     n = _shifted(g, 1, 1)
     for e in _IDENTITY_ROWS:
         w1 = _matvec(n, e)
@@ -124,8 +104,8 @@ def unipotent_frame(g: LatticeMap):
         if any(w):
             if any(_matvec(n, w)):
                 raise PostCheckFailed("nilpotency", "(g - id)^3 e != 0")
-            return (w, w1, e)
-    return UnipotentDeficient(rank_of_g_minus_id=1)
+            return UnipotentFull(w, w1, e)
+    return UnipotentDeficient()
 
 
 def _kernel_line(g: LatticeMap, s: int, f: int, d: int) -> tuple | None:
@@ -175,24 +155,6 @@ def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int
         raise PostCheckFailed(check)
 
 
-def finite_eigenvalue_tag(g: LatticeMap) -> str:
-    """Tag of the non-unit conjugate eigenvalue pair of a finite-order map that
-    fixes a vector; validated against the computed order."""
-    n = finite_order(g)
-    if n is None or n < 2:
-        raise NotFiniteOrder(f"order {n} outside [2, 12]")
-    cp = char_poly(g)
-    if g.det != 1 or cp(1) != 0:
-        raise NotFiniteOrder("needs determinant 1 and a fixed vector")
-    s = g.trace - 1
-    tag = LAMBDA_TAGS.get(s)
-    if tag is None:
-        raise InconsistentTag(f"quadratic trace {s} outside the finite range")
-    if _TAG_ORDERS[s] != n:
-        raise InconsistentTag(f"order {n} does not match eigenvalue pair {tag}")
-    return tag
-
-
 def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     """(alpha, u, v, w) for a det-1 map with eigenvalue 1 whose other two
     eigenvalues are real, i.e. |s| > 2 for s = trace - 1: alpha is the larger
@@ -224,7 +186,7 @@ def real_pair_lines(g: LatticeMap, cls: ElementClass) -> tuple | None:
     if isinstance(cls, Hyperbolic):
         return cls.u, cls.v, cls.w
     if (isinstance(cls, OutOfTheory) and g.det == 1 and g.trace - 1 < -2
-            and char_poly(g)(1) == 0):
+            and _has_eigenvalue_1(g)):
         return _real_pair_eigendata(g)[1:]
     return None
 
@@ -233,8 +195,8 @@ def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
     """Trichotomy verdict with exact eigen-data.
 
     When L is given it must be preserved (L∘g = L) and nonzero, which forces the
-    eigenvalue 1. With L = None the same spectral split is computed from the
-    characteristic polynomial alone (used by the randomized oracle tests).
+    eigenvalue 1. With L = None the same split is computed from det(g - id) and
+    the trace alone (used by the randomized oracle tests).
     """
     if L is not None:
         if L.is_zero():
@@ -251,8 +213,7 @@ def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
             return FiniteOrder(n, "real-pair")
         return OutOfTheory("determinant -1 element of infinite order")
 
-    cp = char_poly(g)
-    if cp(1) != 0:
+    if not _has_eigenvalue_1(g):
         # A finite-order det-1 map always has eigenvalue 1, so this is infinite order.
         return OutOfTheory("no eigenvalue 1 (infinite order, cubic eigenvalue field)")
 
@@ -269,16 +230,15 @@ def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
             "no eigenvalue above 1"
         )
 
-    if s == 2:
-        frame = unipotent_frame(g)
-        if isinstance(frame, UnipotentDeficient):
-            return frame
-        w, w1, w2 = frame
-        return UnipotentFull(w=w, w1=w1, w2=w2)
+    if s == 2:  # char poly = (t - 1)^3
+        return _unipotent_frame(g)
 
     n = finite_order(g)
     if n is None:
         # s = -2 with a Jordan block at -1: quasi-unipotent, outside the theory.
         return OutOfTheory("infinite order with eigenvalue -1 Jordan block")
-    return FiniteOrder(n, finite_eigenvalue_tag(g))
+    tag, order = FINITE_PAIRS[s]
+    if n != order:
+        raise PostCheckFailed("order matches the eigenvalue pair", f"order {n}, pair {tag}")
+    return FiniteOrder(n, tag)
 

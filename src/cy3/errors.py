@@ -29,22 +29,6 @@ class DoesNotPreserveL(Cy3Error):
     pass
 
 
-class NotUnipotent(Cy3Error):
-    pass
-
-
-class IsIdentity(Cy3Error):
-    pass
-
-
-class NotFiniteOrder(Cy3Error):
-    pass
-
-
-class InconsistentTag(Cy3Error):
-    """Internal check failure: order and eigenvalue tag disagree."""
-
-
 class PostCheckFailed(Cy3Error):
     """Internal post-check failure: a computed result does not satisfy the
     identity that defines it. `check` names the identity."""

@@ -23,14 +23,13 @@ from cy3.cubic_geometry import (
     unipotent_factorization,
 )
 from cy3.element_classify import (
+    FINITE_PAIRS,
     FiniteOrder,
     Hyperbolic,
     Identity,
-    LAMBDA_TAGS,
     UnipotentDeficient,
     UnipotentFull,
     classify,
-    unipotent_frame,
 )
 from cy3.errors import ConstraintViolated, GeometricInconsistency, ValidationError
 from cy3.group_structure import (
@@ -106,7 +105,7 @@ def test_criterion_1_hyperbolic_pipeline():
 
 def test_criterion_2_unipotent_pipeline():
     def body():
-        frame = unipotent_frame(UNIPOTENT_GEN)
+        frame = classify(UNIPOTENT_GEN)
         assert frame == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         w, w1, w2 = frame
 
@@ -167,7 +166,7 @@ def test_criterion_3_trichotomy_vs_power_oracle():
                 assert cls.n == oracle
                 if g.det == 1:
                     assert cls.n in {1, 2, 3, 4, 6}
-                    assert cls.lambda_tag in set(LAMBDA_TAGS.values())
+                    assert cls.lambda_tag in {tag for tag, _ in FINITE_PAIRS.values()}
             elif isinstance(cls, Identity):
                 assert oracle == 1
             agreements += 1
@@ -214,10 +213,10 @@ def test_criterion_6_negative_controls():
             parse_problem('{"cubic": {"x3": 1}, "c2": [0, 0, 0]}')
 
         deficient = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-        assert isinstance(unipotent_frame(deficient), UnipotentDeficient)
+        assert isinstance(classify(deficient), UnipotentDeficient)
 
         split = TrilinearForm.from_cubic_coefficients({"xyz": 6})
-        w, w1, w2 = unipotent_frame(UNIPOTENT_GEN)
+        w, w1, w2 = classify(UNIPOTENT_GEN)
         with pytest.raises(GeometricInconsistency) as exc:
             unipotent_factorization(split, w, w1, w2)
         assert "E" in str(exc.value)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -504,6 +505,21 @@ class TestMain:
         path.write_text(text)
         assert main(["analyze", "--input", str(path)]) == EXIT_INPUT
         assert "invalid problem file" in capsys.readouterr().err
+
+    def test_analyze_prints_integers_past_the_digit_limit(self, tmp_path, capsys):
+        """golden^2700 has entries of about 1130 digits and parses; the value of
+        its 4th power, phi^21600, has more than 4300 and must still print, and
+        main leaves the interpreter's limit as it found it."""
+        a, b = 1, 0
+        for _ in range(5400):
+            a, b = a + b, a
+        data = dict(GOLDEN, matrices=[[[a, b, 0], [b, a - b, 0], [0, 0, 1]]])
+        limit = sys.get_int_max_str_digits()
+        code = main(["analyze", "--input", self._write(tmp_path, data)])
+        assert sys.get_int_max_str_digits() == limit
+        assert code == EXIT_OK
+        witness = json.loads(capsys.readouterr().out)["verdict"]["witness"]
+        assert (witness["generator"], witness["exponents"]) == ("1/2 + 1/2√5", [21600])
 
     def test_geometric_inconsistency_exit_code(self, tmp_path, capsys):
         code = main(["factor", "--input", self._write(tmp_path, SPLIT)])

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from cy3.core_arith import (
     TRIAL_DIVISION_LIMIT,
-    CubicPolyZ,
     QuadSurd,
     solve_unit_quadratic,
     squarefree_decompose,
@@ -315,16 +314,3 @@ def test_field_results_are_canonical(a1, b1, a2, b2, d, n, k):
     for r in results:
         _assert_canonical(r)
 
-
-class TestCubicPolyZ:
-    def test_eval(self):
-        p = CubicPolyZ(1, -3, 3, -1)
-        assert p(1) == 0
-        assert p(2) == 1
-
-    def test_leading_coefficient_guard(self):
-        with pytest.raises(ValueError):
-            CubicPolyZ(2, 0, 0, 0)
-
-    def test_str(self):
-        assert str(CubicPolyZ(1, 0, -3, 1)) == "t^3 - 3t + 1"

@@ -15,52 +15,40 @@ from cy3.element_classify import (
     OutOfTheory,
     UnipotentDeficient,
     UnipotentFull,
-    char_poly,
     classify,
-    finite_eigenvalue_tag,
     finite_order,
-    unipotent_frame,
 )
-from cy3.errors import (
-    DoesNotPreserveL,
-    InconsistentTag,
-    IsIdentity,
-    NotFiniteOrder,
-    NotUnipotent,
-    PostCheckFailed,
-    RadicandTooLarge,
-)
+from cy3.errors import DoesNotPreserveL, PostCheckFailed, RadicandTooLarge
 from cy3.lattice_forms import LatticeMap, LinearForm
 from test_lattice_forms import random_unimodular
 
 
-class TestCharPoly:
-    def test_identity(self):
-        assert char_poly(LatticeMap.identity()).coefficients() == (1, -3, 3, -1)
+def _char_poly_at_1(g):
+    """t^3 - tr*t^2 + m*t - det at t = 1, m the sum of the principal 2x2 minors;
+    Cayley-Hamilton (g^3 - tr*g^2 + m*g - det = 0) checks the coefficients."""
+    r = g.rows
+    tr = g.trace
+    m = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = sum(r[0][i] * (r[1][j] * r[2][k] - r[1][k] * r[2][j])
+              for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    g2, g3 = g @ g, g @ g @ g
+    for i in range(3):
+        for j in range(3):
+            assert g3.rows[i][j] - tr * g2.rows[i][j] + m * r[i][j] - det * (i == j) == 0
+    return 1 - tr + m - det
 
-    def test_golden(self, golden_generator):
-        cp = char_poly(golden_generator)
-        # (t - 1)(t^2 - 3t + 1) = t^3 - 4t^2 + 4t - 1
-        assert cp.coefficients() == (1, -4, 4, -1)
-        assert cp(1) == 0
 
-    def test_char_poly_matches_eigen_product(self):
-        rng = random.Random(33)
-        for _ in range(100):
-            g = random_unimodular(rng)
-            cp = char_poly(g)
-            # Cayley-Hamilton on integer matrices: g^3 - tr*g^2 + m*g - det = 0
-            _, c2, c1, c0 = cp.coefficients()
-            g2, g3 = g @ g, g @ g @ g
-            for i in range(3):
-                for j in range(3):
-                    val = (
-                        g3.rows[i][j]
-                        + c2 * g2.rows[i][j]
-                        + c1 * g.rows[i][j]
-                        + c0 * (1 if i == j else 0)
-                    )
-                    assert val == 0
+def test_eigenvalue_1_matches_the_char_poly_at_1():
+    """On 100 random unimodular maps, det(g - id) = 0 exactly when the
+    characteristic polynomial vanishes at 1."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(100):
+        g = random_unimodular(rng)
+        has_1 = element_classify._has_eigenvalue_1(g)
+        assert has_1 == (_char_poly_at_1(g) == 0)
+        seen.add(has_1)
+    assert seen == {True, False}
 
 
 class TestFiniteOrder:
@@ -95,14 +83,19 @@ class TestFiniteOrder:
     def test_infinite_order_is_none(self, golden_generator):
         assert finite_order(golden_generator) is None
 
-    def test_tag_requires_finite_order(self, golden_generator):
-        with pytest.raises(NotFiniteOrder):
-            finite_eigenvalue_tag(golden_generator)
+    def test_classify_runs_finite_order_once(self, latticemap_builds):
+        """The 5 products of one order search, and no second search for the tag."""
+        g = LatticeMap([[1, -1, 0], [1, 0, 0], [0, 0, 1]])
+        latticemap_builds.clear()
+        assert classify(g) == FiniteOrder(6, "(1±i√3)/2")
+        assert len(latticemap_builds) == 5
 
-    def test_tag_requires_det_one(self):
-        g = LatticeMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        with pytest.raises(NotFiniteOrder):
-            finite_eigenvalue_tag(g)
+    def test_order_off_the_eigenvalue_pair_fails_the_post_check(self, monkeypatch):
+        g = LatticeMap([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        monkeypatch.setattr(element_classify, "finite_order", lambda g: 3)
+        with pytest.raises(PostCheckFailed) as info:
+            classify(g)
+        assert info.value.check == "order matches the eigenvalue pair"
 
 
 class TestHyperbolic:
@@ -139,7 +132,7 @@ class TestHyperbolic:
 
 class TestUnipotent:
     def test_frame(self, unipotent_generator):
-        w, w1, w2 = unipotent_frame(unipotent_generator)
+        w, w1, w2 = classify(unipotent_generator)
         assert w2 == (1, 0, 0) or w2 == (0, 0, 1)
         # for this generator only e3 survives two applications of (g - id)
         assert (w, w1, w2) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -152,20 +145,12 @@ class TestUnipotent:
         g = LatticeMap([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
         assert classify(g, L_z) == UnipotentDeficient(rank_of_g_minus_id=1)
 
-    def test_identity_raises(self):
-        with pytest.raises(IsIdentity):
-            unipotent_frame(LatticeMap.identity())
-
-    def test_not_unipotent_raises(self, golden_generator):
-        with pytest.raises(NotUnipotent):
-            unipotent_frame(golden_generator)
-
     def test_frame_conjugation_covariance(self, unipotent_generator):
         rng = random.Random(88)
         for _ in range(20):
             p = random_unimodular(rng, steps=4)
             h = p @ unipotent_generator @ p.inverse()
-            frame = unipotent_frame(h)
+            frame = classify(h)
             if isinstance(frame, UnipotentDeficient):
                 pytest.fail("conjugate of a full block stayed full")
             w, w1, w2 = frame
