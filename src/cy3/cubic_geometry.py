@@ -25,7 +25,6 @@ from .errors import (
 from .lattice_forms import (
     LinearForm,
     TrilinearForm,
-    _adjugate3,
     _as_surd,
     _det3,
     _dot,
@@ -233,10 +232,12 @@ def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
     characteristic polynomial p = t^3 - tr·t^2 + m·t - det. All roots of p are
     real (Q is real symmetric), so by Descartes' rule of signs p(t) and p(-t)
     have as many positive roots as sign changes; 0 is a root as often as
-    trailing coefficients vanish."""
-    m, adj = Q.m, _adjugate3(Q.m)
-    signs = [1, -(m[0][0] + m[1][1] + m[2][2]).sign(),
-             (adj[0][0] + adj[1][1] + adj[2][2]).sign(), -_det3(m).sign()]
+    trailing coefficients vanish. The coefficient m is the sum of the three
+    principal 2x2 minors."""
+    m = Q.m
+    (a, b, c), (_, e, f), (_, _, i) = m
+    minors = a * e - b * b + a * i - c * c + e * i - f * f
+    signs = [1, -(a + e + i).sign(), minors.sign(), -_det3(m).sign()]
 
     def changes(seq):
         nonzero = [x for x in seq if x]

@@ -293,7 +293,7 @@ def enumerate_symmetries(
         lc = _dot(l, c)
         if lc not in l:
             continue
-        s = tuple(_dot(_matvec(plane, c), c) for plane in dt)
+        s = _matvec(T.contract(c), c)
         cc = _dot(s, c)
         for j in range(3):
             if lc == l[j] and cc == dt[j][j][j]:

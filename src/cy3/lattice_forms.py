@@ -61,15 +61,19 @@ class TrilinearForm:
     indexed from 0, over the least common denominator `scale` = D of its
     entries (a divisor of 6 for an integral cubic). Pullbacks, invariance
     checks and enumeration run on it in plain ints; the entries T[ijk] are
-    `Fraction` views.
+    `Fraction` views. Entries are given as ints or Fractions on the ten sorted
+    index triples; any other key or value raises ValidationError.
     """
 
     __slots__ = ("scale", "scaled")
 
-    def __init__(self, entries: Mapping[tuple[int, int, int], Fraction]):
+    def __init__(self, entries: Mapping[tuple[int, int, int], int | Fraction]):
         unknown = set(entries) - set(ENTRY_KEYS)
         if unknown:
             raise ValidationError(f"entry keys {sorted(unknown)} are not among {list(ENTRY_KEYS)}")
+        for key, v in entries.items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValidationError(f"entry {key} must be an int or a Fraction: {v!r}")
         values = {key: Fraction(entries.get(key, 0)) for key in ENTRY_KEYS}
         scale = lcm(*(v.denominator for v in values.values()))
         form = TrilinearForm._from_scaled(
@@ -88,10 +92,21 @@ class TrilinearForm:
                            for plane in _TENSOR_KEYS)
         return obj
 
-    def contract(self, v: Sequence[int]) -> list[list[int]]:
-        """The integer matrix (D·T)(v, ·, ·) for an integer vector v."""
+    def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The symmetric integer matrix (D·T)(v, ·, ·) for an integer vector v,
+        as a tuple of rows: its six distinct entries from the ten distinct
+        entries of D·T, 18 products. The library's one contraction of D·T."""
         a, b, c = v
-        return [[a * p + b * q + c * r for p, q, r in zip(*rows)] for rows in zip(*self.scaled)]
+        p, q, r = self.scaled
+        (t111, t112, t113), (_, t122, t123), (_, _, t133) = p
+        _, (_, t222, t223), (_, _, t233) = q
+        t333 = r[2][2]
+        m12 = a * t112 + b * t122 + c * t123
+        m13 = a * t113 + b * t123 + c * t133
+        m23 = a * t123 + b * t223 + c * t233
+        return ((a * t111 + b * t112 + c * t113, m12, m13),
+                (m12, a * t122 + b * t222 + c * t223, m23),
+                (m13, m23, a * t133 + b * t233 + c * t333))
 
     @classmethod
     def from_cubic_coefficients(cls, coeffs: Mapping[str, int]) -> "TrilinearForm":

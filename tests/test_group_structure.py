@@ -672,6 +672,26 @@ def test_every_enumeration_survivor_is_a_symmetry(bound, monkeypatch):
         assert found and pullback.call_count == len(found), name
 
 
+def _gl2_count(bound):
+    """How many integer 2x2 matrices with entries in [-bound, bound] have det ±1."""
+    box = range(-bound, bound + 1)
+    return sum(abs(a * d - b * c) == 1 for a, b, c, d in product(box, repeat=4))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_enumeration_of_z3_counts_gl2_times_translations(bound):
+    """For C = z³ and L = z no filter prunes: the maps preserving the pair are
+    exactly [[A, t], [0, 1]] with A in GL₂(ℤ) and t any column, so a bound-b
+    enumeration finds n₂(b)·(2b+1)² maps, each through the pools and the full
+    pullback."""
+    T, L = TrilinearForm.from_cubic_coefficients({"z3": 1}), LinearForm(0, 0, 1)
+    found = enumerate_symmetries(T, L, bound)
+    assert len(found) == _gl2_count(bound) * (2 * bound + 1) ** 2
+    assert all(g.rows[2] == (0, 0, 1) for g in found)
+    if bound == 3:
+        assert (_gl2_count(3), len(found)) == (232, 11368)
+
+
 class TestCertifySeed:
     def test_hyperbolic_seed(self, golden_cubic, golden_generator, L_z):
         lines = real_pair_lines(golden_generator, classify(golden_generator, L_z))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -86,6 +87,13 @@ class TestTrilinearForm:
     def test_non_integer_coefficient_rejected(self, value):
         with pytest.raises(ValidationError, match="xyz"):
             TrilinearForm.from_cubic_coefficients({"xyz": value})
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/2", "x", float("nan"), None], ids=repr)
+    def test_inexact_entry_rejected(self, value):
+        """An entry is an int or a Fraction: a float, a bool, a string or None
+        raises ValidationError naming its key, never a silent conversion."""
+        with pytest.raises(ValidationError, match=re.escape("(1, 2, 3)")):
+            TrilinearForm({(1, 1, 1): 1, (1, 2, 3): value})
 
     def test_constructors_build_no_fraction(self, golden_generator, fraction_builds):
         coeffs = {"x2z": 1, "xyz": -1, "y2z": -1, "z3": 1}
@@ -435,6 +443,40 @@ def test_non_integral_form_roundtrips_exactly():
             g, T, LinearForm(0, 0, 1))
 
 
+# -- the contraction (D·T)(v, ·, ·) against the full 27-term sum -------------------
+
+
+def contract_reference(T, v):
+    """(D·T)(v, ·, ·) as the sum over a of v_a·(D·T)[a]: all 27 products of the
+    full tensor, no symmetry assumed."""
+    return [[sum(v[a] * T.scaled[a][j][k] for a in range(3)) for k in range(3)]
+            for j in range(3)]
+
+
+def assert_contract_exact(T, v):
+    m = T.contract(v)
+    assert type(m) is tuple and all(type(row) is tuple for row in m)
+    assert m == tuple(zip(*m))
+    assert [list(row) for row in m] == contract_reference(T, v)
+
+
+# One-entry forms, and sevenths with ten distinct nonzero entries: a kernel that
+# reads one entry in place of another, or one coordinate of v in place of
+# another, changes some entry of the result on a vector without zeros.
+CONTRACT_FORMS = {str(key): TrilinearForm({key: 1}) for key in ENTRY_KEYS}
+CONTRACT_FORMS["sevenths"] = TrilinearForm(
+    {key: Fraction(2 * i - 9, 7) for i, key in enumerate(ENTRY_KEYS)})
+CONTRACT_VECTORS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 5), (-1, -1, -1),
+                    (0, -4, 7), (10**30, -7, 3**40))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_FORMS))
+def test_contract_matches_full_sum(name):
+    T = CONTRACT_FORMS[name]
+    for v in CONTRACT_VECTORS:
+        assert_contract_exact(T, v)
+
+
 def test_scaled_tensor_is_the_integer_multiple():
     T = TrilinearForm({(1, 1, 1): Fraction(1, 7), (1, 2, 3): Fraction(1, 6)})
     assert T.scale == 42
@@ -494,6 +536,14 @@ def vectors_over(draw, d):
     if draw(st.integers(0, 9)) == 0:
         return (0, 0, 0)
     return tuple(draw(coordinates(d)) for _ in range(3))
+
+
+big = st.integers(-10**20, 10**20)
+
+
+@given(cubics(), st.tuples(st.one_of(small, big), st.one_of(small, big), st.one_of(small, big)))
+def test_contract_matches_full_sum_property(T, v):
+    assert_contract_exact(T, v)
 
 
 @given(cubics(), st.sampled_from([2, 3, 5, 13]).flatmap(
