@@ -211,13 +211,8 @@ def render_verdict(verdict: GroupVerdict) -> dict:
 # -- command pipelines ------------------------------------------------------------
 
 
-def run(
-    problem: ProblemFile,
-    command: str,
-    *,
-    bound: int | None = None,
-    allow_large_bound: bool = False,
-) -> tuple[dict, int]:
+def run(problem: ProblemFile, command: str, *, bound: int | None = None,
+        allow_large_bound: bool = False) -> tuple[dict, int]:
     """Run one pipeline; returns (report, exit code)."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -385,24 +380,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
+        problem = parse_problem(text)
     except OSError as exc:
         print(f"cy3: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        problem = parse_problem(text)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, UnicodeDecodeError, ValidationError) as exc:
         print(f"cy3: invalid problem file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     # Accepted input may still yield report integers past the int-string digit limit.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        report, code = run(
-            problem,
-            args.command,
-            bound=args.bound,
-            allow_large_bound=args.allow_large_bound,
-        )
+        report, code = run(problem, args.command, bound=args.bound,
+                           allow_large_bound=args.allow_large_bound)
         if args.format == "json":
             print(json.dumps(report, indent=2, sort_keys=False))
         else:

@@ -36,9 +36,7 @@ from .lattice_forms import (
 
 HODGE_INDEX = "Hodge index theorem (triple product u·v·w must be nonzero)"
 LEFSCHETZ = "Lefschetz hyperplane theorem (w·w2^2 must be nonzero)"
-FULL_JORDAN = (
-    "full Jordan block requirement (rank(g - id) = 2 for geometric unipotent actions)"
-)
+FULL_JORDAN = "full Jordan block requirement (rank(g - id) = 2 for geometric unipotent actions)"
 
 
 class RelationRow(NamedTuple):
@@ -202,14 +200,8 @@ def check_hyperbolic_relations(
                                     (T, (u, v, w), t))
 
 
-def hyperbolic_factorization(
-    T: TrilinearForm,
-    u: Sequence,
-    v: Sequence,
-    w: Sequence,
-    *,
-    relation_report: RelationReport | None = None,
-) -> Factorization:
+def hyperbolic_factorization(T: TrilinearForm, u: Sequence, v: Sequence, w: Sequence, *,
+                             relation_report: RelationReport | None = None) -> Factorization:
     """Split C as three planes (A = 0) or quadric-plus-plane (A != 0).
 
     A = T(w,w,w), B = T(u,v,w). B = 0 contradicts the Hodge index theorem for
@@ -283,14 +275,8 @@ def check_unipotent_relations(
     return RelationReport.from_rows(rows, (T, (w, w1, w2), t))
 
 
-def unipotent_factorization(
-    T: TrilinearForm,
-    w: Sequence,
-    w1: Sequence,
-    w2: Sequence,
-    *,
-    relation_report: RelationReport | None = None,
-) -> UnipotentSplit:
+def unipotent_factorization(T: TrilinearForm, w: Sequence, w1: Sequence, w2: Sequence, *,
+                            relation_report: RelationReport | None = None) -> UnipotentSplit:
     """E = 3 T(w,w2,w2)/2, F = T(w2,w2,w2); E = 0 contradicts the Lefschetz
     hyperplane theorem and raises GeometricInconsistency. The split is
     post-checked on the frame table, and L = z must be tangent to Q at w."""

@@ -84,9 +84,9 @@ def finite_order(g: LatticeMap) -> int | None:
 
 
 def _shifted(g: LatticeMap, k: int, s: int) -> tuple:
-    """The integer matrix k·g - s·id."""
-    return tuple(tuple(k * x - s * (i == j) for j, x in enumerate(row))
-                 for i, row in enumerate(g.rows))
+    """The integer matrix k·g - s·id, written out on the entries."""
+    (a, b, c), (d, e, f), (h, i, j) = g.rows
+    return ((k * a - s, k * b, k * c), (k * d, k * e - s, k * f), (k * h, k * i, k * j - s))
 
 
 def _unipotent_frame(g: LatticeMap) -> UnipotentFull | UnipotentDeficient:

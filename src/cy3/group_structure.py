@@ -137,11 +137,12 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
 
     Every positive unit of the ring of integers of K = Q(√d) is a power of the
     fundamental unit eps > 1 (Dirichlet's unit theorem), so the generator is
-    eps itself, computed from one continued-fraction period, and the exponent
-    of each value is read off exactly and confirmed by eps**k == v. A value
-    that is not a unit of that ring (a rational value other than 1 included)
-    gives Inconclusive; values over two fields raise IncompatibleFields and a
-    value that is not positive raises ValidationError.
+    eps itself, computed from one continued-fraction period. The exponent of
+    each value is found by doubling, then bisection, on exact comparisons in
+    O(log k) products, and confirmed by eps**k == v. A value that is not a unit
+    of that ring (a rational value other than 1 included) gives Inconclusive;
+    values over two fields raise IncompatibleFields and a value that is not
+    positive raises ValidationError.
     """
     values = [_as_surd(v) for v in values]
     if any(not v > 0 for v in values):
@@ -167,10 +168,17 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     exponents = []
     for v, (u, sign) in zip(values, above):
         ux, uy = 2 * u.p // u.den, 2 * u.q // u.den
-        x, y, k = 2, 0, 0  # eps**k = (x + y√d)/2, stepped up to u
-        while _pair_sign(ux - x, uy - y, d) > 0:
-            x, y = (x * eps[0] + d * y * eps[1]) // 2, (x * eps[1] + y * eps[0]) // 2
-            k += 1
+        powers = [eps]  # eps**(2**i) = (x + y√d)/2, squared until it reaches u
+        while _pair_sign(ux - powers[-1][0], uy - powers[-1][1], d) > 0:
+            x, y = powers[-1]
+            powers.append(((x * x + d * y * y) // 2, x * y))
+        k, x, y = 0, 2, 0  # the largest k with eps**k = (x + y√d)/2 below u
+        for i in reversed(range(len(powers))):
+            a, b = powers[i]
+            a, b = (x * a + d * y * b) // 2, (x * b + y * a) // 2
+            if _pair_sign(ux - a, uy - b, d) > 0:
+                k, x, y = k + (1 << i), a, b
+        k += _pair_sign(ux - x, uy - y, d) > 0  # the least k with eps**k >= u
         if generator ** (sign * k) != v:
             raise PostCheckFailed("character value is a power of the fundamental unit",
                                   f"{generator} ** {sign * k} != {v}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .core_arith import QuadSurd, _from_ints
 from .errors import IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
@@ -35,14 +35,11 @@ INDEX_MONOMIALS = {v: k for k, v in MONOMIAL_INDICES.items()}
 
 ENTRY_KEYS = tuple(sorted(INDEX_MONOMIALS))
 
-# The sorted index triple of each tensor position (i, j, k), nested like D·T.
-_TENSOR_KEYS = tuple(tuple(tuple(tuple(sorted((i, j, k))) for k in (1, 2, 3)) for j in (1, 2, 3))
-                     for i in (1, 2, 3))
-
 
 def _is_integer(x) -> bool:
     """True for an int or an integral Fraction; False for a bool, a float or a str."""
-    return not isinstance(x, bool) and isinstance(x, (int, Fraction)) and x.denominator == 1
+    return type(x) is int or (not isinstance(x, bool) and isinstance(x, (int, Fraction))
+                              and x.denominator == 1)
 
 
 def multinomial(i: int, j: int, k: int) -> int:
@@ -52,6 +49,11 @@ def multinomial(i: int, j: int, k: int) -> int:
     if i == j or j == k or i == k:
         return 3
     return 6
+
+
+# Monomial key -> (its slot in ENTRY_KEYS, 6 / its multinomial weight).
+_MONOMIAL_SLOTS = {name: (ENTRY_KEYS.index(key), 6 // multinomial(*key))
+                   for name, key in MONOMIAL_INDICES.items()}
 
 
 class TrilinearForm:
@@ -74,22 +76,24 @@ class TrilinearForm:
         for key, v in entries.items():
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"entry {key} must be an int or a Fraction: {v!r}")
-        values = {key: Fraction(entries.get(key, 0)) for key in ENTRY_KEYS}
-        scale = lcm(*(v.denominator for v in values.values()))
+        values = [Fraction(entries.get(key, 0)) for key in ENTRY_KEYS]
+        scale = lcm(*(v.denominator for v in values))
         form = TrilinearForm._from_scaled(
-            {key: v.numerator * (scale // v.denominator) for key, v in values.items()}, scale)
+            [v.numerator * (scale // v.denominator) for v in values], scale)
         self.scale, self.scaled = form.scale, form.scaled
 
     @classmethod
-    def _from_scaled(cls, scaled: Mapping[tuple[int, int, int], int], scale: int):
-        """The trusted constructor: the form with entries scaled[key]/scale, for
-        integers on the ten sorted index triples and scale > 0. Divides out one
-        gcd, so (scale, scaled) is canonical, and builds the nested tensor."""
-        g = gcd(scale, *scaled.values())
+    def _from_scaled(cls, scaled: Collection[int], scale: int):
+        """The trusted constructor: the form whose entries are the ten integers
+        `scaled`, in ENTRY_KEYS order, over scale > 0. Divides out one gcd, so
+        (scale, scaled) is canonical, and writes out the nested tensor."""
+        g = gcd(scale, *scaled)
+        t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = (
+            scaled if g == 1 else [x // g for x in scaled])
+        r11, r12, r13 = (t111, t112, t113), (t112, t122, t123), (t113, t123, t133)
+        r22, r23, r33 = (t122, t222, t223), (t123, t223, t233), (t133, t233, t333)
         obj = object.__new__(cls)
-        obj.scale = scale // g
-        obj.scaled = tuple(tuple(tuple(scaled[key] // g for key in row) for row in plane)
-                           for plane in _TENSOR_KEYS)
+        obj.scale, obj.scaled = scale // g, ((r11, r12, r13), (r12, r22, r23), (r13, r23, r33))
         return obj
 
     def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -112,15 +116,15 @@ class TrilinearForm:
     def from_cubic_coefficients(cls, coeffs: Mapping[str, int]) -> "TrilinearForm":
         """Build from integer monomial coefficients of C(x, y, z); missing keys
         are 0. The coefficient c of a monomial of weight m enters as c·(6/m)/6."""
-        unknown = set(coeffs) - set(MONOMIAL_INDICES)
+        unknown = coeffs.keys() - _MONOMIAL_SLOTS.keys()
         if unknown:
             raise ValidationError(f"unknown monomial keys: {sorted(unknown)}")
-        scaled = dict.fromkeys(ENTRY_KEYS, 0)
+        scaled = [0] * 10
         for name, c in coeffs.items():
             if not _is_integer(c):
                 raise ValidationError(f"monomial coefficient '{name}' must be an integer")
-            key = MONOMIAL_INDICES[name]
-            scaled[key] = c.numerator * (6 // multinomial(*key))
+            slot, weight = _MONOMIAL_SLOTS[name]
+            scaled[slot] = c.numerator * weight
         return cls._from_scaled(scaled, 6)
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
@@ -188,16 +192,19 @@ class LatticeMap:
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         try:
-            rows = tuple(tuple(r) for r in rows)
+            rows = tuple(map(tuple, rows))
         except TypeError:
             raise ValidationError("expected a 3x3 matrix") from None
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        if tuple(map(len, rows)) != (3, 3, 3):
             raise ValidationError("expected a 3x3 matrix")
-        if not all(_is_integer(x) for r in rows for x in r):
-            raise ValidationError(f"matrix entries must be integers: {rows}")
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if self.det not in (1, -1):
-            raise NotUnimodular(f"determinant {self.det}")
+        if not all(type(x) is int for r in rows for x in r):
+            if not all(_is_integer(x) for r in rows for x in r):
+                raise ValidationError(f"matrix entries must be integers: {rows}")
+            rows = tuple(tuple(int(x) for x in r) for r in rows)
+        det = _det3(rows)
+        if det not in (1, -1):
+            raise NotUnimodular(f"determinant {det}")
+        self.rows = rows
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "LatticeMap":
@@ -397,7 +404,7 @@ def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, Quad
 
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:
     """Pullback (g·T)(a, b, c) = T(g a, g b, g c), exact."""
-    return TrilinearForm._from_scaled(_scaled_pullback(T, tuple(zip(*g.rows))), T.scale)
+    return TrilinearForm._from_scaled(_scaled_pullback(T, tuple(zip(*g.rows))).values(), T.scale)
 
 
 def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:

@@ -499,10 +499,11 @@ class TestMain:
         '{"cubic": {"z3": 1}, "c2": [0, 0, 1], "matrices": 5}',
         "[" * 100_000 + "]" * 100_000,
         DIGITS_5001,
-    ], ids=["matrices-5", "nested-100000", "digits-5001"])
+        b"\xff\xfe",  # not UTF-8: bad input, not a UnicodeDecodeError
+    ], ids=["matrices-5", "nested-100000", "digits-5001", "not-utf8"])
     def test_bad_matrices_and_deep_nesting_exit_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["analyze", "--input", str(path)]) == EXIT_INPUT
         assert "invalid problem file" in capsys.readouterr().err
 

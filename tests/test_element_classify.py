@@ -51,6 +51,16 @@ def test_eigenvalue_1_matches_the_char_poly_at_1():
     assert seen == {True, False}
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(-5, 5), st.integers(-10**20, 10**20))
+def test_shifted_matches_the_naive_matrix(seed, k, s):
+    """k·g - s·id written out on the entries, against the entrywise formula."""
+    g = random_unimodular(random.Random(seed), steps=6)
+    shifted = element_classify._shifted(g, k, s)
+    assert shifted == tuple(tuple(k * g.rows[i][j] - s * (i == j) for j in range(3))
+                            for i in range(3))
+    assert type(shifted) is tuple and all(type(row) is tuple for row in shifted)
+
+
 class TestFiniteOrder:
     def test_rotation_order_4(self):
         g = LatticeMap([[0, -1, 0], [1, 0, 0], [0, 0, 1]])

@@ -146,7 +146,7 @@ class TestCertifyDiscreteCyclic:
     def test_singleton_refines_to_fundamental_root(self):
         """alpha^4 = ((1+sqrt5)/2)^8: the certified generator is the
         fundamental unit of Q(√5) from its continued-fraction period, and the
-        exponent 8 is read off by stepping its powers up to the value."""
+        exponent 8 is found by doubling and bisection on its powers."""
         cert = certify_discrete_cyclic([GOLDEN_ALPHA**4])
         assert cert.kind == "Cyclic"
         assert cert.generator == surd(Fraction(1, 2), Fraction(1, 2), 5)
@@ -242,6 +242,28 @@ class TestCertifyDiscreteCyclic:
             certify_discrete_cyclic([surd(Fraction(1, 2), Fraction(1, 2), 5)])
         assert exc.value.check == "character value is a power of the fundamental unit"
 
+    def test_exponents_match_the_one_step_search(self):
+        """For k in [-50, 50] the doubling-and-bisection search reads the
+        exponent the one-step search eps, eps^2, ... up to the value reads."""
+        phi = surd(Fraction(1, 2), Fraction(1, 2), 5)
+        for k in range(-50, 51):
+            cert = certify_discrete_cyclic([phi**k, phi])
+            assert cert.exponents == (_stepped_exponent(phi, phi**k), 1) == (k, 1)
+
+    @pytest.mark.parametrize("k", [2400, 21600])
+    def test_golden_power_exponents_take_log_many_comparisons(self, monkeypatch, k):
+        """phi^2400 and phi^21600 are the character values of the 300th and
+        2700th powers of the golden generator; their exponents take O(log k)
+        exact comparisons, where the one-step search took k."""
+        phi = surd(Fraction(1, 2), Fraction(1, 2), 5)
+        calls = []
+        pair_sign = group_structure._pair_sign
+        monkeypatch.setattr(group_structure, "_pair_sign",
+                            lambda *args: calls.append(args) or pair_sign(*args))
+        cert = certify_discrete_cyclic([phi**k])
+        assert (cert.kind, cert.generator, cert.exponents) == ("Cyclic", phi, (k,))
+        assert len(calls) <= 3 * k.bit_length()
+
     @given(st.sampled_from([d for d in range(2, 501) if squarefree_decompose(d)[0] == d]),
            st.integers(-100, 100), st.integers(-100, 100))
     def test_powers_of_the_fundamental_unit(self, d, k1, k2):
@@ -252,6 +274,16 @@ class TestCertifyDiscreteCyclic:
             assert cert.kind == "Finite"
         else:
             assert (cert.kind, cert.generator, cert.exponents) == ("Cyclic", eps, (k1, k2))
+
+
+def _stepped_exponent(eps, v):
+    """Test-local one-step search: the k with eps**k = v, stepping eps**k up
+    from 1 to v, or to 1/v for v < 1."""
+    u, sign = (v, 1) if v >= 1 else (v.inverse(), -1)
+    k, power = 0, QuadSurd(1)
+    while power < u:
+        power, k = power * eps, k + 1
+    return sign * k
 
 
 def _least_unit(d):

@@ -2,16 +2,17 @@ import random
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
 from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cy3.core_arith import QuadSurd
-from cy3.errors import IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
+from cy3.errors import Cy3Error, IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
 from cy3.lattice_forms import (
     ENTRY_KEYS,
+    MONOMIAL_INDICES,
     LatticeMap,
     LinearForm,
     TrilinearForm,
@@ -76,6 +77,13 @@ class TestTrilinearForm:
     def test_unknown_monomial_rejected(self):
         with pytest.raises(ValidationError):
             TrilinearForm.from_cubic_coefficients({"w3": 1})
+
+    @pytest.mark.parametrize("coeffs", [{"z3": 1.5, "w3": 1}, {"w3": 1, "z3": 1.5}])
+    def test_unknown_key_wins_over_a_non_integer_value(self, coeffs):
+        """Every key is checked before any value, in either insertion order."""
+        with pytest.raises(ValidationError) as exc:
+            TrilinearForm.from_cubic_coefficients(coeffs)
+        assert str(exc.value) == "unknown monomial keys: ['w3']"
 
     def test_unsorted_entry_key_rejected(self):
         """(3, 1, 2) is not one of the ten sorted triples; dropping it would
@@ -626,8 +634,7 @@ def naive_pullback(dt, p, q, d):
 
 big = st.integers(-10**6, 10**6)
 int_columns = st.tuples(*[st.tuples(big, big, big)] * 3)
-scaled_forms = st.builds(lambda values, scale: TrilinearForm._from_scaled(
-    dict(zip(ENTRY_KEYS, values)), scale), st.tuples(*[big] * 10), st.integers(1, 42))
+scaled_forms = st.builds(TrilinearForm._from_scaled, st.tuples(*[big] * 10), st.integers(1, 42))
 
 
 @given(scaled_forms, int_columns)
@@ -661,3 +668,88 @@ def test_matvec_and_matmul_match_naive_sums(kind, data, d, rows):
     assert _matvec(b, v) == tuple(naive_dot(r, v) for r in b)
     if kind == "int":
         assert all(type(x) is int for r in _matmul(a, b) for x in r)
+
+
+# -- the written-out constructors against the two-pass and Fraction paths ----------
+
+
+class IntSubclass(int):
+    """An int that is not exactly an int: accepted, and stored as a plain int."""
+
+
+def two_pass_rows(rows):
+    """Test-local copy of the two-pass LatticeMap validation: the rows it
+    stores, or the error it raises; the determinant by the Leibniz formula."""
+    try:
+        rows = tuple(tuple(r) for r in rows)
+    except TypeError:
+        raise ValidationError("expected a 3x3 matrix") from None
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValidationError("expected a 3x3 matrix")
+    if not all(not isinstance(x, bool) and isinstance(x, (int, Fraction)) and x.denominator == 1
+               for r in rows for x in r):
+        raise ValidationError(f"matrix entries must be integers: {rows}")
+    rows = tuple(tuple(int(x) for x in r) for r in rows)
+    det = sum((-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+              * rows[0][p[0]] * rows[1][p[1]] * rows[2][p[2]] for p in permutations(range(3)))
+    if det not in (1, -1):
+        raise NotUnimodular(f"determinant {det}")
+    return rows
+
+
+# Each entry of a drawn matrix is an int rewrapped as one of these.
+INTEGRAL_WRAPS = (int, Fraction, IntSubclass)
+ANY_WRAPS = INTEGRAL_WRAPS + (bool, float, str, lambda x: None,
+                              lambda x: Fraction(2 * x + 1, 2))
+
+
+@st.composite
+def matrix_inputs(draw):
+    """Rows for LatticeMap: a unimodular word or a small integer matrix, most
+    often 3x3, else of 2 to 4 rows of 2 to 4 entries, its entries rewrapped as
+    ints, bools, an int subclass, integral or non-integral Fractions, floats,
+    strs or None; or a value that is no matrix at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, 5, "abc", 1.5, [1, 0, 0], [[1, 0, 0], 7, [0, 0, 1]],
+                                     [[1, 0, 0], None, [0, 0, 1]], ["100", "010", "001"]]))
+    if draw(st.booleans()):
+        rows = random_unimodular(random.Random(draw(st.integers(0, 2**16))), steps=3).rows
+    else:
+        size = st.sampled_from([3, 3, 3, 3, 2, 4])
+        rows = [[draw(st.integers(-2, 2)) for _ in range(draw(size))] for _ in range(draw(size))]
+    wraps = draw(st.sampled_from([(int,), INTEGRAL_WRAPS, ANY_WRAPS]))
+    return [[draw(st.sampled_from(wraps))(x) for x in r] for r in rows]
+
+
+@given(matrix_inputs())
+def test_lattice_map_matches_the_two_pass_validation(rows):
+    """Accept or reject alike, with one exception class and one message, and
+    store the same rows, every entry exactly an int."""
+    try:
+        expected = two_pass_rows(rows)
+    except Cy3Error as exc:
+        with pytest.raises(Cy3Error) as got:
+            LatticeMap(rows)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        g = LatticeMap(rows)
+        assert g.rows == expected and type(g.rows) is tuple
+        assert all(type(r) is tuple and all(type(x) is int for x in r) for r in g.rows)
+
+
+monomial_values = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).map(Fraction))
+
+
+@given(st.dictionaries(st.sampled_from(sorted(MONOMIAL_INDICES)), monomial_values))
+def test_from_cubic_coefficients_matches_the_fraction_entries(coeffs):
+    """Monomials give the form of the rational entries c/m, and its 27 nested
+    entries are the sorted-key entries, read without the constructor."""
+    T = TrilinearForm.from_cubic_coefficients(coeffs)
+    entries = {MONOMIAL_INDICES[name]: Fraction(c) / multinomial(*MONOMIAL_INDICES[name])
+               for name, c in coeffs.items()}
+    expected = TrilinearForm(entries)
+    assert (T.scale, T.scaled) == (expected.scale, expected.scaled)
+    for i, j, k in product(range(3), repeat=3):
+        key = tuple(sorted((i + 1, j + 1, k + 1)))
+        assert Fraction(T.scaled[i][j][k], T.scale) == entries.get(key, 0)
+        assert type(T.scaled[i][j][k]) is int
