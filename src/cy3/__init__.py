@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .core_arith import (
     QuadSurd,
     solve_unit_quadratic,
-    surd_compare,
 )
 from .cubic_geometry import (
     QuadraticForm,
@@ -18,7 +17,6 @@ from .cubic_geometry import (
     check_unipotent_relations,
     hyperbolic_factorization,
     quadric_signature,
-    reconstruction_matches,
     singular_locus,
     tangent_plane,
     unipotent_factorization,

@@ -149,11 +149,6 @@ class QuadSurd:
 
     # -- predicates ---------------------------------------------------------
 
-    def to_fraction(self) -> Fraction:
-        if self.d != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
         """Exact sign of the integer pair (p, q), den being positive."""
         return _pair_sign(self.p, self.q, self.d)
@@ -271,14 +266,6 @@ class QuadSurd:
 
 
 _ZERO, _ONE = Fraction(0), _from_ints(1, 0, 1, 0)
-
-
-def surd_compare(x: QuadSurd, y: QuadSurd) -> int:
-    """Exact three-way comparison: -1, 0 or +1. Raises IncompatibleFields for
-    surds over distinct quadratic fields."""
-    x = QuadSurd._coerce(x)
-    y = QuadSurd._coerce(y)
-    return (x - y).sign()
 
 
 def solve_unit_quadratic(s: int) -> tuple[QuadSurd, QuadSurd]:

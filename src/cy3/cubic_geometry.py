@@ -294,18 +294,7 @@ def unipotent_factorization(T: TrilinearForm, w: Sequence, w1: Sequence, w2: Seq
     return UnipotentSplit(T, frame, q)
 
 
-# -- reconstruction and singular loci -----------------------------------------
-
-
-def reconstruction_matches(fact: Factorization) -> bool:
-    """True iff the frame table of the cubic is the split z·Q: its z-free
-    entries vanish and Q reads back off it. The frame is a basis M, so C∘M
-    equals the split exactly when re-expanding z·Q in standard coordinates
-    gives back C."""
-    if not _det3(fact.frame):
-        raise PostCheckFailed("frame is degenerate")
-    t = frame_table(fact.cubic, fact.frame)
-    return not any(t[key] for key in Z_FREE) and _read_quadric(t) == fact.quadric
+# -- singular loci ------------------------------------------------------------
 
 
 def singular_locus(fact: Factorization) -> list[tuple]:

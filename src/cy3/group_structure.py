@@ -392,6 +392,11 @@ def analyze_group(
     """Certify the Finite / AlmostAbelianRankOne dichotomy for the group
     generated by the given symmetries (or by a bounded enumeration).
 
+    With a det -1 generator a, the verdict is on the det-1 subgroup (index
+    ≤ 2), generated by its Schreier generators for the transversal {1, a}: s
+    and a·s·a⁻¹ for a det-1 s, s·a⁻¹ and a·s for a det -1 s, in input order
+    without repeats. The witness has one entry per Schreier generator.
+
     Every step that replaces the generators appends to one list of
     reductions, which the verdict receives once."""
     reductions: list[str] = []
@@ -411,12 +416,14 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
     if not generators:
         return GroupVerdict(kind="Finite", elements=(LatticeMap.identity(),))
 
-    neg = [g for g in generators if g.det == -1]
-    pos = [g for g in generators if g.det == 1]
-    if neg:
-        reduced = set(pos) | {a @ b for a in neg for b in neg}
-        generators = sorted(reduced, key=lambda g: g.rows)
-        reductions.append("determinant -1 generators replaced by det-1 products (index ≤ 2)")
+    a = next((g for g in generators if g.det == -1), None)
+    if a is not None:
+        a_inv = a.inverse()
+        generators = list(dict.fromkeys(
+            x for s in generators
+            for x in ((s, a @ s @ a_inv) if s.det == 1 else (s @ a_inv, a @ s))))
+        reductions.append("determinant -1 generators replaced by the Schreier "
+                          "generators of the det-1 subgroup (index ≤ 2)")
 
     classes = [classify(g, L) for g in generators]
     seeds = []

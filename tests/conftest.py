@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cy3 import LatticeMap, LinearForm, TrilinearForm
+from cy3 import LatticeMap, LinearForm, TrilinearForm, cubic_eval
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import FiniteOrder, Identity
 
@@ -96,6 +97,19 @@ def surd(a, b=0, d=0):
 
 
 GOLDEN_ALPHA = surd(Fraction(3, 2), Fraction(1, 2), 5)  # (3 + sqrt5)/2
+
+
+def reconstructs(fact) -> bool:
+    """True iff re-expanding the split z·Q in standard coordinates gives back
+    C: C(M·X) = Z·Q(X) for the frame M at every X in {0, 1, 2, 3}^3, which
+    determines a cubic in three variables."""
+    q = fact.quadric.m
+    for x in product(range(4), repeat=3):
+        point = [sum(x[k] * fact.frame[k][i] for k in range(3)) for i in range(3)]
+        zq = x[2] * sum(q[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
+        if cubic_eval(fact.cubic, point) != zq:
+            return False
+    return True
 
 
 def is_finite_class(c) -> bool:

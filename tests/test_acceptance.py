@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_finite_class
+from conftest import is_finite_class, reconstructs
 from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
     QuadricLine,
@@ -18,7 +18,6 @@ from cy3.cubic_geometry import (
     check_unipotent_relations,
     hyperbolic_factorization,
     quadric_signature,
-    reconstruction_matches,
     tangent_plane,
     unipotent_factorization,
 )
@@ -202,7 +201,7 @@ def test_criterion_5_reconstruction_identity():
     def body():
         assert len(_FACTORIZATIONS) == 3, "criteria 1-2 must run first"
         for fact in _FACTORIZATIONS:
-            assert reconstruction_matches(fact)
+            assert reconstructs(fact)
 
     _verdict(5, "re-expanding every factorization reproduces all 10 coefficients", body)
 

@@ -380,7 +380,7 @@ PINNED_REPORTS = [
     ("golden-with-det-minus-one", "factor", 0,
      "c4774143fd82c13fa4b773c232462b9f4fe495865b3543b0e4c69328977b2cc2"),
     ("golden-with-det-minus-one", "analyze", 0,
-     "9bd5c90e3fbda0af9182751244790e03f97b9b47baa3c5fe0540757bc48d765c"),
+     "378e4ccce415acccc00dc502a00be9bcb2e100dfd3643143a859a78da79faa40"),
     ("golden-power-40", "classify", 0,
      "ef805a2339267ea4fb88dc061f6af2127b23189d74b675bea7e6d8084248e91b"),
     ("golden-power-40", "factor", 0,

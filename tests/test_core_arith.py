@@ -11,7 +11,6 @@ from cy3.core_arith import (
     QuadSurd,
     solve_unit_quadratic,
     squarefree_decompose,
-    surd_compare,
 )
 from cy3.errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
 
@@ -207,15 +206,15 @@ class TestUnitQuadraticSplit:
 class TestCompare:
     def test_golden_vs_one(self):
         alpha, beta = solve_unit_quadratic(3)
-        assert surd_compare(alpha, QuadSurd(1)) > 0
-        assert surd_compare(beta, QuadSurd(1)) < 0
+        assert alpha > 1
+        assert beta < 1
 
     def test_equal(self):
-        assert surd_compare(QuadSurd(2), QuadSurd(2)) == 0
+        assert (QuadSurd(2) - QuadSurd(2)).sign() == 0
 
     def test_incompatible_fields(self):
         with pytest.raises(IncompatibleFields):
-            surd_compare(QuadSurd(0, 1, 2), QuadSurd(0, 1, 3))
+            (QuadSurd(0, 1, 2) - QuadSurd(0, 1, 3)).sign()
 
     def test_rational_mixes_with_any_field(self):
         assert QuadSurd(0, 1, 2) > QuadSurd(1)
@@ -251,7 +250,7 @@ def test_compare_against_high_precision_oracle():
             ) * mpmath.sqrt(q.d)
             diff = approx(x) - approx(y)
             expected = 0 if abs(diff) < mpmath.mpf("1e-40") else (1 if diff > 0 else -1)
-            assert surd_compare(x, y) == expected
+            assert (x - y).sign() == expected
 
 
 small_fractions = st.fractions(

@@ -475,7 +475,7 @@ class TestQuadricPreservedInFrame:
     def fraction_check(hf, split):
         """The reference over Fractions for hf = H/e: the message it raises, or None."""
         hf = [[Fraction(x, hf[1]) for x in row] for row in hf[0]]
-        q = [[x.to_fraction() for x in row] for row in split.quadric.m]
+        q = [[x.a for x in row] for row in split.quadric.m]
         m = _mat_mul(_mat_mul([list(c) for c in zip(*hf)], q), hf)
         lam = m[0][2] / q[0][2]
         if any(m[i][j] != lam * q[i][j] for i in range(3) for j in range(3)):
@@ -908,9 +908,10 @@ class TestAnalyzeGroup:
         verdict = analyze_group(golden_cubic, L_z, [golden_generator, neg])
         assert verdict.kind == "AlmostAbelianRankOne"
         assert any("determinant -1" in r for r in verdict.reductions)
-        # neg squares to the identity, so only alpha^4 survives the reduction
-        assert GOLDEN_ALPHA**4 in verdict.witness.values
-        assert set(verdict.witness.values) <= {GOLDEN_ALPHA**4, QuadSurd(1)}
+        # Schreier generators for {1, neg}: g, neg·g·neg⁻¹, then neg·neg⁻¹ = neg·neg = 1.
+        # neg swaps the eigenlines, so its conjugate of g scales by alpha^-4.
+        assert verdict.witness.values == (GOLDEN_ALPHA**4, GOLDEN_ALPHA**-4, QuadSurd(1))
+        assert verdict.witness.exponents == (8, -8, 0)
 
     def test_d94_automorph_given_as_a_matrix(self):
         """x^2 z - 94 y^2 z + z^3 and the automorph of the fundamental unit
@@ -930,6 +931,18 @@ class TestAnalyzeGroup:
         exps = verdict.witness.exponents
         assert exps[0] == -exps[1]
 
+    def test_two_golden_reflections(self, golden_cubic, L_z):
+        """Two det -1 involutions: each has a trivial character, and the
+        infinite part lives only in their product g (an infinite dihedral
+        group has no nonzero homomorphism to Z). The Schreier generators for
+        {1, LINE_SWAP} are 1, r·LINE_SWAP = g and LINE_SWAP·r = g⁻¹."""
+        r = LatticeMap([[-1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        assert preserves_pair(r, golden_cubic, L_z)
+        for gens in ([LINE_SWAP, r], [r, LINE_SWAP]):
+            verdict = analyze_group(golden_cubic, L_z, gens)
+            assert verdict.kind == "AlmostAbelianRankOne"
+            assert verdict.witness.exponents == (0, 8, -8)
+
 
 GOLDEN = LatticeMap([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
 GOLDEN_SETS = [
@@ -945,9 +958,8 @@ GOLDEN_SETS = [
 def test_hyperbolic_witness_is_coordinate_covariant(rng, which):
     """The golden pair in the coordinates of a random unimodular P, so that
     L∘P != z in general, with the generators conjugated: the witness
-    generator, exponents and values do not change. With a det -1 generator
-    the det-1 products are sorted by their entries, so only their multiset
-    is compared."""
+    generator, exponents and values do not change, in order: with a det -1
+    generator the Schreier generators conjugate one by one."""
     T = TrilinearForm.from_cubic_coefficients({"x2z": 1, "xyz": -1, "y2z": -1})
     L = LinearForm(0, 0, 1)
     p = random_unimodular(rng, steps=6)
@@ -958,7 +970,36 @@ def test_hyperbolic_witness_is_coordinate_covariant(rng, which):
                           [p.inverse() @ g @ p for g in gens])
     assert base.kind == moved.kind == "AlmostAbelianRankOne"
     assert moved.witness.generator == base.witness.generator
-    pairs = [list(zip(v.witness.exponents, v.witness.values)) for v in (base, moved)]
-    if any(g.det == -1 for g in gens):
-        pairs = [sorted(x) for x in pairs]
-    assert pairs[0] == pairs[1]
+    assert moved.witness.exponents == base.witness.exponents
+    assert moved.witness.values == base.witness.values
+
+
+def _brute_force_closure(gens):
+    """All products of the given matrices, as row tuples, with the identity."""
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        new = {tuple(map(tuple, _mat_mul(a, g))) for a in frontier for g in gens} - group
+        group |= new
+        frontier = list(new)
+    return group
+
+
+@pytest.mark.parametrize("coefficients", [
+    {"x2z": 1, "y2z": 1, "z3": 1},  # square form, dihedral group of order 8
+    {"x2z": 1, "xyz": 1, "y2z": 1, "z3": 1},  # hexagonal form, order 12
+])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_finite_elements_are_the_det_1_part_of_the_closure(coefficients, data):
+    """For a random subset of the bound-2 symmetries, the Finite elements are
+    the det-1 elements of the group the subset generates."""
+    T = TrilinearForm.from_cubic_coefficients(coefficients)
+    L = LinearForm(0, 0, 1)
+    symmetries = enumerate_symmetries(T, L, 2)
+    gens = data.draw(st.lists(st.sampled_from(symmetries), max_size=4))
+    verdict = analyze_group(T, L, gens)
+    assert verdict.kind == "Finite"
+    expected = {m for m in _brute_force_closure([g.rows for g in gens])
+                if LatticeMap(m).det == 1}
+    assert {g.rows for g in verdict.elements} == expected
