@@ -18,7 +18,6 @@ from .cubic_geometry import (
     hyperbolic_factorization,
     quadric_signature,
     singular_locus,
-    tangent_plane,
     unipotent_factorization,
 )
 from .element_classify import (

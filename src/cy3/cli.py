@@ -21,7 +21,6 @@ from .core_arith import QuadSurd
 from .cubic_geometry import (
     FULL_JORDAN,
     QuadricLine,
-    RelationReport,
     ThreeLines,
     UnipotentSplit,
     quadric_signature,
@@ -138,10 +137,6 @@ def render(record, out: dict) -> dict:
 
 def render_vector(v) -> list[str]:
     return [str(x) for x in v]
-
-
-def render_relation_report(report: RelationReport) -> dict:
-    return {"rows": [render(r, {}) for r in report.rows], "overall": report.overall}
 
 
 def render_class(cls) -> dict:
@@ -264,6 +259,7 @@ def run(problem: ProblemFile, command: str, *, bound: int | None = None,
             "mechanism": exc.mechanism,
             "message": str(exc),
         }
+        report["reductions"] = list(exc.reductions)
         return report, EXIT_GEOMETRIC
 
 
@@ -302,7 +298,8 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
         }
         return report, EXIT_INCONCLUSIVE
     cert = certify_seed(T, L, seed)
-    report["relations"].append(render_relation_report(cert.relations))
+    report["relations"].append({"rows": [render(r, {}) for r in cert.relations.rows],
+                                "overall": cert.relations.overall})
     if cert.inconsistency is not None:
         raise cert.inconsistency
     if cert.reason is not None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
 
-from .errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
+from .errors import ComplexRoots, IncompatibleFields, RadicandTooLarge, ValidationError
 
 # Largest trial divisor: exact for every radicand below 2**60.
 TRIAL_DIVISION_LIMIT = 1 << 20
@@ -104,14 +104,19 @@ class QuadSurd:
 
     Canonical form: den > 0, gcd(p, q, den) = 1, square factors of d are pulled
     into q, and d <= 1 collapses to a rational (q = 0, d = 0). Instances are
-    immutable by convention. The public constructor accepts any rational a, b
-    and d >= 0; `_from_ints` is the trusted one.
+    immutable by convention. The public constructor takes a, b as ints or
+    Fractions and an int d >= 0, and raises ValidationError for any other type;
+    `_from_ints` is the trusted one.
     """
 
     __slots__ = ("p", "q", "den", "d")
 
     def __init__(self, a=0, b=0, d: int = 0):
-        a, b, d = Fraction(a), Fraction(b), int(d)
+        if type(d) is not int or any(isinstance(x, bool) or not isinstance(x, (int, Fraction))
+                                     for x in (a, b)):
+            raise ValidationError(f"surd parts must be ints or Fractions and the radicand "
+                                  f"an int: {a!r}, {b!r}, {d!r}")
+        a, b = Fraction(a), Fraction(b)
         if d < 0:
             raise ValueError("negative field discriminant")
         if b and d > 1:

@@ -14,21 +14,12 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .core_arith import QuadSurd
-from .errors import (
-    GeometricInconsistency,
-    NotOnQuadric,
-    PostCheckFailed,
-    RelationsNotVerified,
-    SingularPoint,
-    ValidationError,
-)
+from .errors import GeometricInconsistency, PostCheckFailed, RelationsNotVerified, ValidationError
 from .lattice_forms import (
     LinearForm,
     TrilinearForm,
     _as_surd,
     _det3,
-    _dot,
-    _matvec,
     frame_table,
     polar,
     projective_normalize,
@@ -49,12 +40,12 @@ class RelationRow(NamedTuple):
 class RelationReport(NamedTuple):
     rows: tuple[RelationRow, ...]
     overall: bool
-    # (T, frame, table): the frame table the rows were read off, for the
-    # factorization of the same cubic and frame; not rendered.
-    source: tuple | None = None
+    # (T, frame, table): the cubic, the frame and the frame table the rows
+    # were read off, which the factorization reads its split off; not rendered.
+    source: tuple
 
     @classmethod
-    def from_rows(cls, rows, source=None) -> "RelationReport":
+    def from_rows(cls, rows, source: tuple) -> "RelationReport":
         rows = tuple(rows)
         return cls(rows=rows, overall=all(r.holds for r in rows), source=source)
 
@@ -82,14 +73,6 @@ class QuadraticForm:
         if m != tuple(zip(*m)):
             raise ValidationError("matrix is not symmetric")
         self.m = m
-
-    def eval(self, v: Sequence) -> QuadSurd:
-        v = tuple(_as_surd(x) for x in v)
-        return _dot(v, _matvec(self.m, v))
-
-    def gradient(self, v: Sequence) -> tuple:
-        v = tuple(_as_surd(x) for x in v)
-        return tuple(x * 2 for x in _matvec(self.m, v))
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
@@ -168,12 +151,6 @@ def _read_quadric(t) -> QuadraticForm:
     ))
 
 
-def _frame_table(T: TrilinearForm, frame: tuple, report: RelationReport | None) -> dict:
-    """The frame table of T, reused from a relation report on the same cubic and frame."""
-    T0, frame0, t = report.source if report and report.source else (None, (), None)
-    return t if T0 is T and tuple(map(tuple, frame0)) == frame else frame_table(T, frame)
-
-
 def _checked_quadric(t, check: str, vanishing=()) -> QuadraticForm:
     """Q read off the frame table t, after the post-check that the z-free
     entries and the further entries `vanishing` are 0."""
@@ -194,24 +171,25 @@ def check_hyperbolic_relations(
 ) -> RelationReport:
     """The eight vanishing triple products of a hyperbolic frame, read off
     its frame table, plus L(u) = L(v) = 0, all exact."""
-    t = frame_table(T, (u, v, w))
+    frame = tuple(tuple(_as_surd(x) for x in f) for f in (u, v, w))
+    t = frame_table(T, frame)
     rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]
     return RelationReport.from_rows([*rows, _row("L(u)", L(u)), _row("L(v)", L(v))],
-                                    (T, (u, v, w), t))
+                                    (T, frame, t))
 
 
-def hyperbolic_factorization(T: TrilinearForm, u: Sequence, v: Sequence, w: Sequence, *,
-                             relation_report: RelationReport | None = None) -> Factorization:
-    """Split C as three planes (A = 0) or quadric-plus-plane (A != 0).
+def hyperbolic_factorization(relations: RelationReport) -> Factorization:
+    """Split C as three planes (A = 0) or quadric-plus-plane (A != 0), read
+    off the frame table of a hyperbolic relation report.
 
-    A = T(w,w,w), B = T(u,v,w). B = 0 contradicts the Hodge index theorem for
-    genuine geometric inputs and raises GeometricInconsistency. The split is
-    post-checked on the frame table: every entry but B and A must vanish.
+    A failing report raises RelationsNotVerified. A = T(w,w,w), B = T(u,v,w).
+    B = 0 contradicts the Hodge index theorem for genuine geometric inputs and
+    raises GeometricInconsistency. The split is post-checked on the frame
+    table: every entry but B and A must vanish.
     """
-    if relation_report is not None and not relation_report.overall:
-        raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
-    frame = tuple(tuple(_as_surd(x) for x in f) for f in (u, v, w))
-    t = _frame_table(T, frame, relation_report)
+    if not relations.overall:
+        raise RelationsNotVerified(f"failing relations: {relations.failing}")
+    T, frame, t = relations.source
     if not t[1, 2, 3]:
         raise GeometricInconsistency(HODGE_INDEX, "B = T(u, v, w) = 0")
     quadric = _checked_quadric(t, "hyperbolic split C = z(A z^2 + 6B xy)",
@@ -239,16 +217,6 @@ def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
     return changes(signs), changes([x * (-1) ** k for k, x in enumerate(signs)]), zero
 
 
-def tangent_plane(Q: QuadraticForm, pt: Sequence) -> tuple:
-    """Projective gradient covector of Q at a smooth point of the quadric."""
-    if Q.eval(pt) != 0:
-        raise NotOnQuadric(f"Q({[str(_as_surd(x)) for x in pt]}) != 0")
-    grad = Q.gradient(pt)
-    if not any(grad):
-        raise SingularPoint("vanishing gradient")
-    return projective_normalize(grad)
-
-
 def check_unipotent_relations(
     T: TrilinearForm, L: LinearForm, w: Sequence, w1: Sequence, w2: Sequence
 ) -> RelationReport:
@@ -259,7 +227,8 @@ def check_unipotent_relations(
     T(w, w, x) = 0 for every basis vector x, which is the only consequence the
     certification needs.
     """
-    t = frame_table(T, (w, w1, w2))
+    frame = (w, w1, w2)
+    t = frame_table(T, frame)
     ww22 = t[1, 3, 3]
     rows = [
         _row("L(w)", L(w)),
@@ -272,25 +241,23 @@ def check_unipotent_relations(
         _row("w·w2^2 = -2·w1^2·w2", ww22, t[2, 2, 3] * (-2)),
         _row("w·w2^2 ≠ 0", ww22, equal=False),
     ]
-    return RelationReport.from_rows(rows, (T, (w, w1, w2), t))
+    return RelationReport.from_rows(rows, (T, frame, t))
 
 
-def unipotent_factorization(T: TrilinearForm, w: Sequence, w1: Sequence, w2: Sequence, *,
-                            relation_report: RelationReport | None = None) -> UnipotentSplit:
-    """E = 3 T(w,w2,w2)/2, F = T(w2,w2,w2); E = 0 contradicts the Lefschetz
-    hyperplane theorem and raises GeometricInconsistency. The split is
-    post-checked on the frame table, and L = z must be tangent to Q at w."""
-    frame = tuple(tuple(int(x) for x in f) for f in (w, w1, w2))
-    t = _frame_table(T, frame, relation_report)
+def unipotent_factorization(relations: RelationReport) -> UnipotentSplit:
+    """The split read off the frame table of a unipotent relation report.
+
+    E = 3 T(w,w2,w2)/2, F = T(w2,w2,w2); E = 0 contradicts the Lefschetz
+    hyperplane theorem and raises GeometricInconsistency, before a failing
+    report raises RelationsNotVerified. The split is post-checked on the frame
+    table. With E = q13 != 0, L = z is tangent to Q at w = (1, 0, 0) exactly
+    when q11 = q12 = 0, so t113 and t123 must vanish too."""
+    T, frame, t = relations.source
     if not t[1, 3, 3]:
         raise GeometricInconsistency(LEFSCHETZ, "E = 3·T(w, w2, w2)/2 = 0")
-    if relation_report is not None and not relation_report.overall:
-        raise RelationsNotVerified(f"failing relations: {relation_report.failing}")
-    q = _checked_quadric(t, "unipotent split C = z·Q")
-    # L in frame coordinates is z; it must be tangent to Q at w = (1, 0, 0).
-    plane = tangent_plane(q, (1, 0, 0))
-    if plane != (0, 0, 1):
-        raise PostCheckFailed("tangent plane", f"L is not tangent to Q at w: {plane}")
+    if not relations.overall:
+        raise RelationsNotVerified(f"failing relations: {relations.failing}")
+    q = _checked_quadric(t, "unipotent split C = z·Q", ((1, 1, 3), (1, 2, 3)))
     return UnipotentSplit(T, frame, q)
 
 

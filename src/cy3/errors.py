@@ -50,19 +50,13 @@ class GeometricInconsistency(Cy3Error):
     def __init__(self, mechanism: str, detail: str = ""):
         self.mechanism = mechanism
         self.detail = detail
+        # the reductions `analyze_group` made before the inconsistency was found
+        self.reductions: tuple[str, ...] = ()
         msg = mechanism if not detail else f"{mechanism}: {detail}"
         super().__init__(msg)
 
 
 class RelationsNotVerified(Cy3Error):
-    pass
-
-
-class NotOnQuadric(Cy3Error):
-    pass
-
-
-class SingularPoint(Cy3Error):
     pass
 
 

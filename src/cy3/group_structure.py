@@ -353,15 +353,13 @@ def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
     relation gate comes before B = 0, the unipotent E = 0 before the gate. The
     singular lines are post-checked against the gradient of C."""
     if isinstance(seed, UnipotentFull):
-        kind, frame = "unipotent", (seed.w, seed.w1, seed.w2)
-        relations = check_unipotent_relations(T, L, *frame)
-        factor = unipotent_factorization
+        kind, factor = "unipotent", unipotent_factorization
+        relations = check_unipotent_relations(T, L, seed.w, seed.w1, seed.w2)
     else:
-        kind, frame = "hyperbolic", seed
-        relations = check_hyperbolic_relations(T, L, *frame)
-        factor = hyperbolic_factorization
+        kind, factor = "hyperbolic", hyperbolic_factorization
+        relations = check_hyperbolic_relations(T, L, *seed)
     try:
-        fact = factor(T, *frame, relation_report=relations)
+        fact = factor(relations)
     except RelationsNotVerified:
         return SeedCertificate(relations, reason=f"{kind} relations failed: {relations.failing}")
     except GeometricInconsistency as exc:
@@ -398,7 +396,8 @@ def analyze_group(
     without repeats. The witness has one entry per Schreier generator.
 
     Every step that replaces the generators appends to one list of
-    reductions, which the verdict receives once."""
+    reductions, which the verdict receives once, or a GeometricInconsistency
+    raised on the way."""
     reductions: list[str] = []
     if generators is None:
         # every enumerated map has passed preserves_pair inside the enumeration
@@ -408,7 +407,11 @@ def analyze_group(
         for g in generators:
             if not preserves_pair(g, T, L):
                 raise NonPreservingGenerator(f"{g!r} does not preserve the pair")
-    verdict = _dichotomy(T, L, list(generators), reductions)
+    try:
+        verdict = _dichotomy(T, L, list(generators), reductions)
+    except GeometricInconsistency as exc:
+        exc.reductions = tuple(reductions)
+        raise
     return verdict._replace(reductions=tuple(reductions))
 
 

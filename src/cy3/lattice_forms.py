@@ -429,8 +429,13 @@ class PrimitivePart(NamedTuple):
 
 def primitive_part(v: Sequence[int]) -> PrimitivePart:
     """v = +-scale * vector with gcd(vector) = 1 and first nonzero coordinate
-    positive; `flipped` records whether the orientation was reversed."""
-    v = tuple(int(x) for x in v)
+    positive; `flipped` records whether the orientation was reversed. A
+    coordinate that is not an integer raises ValidationError."""
+    v = tuple(v)
+    if not all(type(x) is int for x in v):
+        if not all(_is_integer(x) for x in v):
+            raise ValidationError(f"primitive part of a non-integer vector: {v}")
+        v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         raise ZeroVector("primitive part of the zero vector")
     g = gcd(*v)

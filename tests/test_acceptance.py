@@ -18,7 +18,6 @@ from cy3.cubic_geometry import (
     check_unipotent_relations,
     hyperbolic_factorization,
     quadric_signature,
-    tangent_plane,
     unipotent_factorization,
 )
 from cy3.element_classify import (
@@ -79,18 +78,14 @@ def test_criterion_1_hyperbolic_pipeline():
         report = check_hyperbolic_relations(GOLDEN_CUBIC, L_Z, cls.u, cls.v, cls.w)
         assert report.overall and len(report.rows) == 10
 
-        fact = hyperbolic_factorization(
-            GOLDEN_CUBIC, cls.u, cls.v, cls.w, relation_report=report
-        )
+        fact = hyperbolic_factorization(report)
         assert isinstance(fact, ThreeLines)
         assert fact.b == Fraction(5, 6)
         _FACTORIZATIONS.append(fact)
 
         report_q = check_hyperbolic_relations(GOLDEN_CUBIC_Q, L_Z, cls.u, cls.v, cls.w)
         assert report_q.overall
-        fact_q = hyperbolic_factorization(
-            GOLDEN_CUBIC_Q, cls.u, cls.v, cls.w, relation_report=report_q
-        )
+        fact_q = hyperbolic_factorization(report_q)
         assert isinstance(fact_q, QuadricLine)
         assert fact_q.a == 1
         assert quadric_signature(fact_q.quadric) == (2, 1, 0)
@@ -114,13 +109,9 @@ def test_criterion_2_unipotent_pipeline():
         assert trilinear_eval(UNIPOTENT_CUBIC, w1, w2, w2) == 1
         assert trilinear_eval(UNIPOTENT_CUBIC, w1, w1, w2) == -1
 
-        fact = unipotent_factorization(
-            UNIPOTENT_CUBIC, w, w1, w2, relation_report=report
-        )
+        fact = unipotent_factorization(report)
         assert fact.e == 3 and fact.f == 1
-        assert tangent_plane(fact.quadric, (1, 0, 0)) == (
-            QuadSurd(0), QuadSurd(0), QuadSurd(1),
-        )
+        assert fact.quadric.m[0][:2] == (0, 0)  # z is tangent to Q at w
         _FACTORIZATIONS.append(fact)
 
         for n in range(1, 11):
@@ -217,7 +208,7 @@ def test_criterion_6_negative_controls():
         split = TrilinearForm.from_cubic_coefficients({"xyz": 6})
         w, w1, w2 = classify(UNIPOTENT_GEN)
         with pytest.raises(GeometricInconsistency) as exc:
-            unipotent_factorization(split, w, w1, w2)
+            unipotent_factorization(check_unipotent_relations(split, L_Z, w, w1, w2))
         assert "E" in str(exc.value)
 
         bad = LatticeMap([[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # d = 1 != a(a-1)/2 = 0

@@ -16,7 +16,7 @@ from cy3.cli import (
     render_factorization,
     run,
 )
-from cy3.cubic_geometry import FULL_JORDAN, LEFSCHETZ, RelationReport
+from cy3.cubic_geometry import FULL_JORDAN, LEFSCHETZ
 from cy3.errors import ParseError, PostCheckFailed, ValidationError
 from cy3.lattice_forms import MONOMIAL_INDICES
 
@@ -245,10 +245,9 @@ class TestSeedCertificate:
         relations = getattr(group_structure, check)
 
         def failing(*args):
-            return RelationReport.from_rows(
-                r._replace(holds=False) if r.name == row else r
-                for r in relations(*args).rows
-            )
+            report = relations(*args)
+            rows = tuple(r._replace(holds=False) if r.name == row else r for r in report.rows)
+            return report._replace(rows=rows, overall=False)
 
         monkeypatch.setattr(group_structure, check, failing)
         for command in ("factor", "analyze"):
@@ -325,6 +324,18 @@ class TestAnalyzeCommand:
         report, code = run(problem(data), "analyze")
         assert code == EXIT_GEOMETRIC
         assert "Jordan" in report["verdict"]["mechanism"]
+
+    def test_inconsistency_keeps_its_reductions(self):
+        """z³ with L = z: the full-Jordan failure is found among the Schreier
+        generators of the bound-3 enumeration, and the report says so."""
+        report, code = run(problem({"cubic": {"z3": 1}, "c2": [0, 0, 1]}), "analyze")
+        assert code == EXIT_GEOMETRIC
+        assert report["verdict"]["mechanism"] == FULL_JORDAN
+        assert report["reductions"] == [
+            "generators from brute-force enumeration, bound 3",
+            "determinant -1 generators replaced by the Schreier generators of the "
+            "det-1 subgroup (index ≤ 2)",
+        ]
 
 
 def _fibonacci_power(n):

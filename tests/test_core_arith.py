@@ -12,7 +12,7 @@ from cy3.core_arith import (
     solve_unit_quadratic,
     squarefree_decompose,
 )
-from cy3.errors import ComplexRoots, IncompatibleFields, RadicandTooLarge
+from cy3.errors import ComplexRoots, IncompatibleFields, RadicandTooLarge, ValidationError
 
 
 def test_squarefree_decompose():
@@ -135,6 +135,15 @@ class TestNormalize:
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             QuadSurd(1, 1, -5)
+
+    @pytest.mark.parametrize("a, b, d", [
+        (0.1, 0, 0), ("1/3", 0, 0), (True, 0, 0), (0, 1.5, 5), (0, 1, 5.0), (0, 1, Fraction(5)),
+    ])
+    def test_inexact_parts_rejected(self, a, b, d):
+        """A float, a str or a bool part, or a radicand that is not an int, is
+        bad input: no float is turned into its binary fraction."""
+        with pytest.raises(ValidationError):
+            QuadSurd(a, b, d)
 
 
 class TestUnitQuadratic:

@@ -14,7 +14,6 @@ from cy3.cubic_geometry import (
     LEFSCHETZ,
     QuadraticForm,
     QuadricLine,
-    RelationReport,
     ThreeLines,
     UnipotentSplit,
     check_hyperbolic_relations,
@@ -22,16 +21,13 @@ from cy3.cubic_geometry import (
     hyperbolic_factorization,
     quadric_signature,
     singular_locus,
-    tangent_plane,
     unipotent_factorization,
 )
 from cy3.element_classify import Hyperbolic, UnipotentFull, classify
 from cy3.errors import (
     GeometricInconsistency,
-    NotOnQuadric,
     PostCheckFailed,
     RelationsNotVerified,
-    SingularPoint,
     ValidationError,
 )
 from cy3.lattice_forms import (
@@ -55,6 +51,14 @@ def unipotent_frame_vectors(unipotent_generator, L_z):
     verdict = classify(unipotent_generator, L_z)
     assert isinstance(verdict, UnipotentFull)
     return verdict.w, verdict.w1, verdict.w2
+
+
+def hyperbolic_split(T, L, frame):
+    return hyperbolic_factorization(check_hyperbolic_relations(T, L, *frame))
+
+
+def unipotent_split(T, L, frame):
+    return unipotent_factorization(check_unipotent_relations(T, L, *frame))
 
 
 class TestHyperbolicRelations:
@@ -82,31 +86,28 @@ class TestHyperbolicRelations:
         bad = check_hyperbolic_relations(golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert bad.failing == [r.name for r in bad.rows if not r.holds] != []
         with pytest.raises(RelationsNotVerified) as info:
-            hyperbolic_factorization(golden_cubic, *golden_frame, relation_report=bad)
+            hyperbolic_factorization(bad)
         assert str(info.value) == f"failing relations: {bad.failing}"
 
-    def test_failed_report_blocks_factorization(self, golden_cubic, golden_frame, L_z):
-        u, v, w = golden_frame
+    def test_failed_report_blocks_factorization(self, golden_cubic, L_z):
         bad = check_hyperbolic_relations(
             golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1)
         )
         with pytest.raises(RelationsNotVerified):
-            hyperbolic_factorization(golden_cubic, u, v, w, relation_report=bad)
+            hyperbolic_factorization(bad)
 
 
 class TestHyperbolicFactorization:
-    def test_three_lines(self, golden_cubic, golden_frame):
-        u, v, w = golden_frame
-        fact = hyperbolic_factorization(golden_cubic, u, v, w)
+    def test_three_lines(self, golden_cubic, golden_frame, L_z):
+        fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         assert isinstance(fact, ThreeLines)
         assert fact.b == surd(Fraction(5, 6))
         three_b = fact.b * 3
         assert fact.quadric == QuadraticForm(((0, three_b, 0), (three_b, 0, 0), (0, 0, 0)))
         assert reconstructs(fact)
 
-    def test_quadric_line(self, golden_cubic_quadric, golden_frame):
-        u, v, w = golden_frame
-        fact = hyperbolic_factorization(golden_cubic_quadric, u, v, w)
+    def test_quadric_line(self, golden_cubic_quadric, golden_frame, L_z):
+        fact = hyperbolic_split(golden_cubic_quadric, L_z, golden_frame)
         assert isinstance(fact, QuadricLine)
         assert fact.a == 1
         assert fact.b == surd(Fraction(5, 6))
@@ -115,32 +116,33 @@ class TestHyperbolicFactorization:
         assert quadric_signature(fact.quadric) == (2, 1, 0)
         assert reconstructs(fact)
 
-    def test_false_split_fails_the_named_post_check(self, golden_cubic):
-        """Without a relation report the standard frame is not refused by the
-        gate; B = -1/6, but x^2 z and y^2 z leave C∘M = z·Q with q11, q22 != 0,
+    def test_false_split_fails_the_named_post_check(self, golden_cubic, L_z):
+        """With the relation gate forced open the standard frame reaches the
+        split; B = -1/6, but x^2 z and y^2 z leave C∘M = z·Q with q11, q22 != 0,
         which is no hyperbolic split."""
+        report = check_hyperbolic_relations(golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert not report.overall
         with pytest.raises(PostCheckFailed) as info:
-            hyperbolic_factorization(golden_cubic, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+            hyperbolic_factorization(report._replace(overall=True))
         assert info.value.check == "hyperbolic split C = z(A z^2 + 6B xy)"
         assert "t113 = 1/3" in str(info.value)
 
-    def test_hodge_index_violation(self, golden_frame):
-        u, v, w = golden_frame
+    def test_hodge_index_violation(self, golden_frame, L_z):
         # x^2 z vanishes on T(u, v, w)? No: pick a cubic with T(u,v,w) = 0,
         # e.g. z^3 alone (all xy-mixing entries vanish).
         T = TrilinearForm.from_cubic_coefficients({"z3": 1})
         with pytest.raises(GeometricInconsistency) as exc:
-            hyperbolic_factorization(T, u, v, w)
+            hyperbolic_split(T, L_z, golden_frame)
         assert exc.value.mechanism == HODGE_INDEX
 
-    def test_tangency_points_on_quadric(self, golden_cubic_quadric, golden_frame):
-        u, v, w = golden_frame
-        fact = hyperbolic_factorization(golden_cubic_quadric, u, v, w)
-        # in frame coordinates u, v are the first two axes
-        assert fact.quadric.eval((1, 0, 0)) == 0
-        assert fact.quadric.eval((0, 1, 0)) == 0
-        assert tangent_plane(fact.quadric, (1, 0, 0)) == (surd(0), surd(1), surd(0))
-        assert tangent_plane(fact.quadric, (0, 1, 0)) == (surd(1), surd(0), surd(0))
+    def test_tangency_points_on_quadric(self, golden_cubic_quadric, golden_frame, L_z):
+        fact = hyperbolic_split(golden_cubic_quadric, L_z, golden_frame)
+        # in frame coordinates u, v are the first two axes: Q(u) = q11 and
+        # Q(v) = q22 vanish, and the tangent planes there, rows 1 and 2 of Q,
+        # are y and x
+        (q11, q12, q13), (_, q22, q23), _ = fact.quadric.m
+        assert q11 == q22 == q13 == q23 == 0
+        assert q12 != 0
 
 
 class TestQuadraticFormInput:
@@ -156,15 +158,15 @@ class TestQuadraticFormInput:
 class TestFactorizationRecord:
     """A Factorization is a NamedTuple; each kind is a slotted subclass."""
 
-    def test_replace_keeps_the_kind(self, golden_cubic, golden_frame):
-        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+    def test_replace_keeps_the_kind(self, golden_cubic, golden_frame, L_z):
+        fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         assert isinstance(fact, ThreeLines)
         flipped = fact._replace(frame=fact.frame[::-1])
         assert type(flipped) is ThreeLines
         assert flipped.frame == fact.frame[::-1] and flipped.quadric == fact.quadric
 
-    def test_fields_are_read_only(self, golden_cubic, golden_frame):
-        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+    def test_fields_are_read_only(self, golden_cubic, golden_frame, L_z):
+        fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         with pytest.raises(AttributeError):
             fact.frame = ()
         with pytest.raises(AttributeError):
@@ -252,18 +254,6 @@ def test_singular_surd_signature_matches_mpmath_eigenvalues():
     assert quadric_signature(q) == eigsy_signature(value) == (1, 1, 1)
 
 
-class TestTangentPlane:
-    def test_off_quadric_rejected(self):
-        q = QuadraticForm(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-        with pytest.raises(NotOnQuadric):
-            tangent_plane(q, (1, 0, 0))
-
-    def test_singular_point_rejected(self):
-        q = QuadraticForm(((1, 0, 0), (0, 1, 0), (0, 0, 0)))
-        with pytest.raises(SingularPoint):
-            tangent_plane(q, (0, 0, 1))
-
-
 class TestUnipotentRelations:
     def test_example_all_hold(self, unipotent_cubic, L_z, unipotent_frame_vectors):
         w, w1, w2 = unipotent_frame_vectors
@@ -286,99 +276,113 @@ class TestUnipotentRelations:
 
 
 class TestUnipotentFactorization:
-    def test_example(self, unipotent_cubic, unipotent_frame_vectors):
-        w, w1, w2 = unipotent_frame_vectors
-        fact = unipotent_factorization(unipotent_cubic, w, w1, w2)
+    def test_example(self, unipotent_cubic, unipotent_frame_vectors, L_z):
+        fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
         assert isinstance(fact, UnipotentSplit)
         assert fact.e == 3
         assert fact.f == 1
-        assert tangent_plane(fact.quadric, (1, 0, 0)) == (surd(0), surd(0), surd(1))
+        # with E = q13 != 0, z is tangent to Q at w = (1, 0, 0)
+        assert fact.quadric.m[0][:2] == (0, 0)
         assert reconstructs(fact)
 
-    def test_quadric_matrix(self, unipotent_cubic, unipotent_frame_vectors):
-        w, w1, w2 = unipotent_frame_vectors
-        fact = unipotent_factorization(unipotent_cubic, w, w1, w2)
+    def test_quadric_matrix(self, unipotent_cubic, unipotent_frame_vectors, L_z):
+        fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
         e, f = Fraction(3), Fraction(1)
         assert fact.quadric == QuadraticForm(
             ((0, 0, e), (0, -e, e / 2), (e, e / 2, f))
         )
 
-    def test_z_free_entry_fails_the_named_post_check(self, unipotent_frame_vectors):
-        """An x^3 term is no multiple of z: C∘M is not z·Q however E, F and
-        the tangency at w come out."""
+    def test_z_free_entry_fails_the_named_post_check(self, unipotent_frame_vectors, L_z):
+        """An x^3 term is no multiple of z: with the relation gate forced open,
+        C∘M is not z·Q however E, F and the tangency at w come out."""
         T = TrilinearForm.from_cubic_coefficients(
             {"x3": 1, "z3": 1, "xz2": 6, "y2z": -3, "yz2": 3})
+        report = check_unipotent_relations(T, L_z, *unipotent_frame_vectors)
+        assert not report.overall
         with pytest.raises(PostCheckFailed) as info:
-            unipotent_factorization(T, *unipotent_frame_vectors)
+            unipotent_factorization(report._replace(overall=True))
         assert info.value.check == "unipotent split C = z·Q"
 
+    @pytest.mark.parametrize("term, entry", [("xyz", "t123 = 1/6"), ("x2z", "t113 = 1/3")])
+    def test_split_not_tangent_at_w_fails_the_named_post_check(
+            self, unipotent_frame_vectors, L_z, term, entry):
+        """An xyz or x^2 z term leaves C∘M = z·Q with E != 0, but with
+        q12 != 0 or q11 != 0, so z is not tangent to Q at w: with the relation
+        gate forced open, the split post-check names the entry."""
+        T = TrilinearForm.from_cubic_coefficients(
+            {"z3": 1, "xz2": 6, "y2z": -3, "yz2": 3, term: 1})
+        report = check_unipotent_relations(T, L_z, *unipotent_frame_vectors)
+        assert not report.overall
+        with pytest.raises(PostCheckFailed) as info:
+            unipotent_factorization(report._replace(overall=True))
+        assert info.value.check == "unipotent split C = z·Q"
+        assert str(info.value).endswith(f"nonzero frame entries {entry}")
+
     def test_lefschetz_violation_precedes_relation_gate(
-        self, split_cubic, unipotent_frame_vectors
+        self, split_cubic, unipotent_frame_vectors, L_z
     ):
         """E = 0 is a geometric inconsistency even when the relation report
         fails: the deeper obstruction is reported first."""
-        w, w1, w2 = unipotent_frame_vectors
-        bad_report = RelationReport.from_rows([])  # trivially passing
+        report = check_unipotent_relations(split_cubic, L_z, *unipotent_frame_vectors)
+        assert not report.overall
         with pytest.raises(GeometricInconsistency) as exc:
-            unipotent_factorization(split_cubic, w, w1, w2, relation_report=bad_report)
+            unipotent_factorization(report)
         assert exc.value.mechanism == LEFSCHETZ
 
     def test_failed_report_blocks_when_e_nonzero(
         self, unipotent_cubic, golden_cubic, L_z, unipotent_frame_vectors
     ):
-        w, w1, w2 = unipotent_frame_vectors
-        bad = check_unipotent_relations(golden_cubic, L_z, w, w1, w2)
+        bad = check_unipotent_relations(golden_cubic, L_z, *unipotent_frame_vectors)
         # golden cubic has T(w, w2, w2) = T(e1, e3, e3) = 0, so Lefschetz fires
         with pytest.raises(GeometricInconsistency):
-            unipotent_factorization(golden_cubic, w, w1, w2, relation_report=bad)
+            unipotent_factorization(bad)
 
-    def test_tangency(self, unipotent_cubic, unipotent_frame_vectors):
-        w, w1, w2 = unipotent_frame_vectors
-        fact = unipotent_factorization(unipotent_cubic, w, w1, w2)
-        # w = (1,0,0) in frame coordinates lies on Q and the tangent there is z
-        assert fact.quadric.eval((1, 0, 0)) == 0
-        assert tangent_plane(fact.quadric, (1, 0, 0)) == (surd(0), surd(0), surd(1))
+    def test_tangency(self, unipotent_cubic, unipotent_frame_vectors, L_z):
+        fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
+        # w = (1,0,0) in frame coordinates lies on Q (q11 = 0) and the tangent
+        # there, row 1 of Q, is z (q12 = 0 != q13)
+        assert fact.quadric.m[0][:2] == (0, 0)
+        assert fact.quadric.m[0][2] != 0
 
 
 class TestReconstructionAndSingularLocus:
-    def test_three_lines_singular_lines(self, golden_cubic, golden_frame):
+    def test_three_lines_singular_lines(self, golden_cubic, golden_frame, L_z):
         u, v, w = golden_frame
-        fact = hyperbolic_factorization(golden_cubic, u, v, w)
+        fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         lines = singular_locus(fact)
         assert len(lines) == 3
         expected = {projective_normalize(p) for p in (u, v, w)}
         assert set(lines) == expected
 
-    def test_quadric_line_singular_lines(self, golden_cubic_quadric, golden_frame):
+    def test_quadric_line_singular_lines(self, golden_cubic_quadric, golden_frame, L_z):
         u, v, w = golden_frame
-        fact = hyperbolic_factorization(golden_cubic_quadric, u, v, w)
+        fact = hyperbolic_split(golden_cubic_quadric, L_z, golden_frame)
         lines = singular_locus(fact)
         assert set(lines) == {projective_normalize(u), projective_normalize(v)}
 
-    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, monkeypatch):
+    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, L_z, monkeypatch):
         """A claimed singular line on which the gradient does not vanish raises
         the named post-check, not a bare ArithmeticError."""
-        fact = hyperbolic_factorization(golden_cubic, *golden_frame)
+        fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         one = QuadSurd(1)
         monkeypatch.setattr(cubic_geometry, "projective_normalize", lambda v: (one, one, one))
         with pytest.raises(PostCheckFailed) as info:
             singular_locus(fact)
         assert info.value.check == "singular-locus gradient"
 
-    def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors):
-        w, w1, w2 = unipotent_frame_vectors
-        fact = unipotent_factorization(unipotent_cubic, w, w1, w2)
-        assert singular_locus(fact) == [projective_normalize(w)]
+    def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors, L_z):
+        fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
+        assert singular_locus(fact) == [projective_normalize(unipotent_frame_vectors[0])]
 
     def test_tampered_factorizations_do_not_reconstruct(
         self, golden_cubic, golden_cubic_quadric, golden_frame, unipotent_cubic,
-        unipotent_frame_vectors,
+        unipotent_frame_vectors, L_z,
     ):
         """Changing any one of the six entries of Q breaks the reconstruction."""
         facts = [
-            hyperbolic_factorization(golden_cubic, *golden_frame),
-            hyperbolic_factorization(golden_cubic_quadric, *golden_frame),
-            unipotent_factorization(unipotent_cubic, *unipotent_frame_vectors),
+            hyperbolic_split(golden_cubic, L_z, golden_frame),
+            hyperbolic_split(golden_cubic_quadric, L_z, golden_frame),
+            unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors),
         ]
         for fact in facts:
             assert reconstructs(fact)
@@ -403,9 +407,7 @@ class TestReconstructionAndSingularLocus:
             assert isinstance(verdict, UnipotentFull)
             rep = check_unipotent_relations(T2, L2, verdict.w, verdict.w1, verdict.w2)
             assert rep.overall
-            fact = unipotent_factorization(
-                T2, verdict.w, verdict.w1, verdict.w2, relation_report=rep
-            )
+            fact = unipotent_factorization(rep)
             assert reconstructs(fact)
 
     def test_hyperbolic_reconstruction_survives_base_change(
@@ -424,9 +426,7 @@ class TestReconstructionAndSingularLocus:
                 assert isinstance(verdict, Hyperbolic)
                 rep = check_hyperbolic_relations(T2, L2, verdict.u, verdict.v, verdict.w)
                 assert rep.overall
-                fact = hyperbolic_factorization(
-                    T2, verdict.u, verdict.v, verdict.w, relation_report=rep
-                )
+                fact = hyperbolic_factorization(rep)
                 assert isinstance(fact, kind)
                 # Q is only defined up to sign (rescaling the frame), so the
                 # projective invariant is the inertia up to swapping + and -

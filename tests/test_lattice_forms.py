@@ -326,6 +326,20 @@ class TestVectors:
         with pytest.raises(ZeroVector):
             primitive_part((0, 0, 0))
 
+    @pytest.mark.parametrize("v", [(Fraction(3, 2), 0, 0), (1.9, 0, 0), (1.0, 0, 0), (True, 0, 0)])
+    def test_primitive_part_of_a_non_integer_rejected(self, v):
+        """No coordinate is truncated: (3/2, 0, 0) and (1.9, 0, 0) gave (1, 0, 0)."""
+        with pytest.raises(ValidationError):
+            primitive_part(v)
+
+    def test_primitive_part_of_integral_fractions(self):
+        assert primitive_part((Fraction(-4), 0, Fraction(6, 3))) == ((2, 0, -1), 2, True)
+
+    def test_float_coordinate_rejected_by_trilinear_eval(self):
+        T = TrilinearForm.from_cubic_coefficients({"x3": 1})
+        with pytest.raises(ValidationError):
+            trilinear_eval(T, (0.1, 0, 0), (1, 0, 0), (1, 0, 0))
+
     def test_projective_normalize(self):
         v = projective_normalize((0, 3, -6))
         assert v == (QuadSurd(0), QuadSurd(1), QuadSurd(-2))
