@@ -29,7 +29,7 @@ TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = s * f**2 with s squarefree; returns (s, f). Requires n >= 0.
+    """Write n = s * f**2 with s squarefree; returns (s, f). n < 0 raises ValidationError.
 
     Trial division runs only while p**3 <= m, the cofactor left after removing
     every prime below p, so it costs O(n**(1/3)) steps. The m left then has at
@@ -38,7 +38,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     divisor would pass TRIAL_DIVISION_LIMIT, a cofactor that is a perfect
     square r**2 still gives f*r; any other raises RadicandTooLarge."""
     if n < 0:
-        raise ValueError("negative radicand")
+        raise ValidationError("negative radicand")
     if n in (0, 1):
         return n, 1
     s, f, m = 1, 1, n
@@ -105,7 +105,7 @@ class QuadSurd:
     Canonical form: den > 0, gcd(p, q, den) = 1, square factors of d are pulled
     into q, and d <= 1 collapses to a rational (q = 0, d = 0). Instances are
     immutable by convention. The public constructor takes a, b as ints or
-    Fractions and an int d >= 0, and raises ValidationError for any other type;
+    Fractions and an int d >= 0, and raises ValidationError for anything else;
     `_from_ints` is the trusted one.
     """
 
@@ -118,7 +118,7 @@ class QuadSurd:
                                   f"an int: {a!r}, {b!r}, {d!r}")
         a, b = Fraction(a), Fraction(b)
         if d < 0:
-            raise ValueError("negative field discriminant")
+            raise ValidationError("negative field discriminant")
         if b and d > 1:
             d, f = squarefree_decompose(d)
             b *= f

@@ -292,8 +292,8 @@ def enumerate_symmetries(
         raise ValidationError(f"bound {bound} must be nonnegative")
     if bound > ENUMERATION_BOUND_GUARD and not allow_large_bound:
         raise BoundTooLarge(f"bound {bound} exceeds the guard {ENUMERATION_BOUND_GUARD}")
-    dt = T.scaled
-    l = L.coefficients()
+    t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = T.flat
+    l, diagonal = L.coefficients(), (t111, t222, t333)
     # Column pools: c is a candidate j-th column iff L(c) = l_j and
     # (D·T)(c, c, c) = (D·T)_jjj; each is kept with s = (D·T)(c, c, ·).
     pools = ([], [], [])
@@ -304,10 +304,8 @@ def enumerate_symmetries(
         s = _matvec(T.contract(c), c)
         cc = _dot(s, c)
         for j in range(3):
-            if lc == l[j] and cc == dt[j][j][j]:
+            if lc == l[j] and cc == diagonal[j]:
                 pools[j].append((c, s))
-    t112, t113, t122, t123 = dt[0][0][1], dt[0][0][2], dt[0][1][1], dt[0][1][2]
-    t133, t223, t233 = dt[0][2][2], dt[1][1][2], dt[1][2][2]
     found = []
     for c3, s33 in pools[2]:
         m3 = T.contract(c3)  # (D·T)(c3, ·, ·)

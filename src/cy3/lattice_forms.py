@@ -59,15 +59,17 @@ _MONOMIAL_SLOTS = {name: (ENTRY_KEYS.index(key), 6 // multinomial(*key))
 class TrilinearForm:
     """Fully symmetric trilinear form on the rank-3 lattice, exact entries.
 
-    The form is held as the integer tensor `scaled` = D·T, nested 3x3x3 tuples
-    indexed from 0, over the least common denominator `scale` = D of its
-    entries (a divisor of 6 for an integral cubic). Pullbacks, invariance
-    checks and enumeration run on it in plain ints; the entries T[ijk] are
-    `Fraction` views. Entries are given as ints or Fractions on the ten sorted
-    index triples; any other key or value raises ValidationError.
+    The form is held as the integer tensor D·T over the least common
+    denominator `scale` = D of its entries (a divisor of 6 for an integral
+    cubic): `flat` is the tuple of its ten distinct entries in ENTRY_KEYS
+    order, and `scaled` the same tensor as nested 3x3x3 tuples indexed from
+    0. Pullbacks, invariance checks and enumeration run on it in plain ints;
+    the entries T[ijk] are `Fraction` views. Entries are given as ints or
+    Fractions on the ten sorted index triples; any other key or value raises
+    ValidationError.
     """
 
-    __slots__ = ("scale", "scaled")
+    __slots__ = ("scale", "flat", "scaled")
 
     def __init__(self, entries: Mapping[tuple[int, int, int], int | Fraction]):
         unknown = set(entries) - set(ENTRY_KEYS)
@@ -80,20 +82,21 @@ class TrilinearForm:
         scale = lcm(*(v.denominator for v in values))
         form = TrilinearForm._from_scaled(
             [v.numerator * (scale // v.denominator) for v in values], scale)
-        self.scale, self.scaled = form.scale, form.scaled
+        self.scale, self.flat, self.scaled = form.scale, form.flat, form.scaled
 
     @classmethod
     def _from_scaled(cls, scaled: Collection[int], scale: int):
         """The trusted constructor: the form whose entries are the ten integers
         `scaled`, in ENTRY_KEYS order, over scale > 0. Divides out one gcd, so
-        (scale, scaled) is canonical, and writes out the nested tensor."""
+        (scale, flat) is canonical, and writes out the nested tensor."""
         g = gcd(scale, *scaled)
-        t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = (
-            scaled if g == 1 else [x // g for x in scaled])
+        flat = tuple(scaled) if g == 1 else tuple([x // g for x in scaled])
+        t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = flat
         r11, r12, r13 = (t111, t112, t113), (t112, t122, t123), (t113, t123, t133)
         r22, r23, r33 = (t122, t222, t223), (t123, t223, t233), (t133, t233, t333)
         obj = object.__new__(cls)
-        obj.scale, obj.scaled = scale // g, ((r11, r12, r13), (r12, r22, r23), (r13, r23, r33))
+        obj.scale, obj.flat = scale // g, flat
+        obj.scaled = ((r11, r12, r13), (r12, r22, r23), (r13, r23, r33))
         return obj
 
     def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -101,10 +104,7 @@ class TrilinearForm:
         as a tuple of rows: its six distinct entries from the ten distinct
         entries of D·T, 18 products. The library's one contraction of D·T."""
         a, b, c = v
-        p, q, r = self.scaled
-        (t111, t112, t113), (_, t122, t123), (_, _, t133) = p
-        _, (_, t222, t223), (_, _, t233) = q
-        t333 = r[2][2]
+        t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = self.flat
         m12 = a * t112 + b * t122 + c * t123
         m13 = a * t113 + b * t123 + c * t133
         m23 = a * t123 + b * t223 + c * t233
@@ -141,10 +141,10 @@ class TrilinearForm:
     def __eq__(self, other):
         if not isinstance(other, TrilinearForm):
             return NotImplemented
-        return (self.scale, self.scaled) == (other.scale, other.scaled)
+        return (self.scale, self.flat) == (other.scale, other.flat)
 
     def __hash__(self):
-        return hash((self.scale, self.scaled))
+        return hash((self.scale, self.flat))
 
     def __repr__(self):
         nonzero = {name: str(c) for name, c in self.cubic_coefficients().items() if c}
@@ -361,31 +361,32 @@ def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
     return tuple(_from_ints(x, y, T.scale * den * den, d) for x, y in zip(*s))
 
 
-# The pairs i <= j of column indices whose covectors (D·T)(f_i, f_j, ·) give
-# every sorted entry (i, j, k), k >= j, in the order of ENTRY_KEYS.
-_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+# The pairs i <= j of column indices, from 0, whose covectors (D·T)(f_i, f_j, ·)
+# give every sorted entry (i, j, k), k >= j, in the order of ENTRY_KEYS.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> dict:
-    """Entries of (D·T)(f_i, f_j, f_k) on sorted index triples, for columns
-    f = p + q·√d given as integer vectors: ints when q is None (the columns of
-    a lattice map), else integer pairs (rational part, √d part). Each covector
-    (D·T)(f_i, f_j, ·), i <= j, is formed once and dotted with every f_k, k >= j."""
-    out = {}
+def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> tuple:
+    """The ten entries of (D·T)(f_i, f_j, f_k), in ENTRY_KEYS order, for
+    columns f = p + q·√d given as integer vectors: ints when q is None (the
+    columns of a lattice map), else integer pairs (rational part, √d part).
+    Each covector (D·T)(f_i, f_j, ·), i <= j, is formed once and dotted with
+    every f_k, k >= j; on ints that is three contractions, six matrix-vector
+    products and ten dot products, written out."""
     if q is None:
-        m = [T.contract(c) for c in p]
-        for i, j in _PAIRS:
-            s = _matvec(m[i - 1], p[j - 1])
-            for k in range(j, 4):
-                out[i, j, k] = _dot(s, p[k - 1])
-        return out
+        f1, f2, f3 = p
+        m1, m2, m3 = T.contract(f1), T.contract(f2), T.contract(f3)
+        s11, s12, s13 = _matvec(m1, f1), _matvec(m1, f2), _matvec(m1, f3)
+        s22, s23, s33 = _matvec(m2, f2), _matvec(m2, f3), _matvec(m3, f3)
+        return (_dot(s11, f1), _dot(s11, f2), _dot(s11, f3), _dot(s12, f2), _dot(s12, f3),
+                _dot(s13, f3), _dot(s22, f2), _dot(s22, f3), _dot(s23, f3), _dot(s33, f3))
     cols = tuple(zip(p, q))
     m = [(T.contract(a), T.contract(b)) for a, b in cols]
+    out = []
     for i, j in _PAIRS:
-        s = _pair_apply(m[i - 1], cols[j - 1], d)
-        for k in range(j, 4):
-            out[i, j, k] = _pair_dot(s, cols[k - 1], d)
-    return out
+        s = _pair_apply(m[i], cols[j], d)
+        out += [_pair_dot(s, cols[k], d) for k in range(j, 3)]
+    return tuple(out)
 
 
 def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, QuadSurd]:
@@ -397,25 +398,22 @@ def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, Quad
     p, q = (p[:3], p[3:6], p[6:]), (q[:3], q[3:6], q[6:])
     scale = T.scale * den ** 3
     if not d:
-        return {key: _from_ints(x, 0, scale, 0) for key, x in _scaled_pullback(T, p).items()}
+        return {key: _from_ints(x, 0, scale, 0)
+                for key, x in zip(ENTRY_KEYS, _scaled_pullback(T, p))}
     return {key: _from_ints(x, y, scale, d)
-            for key, (x, y) in _scaled_pullback(T, p, q, d).items()}
+            for key, (x, y) in zip(ENTRY_KEYS, _scaled_pullback(T, p, q, d))}
 
 
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:
     """Pullback (g·T)(a, b, c) = T(g a, g b, g c), exact."""
-    return TrilinearForm._from_scaled(_scaled_pullback(T, tuple(zip(*g.rows))).values(), T.scale)
+    return TrilinearForm._from_scaled(_scaled_pullback(T, tuple(zip(*g.rows))), T.scale)
 
 
 def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:
-    """True iff g leaves both the cubic and the linear form invariant."""
-    if L.compose(g) != L:
-        return False
-    dt = T.scaled
-    return all(
-        dt[i - 1][j - 1][k - 1] == value
-        for (i, j, k), value in _scaled_pullback(T, tuple(zip(*g.rows))).items()
-    )
+    """True iff g leaves both the cubic and the linear form invariant: L∘g = L,
+    and the ten entries of the pullback over D equal those of D·T, compared
+    as one tuple."""
+    return L.compose(g) == L and _scaled_pullback(T, tuple(zip(*g.rows))) == T.flat
 
 
 # -- vectors -------------------------------------------------------------------

@@ -73,7 +73,7 @@ class TestSquarefreeCubeRootBoundary:
         assert squarefree_decompose(2**k) == (2 ** (k % 2), 2 ** (k // 2))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             squarefree_decompose(-4)
 
 
@@ -133,7 +133,7 @@ class TestNormalize:
         assert q == again
 
     def test_negative_radicand_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             QuadSurd(1, 1, -5)
 
     @pytest.mark.parametrize("a, b, d", [

@@ -654,16 +654,50 @@ scaled_forms = st.builds(TrilinearForm._from_scaled, st.tuples(*[big] * 10), st.
 @given(scaled_forms, int_columns)
 def test_scaled_pullback_matches_the_triple_sum(T, p):
     zero = ((0, 0, 0),) * 3
-    assert _scaled_pullback(T, p) == {
-        key: x for key, (x, _) in naive_pullback(T.scaled, p, zero, 0).items()}
-    assert list(_scaled_pullback(T, p)) == list(ENTRY_KEYS)
+    naive = naive_pullback(T.scaled, p, zero, 0)
+    assert _scaled_pullback(T, p) == tuple(naive[key][0] for key in ENTRY_KEYS)
 
 
 @given(scaled_forms, int_columns, int_columns, st.sampled_from([2, 3, 5, 13]))
 def test_scaled_pullback_on_pairs_matches_the_triple_sum(T, p, q, d):
-    table = _scaled_pullback(T, p, q, d)
-    assert table == naive_pullback(T.scaled, p, q, d)
-    assert list(table) == list(ENTRY_KEYS)
+    naive = naive_pullback(T.scaled, p, q, d)
+    assert _scaled_pullback(T, p, q, d) == tuple(naive[key] for key in ENTRY_KEYS)
+
+
+@st.composite
+def pair_checks(draw):
+    """A (g, T, L) triple: one time in four a known automorph of its cubic
+    with L = z, which preserves the pair, otherwise a random word against a
+    random form and L, which mostly does not."""
+    if draw(st.integers(0, 3)) == 0:
+        coeffs, h = draw(st.sampled_from(AUTOMORPHED))
+        return LatticeMap(h), TrilinearForm.from_cubic_coefficients(coeffs), LinearForm(0, 0, 1)
+    g = random_unimodular(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 4)))
+    return g, draw(cubics()), LinearForm(*draw(st.tuples(*[st.integers(-2, 2)] * 3)))
+
+
+@given(pair_checks())
+def test_preserves_pair_is_the_pullback_and_the_l_check(triple):
+    g, T, L = triple
+    assert preserves_pair(g, T, L) == (transform_cubic(T, g) == T and L.compose(g) == L)
+
+
+def assert_flat_is_the_nested_tensor(T):
+    """`flat` is a tuple of ten ints, and each of the 27 nested entries is the
+    flat entry of its sorted key."""
+    assert type(T.flat) is tuple and len(T.flat) == 10 and all(type(x) is int for x in T.flat)
+    for i, j, k in product(range(3), repeat=3):
+        key = tuple(sorted((i + 1, j + 1, k + 1)))
+        assert T.scaled[i][j][k] == T.flat[ENTRY_KEYS.index(key)]
+
+
+@given(st.dictionaries(st.sampled_from(ENTRY_KEYS), rationals), coeff_strategy,
+       st.integers(0, 2**32 - 1))
+def test_flat_entries_agree_with_the_nested_tensor(entries, coeffs, seed):
+    g = random_unimodular(random.Random(seed), steps=4)
+    for T in (TrilinearForm(entries), TrilinearForm.from_cubic_coefficients(coeffs)):
+        assert_flat_is_the_nested_tensor(T)
+        assert_flat_is_the_nested_tensor(transform_cubic(T, g))
 
 
 def entries(kind, d):
