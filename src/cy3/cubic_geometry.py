@@ -13,13 +13,19 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .core_arith import QuadSurd
+from .core_arith import QuadSurd, _from_ints, _pair_sign
 from .errors import GeometricInconsistency, PostCheckFailed, RelationsNotVerified, ValidationError
 from .lattice_forms import (
     LinearForm,
     TrilinearForm,
     _as_surd,
-    _det3,
+    _dot,
+    _int_pairs,
+    _pair_apply,
+    _pair_cross,
+    _pair_dot,
+    _rows3,
+    clear_frame,
     frame_table,
     polar,
     projective_normalize,
@@ -40,8 +46,9 @@ class RelationRow(NamedTuple):
 class RelationReport(NamedTuple):
     rows: tuple[RelationRow, ...]
     overall: bool
-    # (T, frame, table): the cubic, the frame and the frame table the rows
-    # were read off, which the factorization reads its split off; not rendered.
+    # (T, frame, table, cleared): the cubic, the frame, the table read off
+    # its `clear_frame` clearing and that clearing, which the factorization
+    # and its singular lines read off; not rendered.
     source: tuple
 
     @classmethod
@@ -55,9 +62,8 @@ class RelationReport(NamedTuple):
         return [r.name for r in self.rows if not r.holds]
 
 
-def _row(name: str, left, right=QuadSurd(0), *, equal: bool = True) -> RelationRow:
-    """The row "left = right", or "left != right" when `equal` is False."""
-    left, right = _as_surd(left), _as_surd(right)
+def _row(name: str, left: QuadSurd, right=QuadSurd(0), *, equal: bool = True) -> RelationRow:
+    """The row "left = right" of surds, or "left != right" when `equal` is False."""
     return RelationRow(name, left, right, (left == right) == equal)
 
 
@@ -67,12 +73,17 @@ class QuadraticForm:
     __slots__ = ("m",)
 
     def __init__(self, m: Sequence[Sequence]):
-        m = tuple(tuple(_as_surd(x) for x in row) for row in m)
-        if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValidationError("expected a 3x3 matrix")
+        m = tuple(tuple(_as_surd(x) for x in row) for row in _rows3(m))
         if m != tuple(zip(*m)):
             raise ValidationError("matrix is not symmetric")
         self.m = m
+
+    @classmethod
+    def _from_rows(cls, m: tuple) -> "QuadraticForm":
+        """The trusted constructor: a symmetric 3x3 tuple of surds."""
+        obj = object.__new__(cls)
+        obj.m = m
+        return obj
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
@@ -90,6 +101,7 @@ class Factorization(NamedTuple):
     cubic: TrilinearForm
     frame: tuple  # columns (f1, f2, f3)
     quadric: QuadraticForm  # in frame coordinates
+    cleared: tuple  # the frame as `clear_frame` cleared it for the relations
 
 
 class _HyperbolicSplit(Factorization):
@@ -142,11 +154,17 @@ Z_FREE = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
 
 
 def _read_quadric(t) -> QuadraticForm:
-    """Q with C∘M = z·Q, read off the frame table t of a split cubic."""
-    q12, q13, q23 = t[1, 2, 3] * 3, t[1, 3, 3] * 3 / 2, t[2, 3, 3] * 3 / 2
-    return QuadraticForm((
-        (t[1, 1, 3] * 3, q12, q13),
-        (q12, t[2, 2, 3] * 3, q23),
+    """Q with C∘M = z·Q, built on the ints of the entries of the frame table
+    t of a split cubic."""
+
+    def q(key, den=1):
+        x = t[key]
+        return _from_ints(3 * x.p, 3 * x.q, den * x.den, x.d)
+
+    q12, q13, q23 = q((1, 2, 3)), q((1, 3, 3), 2), q((2, 3, 3), 2)
+    return QuadraticForm._from_rows((
+        (q((1, 1, 3)), q12, q13),
+        (q12, q((2, 2, 3)), q23),
         (q13, q23, t[3, 3, 3]),
     ))
 
@@ -170,12 +188,16 @@ def check_hyperbolic_relations(
     T: TrilinearForm, L: LinearForm, u: Sequence, v: Sequence, w: Sequence
 ) -> RelationReport:
     """The eight vanishing triple products of a hyperbolic frame, read off
-    its frame table, plus L(u) = L(v) = 0, all exact."""
+    its frame table, plus L(u) = L(v) = 0, all exact. The frame is cleared
+    once; the table and L(u), L(v) are read off that clearing."""
     frame = tuple(tuple(_as_surd(x) for x in f) for f in (u, v, w))
-    t = frame_table(T, frame)
+    cleared = clear_frame(frame)
+    d, den, p, q = cleared
+    t = frame_table(T, cleared)
     rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]
-    return RelationReport.from_rows([*rows, _row("L(u)", L(u)), _row("L(v)", L(v))],
-                                    (T, frame, t))
+    rows += [_row(f"L({name})", _from_ints(_dot(L, p[i]), _dot(L, q[i]), den, d))
+             for i, name in enumerate("uv")]
+    return RelationReport.from_rows(rows, (T, frame, t, cleared))
 
 
 def hyperbolic_factorization(relations: RelationReport) -> Factorization:
@@ -189,12 +211,12 @@ def hyperbolic_factorization(relations: RelationReport) -> Factorization:
     """
     if not relations.overall:
         raise RelationsNotVerified(f"failing relations: {relations.failing}")
-    T, frame, t = relations.source
+    T, frame, t, cleared = relations.source
     if not t[1, 2, 3]:
         raise GeometricInconsistency(HODGE_INDEX, "B = T(u, v, w) = 0")
     quadric = _checked_quadric(t, "hyperbolic split C = z(A z^2 + 6B xy)",
                                ((1, 1, 3), (2, 2, 3), (1, 3, 3), (2, 3, 3)))
-    return (QuadricLine if t[3, 3, 3] else ThreeLines)(T, frame, quadric)
+    return (QuadricLine if t[3, 3, 3] else ThreeLines)(T, frame, quadric, cleared)
 
 
 def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
@@ -203,11 +225,15 @@ def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
     real (Q is real symmetric), so by Descartes' rule of signs p(t) and p(-t)
     have as many positive roots as sign changes; 0 is a root as often as
     trailing coefficients vanish. The coefficient m is the sum of the three
-    principal 2x2 minors."""
-    m = Q.m
-    (a, b, c), (_, e, f), (_, _, i) = m
-    minors = a * e - b * b + a * i - c * c + e * i - f * f
-    signs = [1, -(a + e + i).sign(), minors.sign(), -_det3(m).sign()]
+    principal 2x2 minors, the diagonal of the adjugate. All three are signs
+    of integer pairs: Q cleared over one denominator D > 0 scales them by
+    D, D² and D³."""
+    d, _, p, q = _int_pairs([x for row in Q.m for x in row])
+    r1, r2, r3 = (p[:3], q[:3]), (p[3:6], q[3:6]), (p[6:], q[6:])
+    a1, a2, a3 = _pair_cross(r2, r3, d), _pair_cross(r3, r1, d), _pair_cross(r1, r2, d)  # adj(Q)
+    signs = [1, -_pair_sign(p[0] + p[4] + p[8], q[0] + q[4] + q[8], d),
+             _pair_sign(a1[0][0] + a2[0][1] + a3[0][2], a1[1][0] + a2[1][1] + a3[1][2], d),
+             -_pair_sign(*_pair_dot(r1, a1, d), d)]
 
     def changes(seq):
         nonzero = [x for x in seq if x]
@@ -228,11 +254,12 @@ def check_unipotent_relations(
     certification needs.
     """
     frame = (w, w1, w2)
-    t = frame_table(T, frame)
+    cleared = clear_frame(frame)
+    t = frame_table(T, cleared)
     ww22 = t[1, 3, 3]
     rows = [
-        _row("L(w)", L(w)),
-        _row("L(w1)", L(w1)),
+        _row("L(w)", _as_surd(L(w))),
+        _row("L(w1)", _as_surd(L(w1))),
         *[_row(f"w^2·e{i + 1}", x) for i, x in enumerate(polar(T, w))],
         _row("w1^3", t[2, 2, 2]),
         _row("w·w1^2", t[1, 2, 2]),
@@ -241,7 +268,7 @@ def check_unipotent_relations(
         _row("w·w2^2 = -2·w1^2·w2", ww22, t[2, 2, 3] * (-2)),
         _row("w·w2^2 ≠ 0", ww22, equal=False),
     ]
-    return RelationReport.from_rows(rows, (T, frame, t))
+    return RelationReport.from_rows(rows, (T, frame, t, cleared))
 
 
 def unipotent_factorization(relations: RelationReport) -> UnipotentSplit:
@@ -252,13 +279,13 @@ def unipotent_factorization(relations: RelationReport) -> UnipotentSplit:
     report raises RelationsNotVerified. The split is post-checked on the frame
     table. With E = q13 != 0, L = z is tangent to Q at w = (1, 0, 0) exactly
     when q11 = q12 = 0, so t113 and t123 must vanish too."""
-    T, frame, t = relations.source
+    T, frame, t, cleared = relations.source
     if not t[1, 3, 3]:
         raise GeometricInconsistency(LEFSCHETZ, "E = 3·T(w, w2, w2)/2 = 0")
     if not relations.overall:
         raise RelationsNotVerified(f"failing relations: {relations.failing}")
     q = _checked_quadric(t, "unipotent split C = z·Q", ((1, 1, 3), (1, 2, 3)))
-    return UnipotentSplit(T, frame, q)
+    return UnipotentSplit(T, frame, q, cleared)
 
 
 # -- singular loci ------------------------------------------------------------
@@ -271,12 +298,14 @@ def singular_locus(fact: Factorization) -> list[tuple]:
     -E y^2 = 0.
 
     Every returned line is post-checked against the gradient of C, computed
-    from T: T(pt, pt, ·) must vanish."""
+    from T: T(pt, pt, ·) must vanish. That is a nonzero multiple of the
+    integer-pair contraction of the line's column (p, q) in the cleared frame."""
     n = 3 if isinstance(fact, ThreeLines) else 2 if isinstance(fact, QuadricLine) else 1
+    T, (d, _, p, q) = fact.cubic, fact.cleared
     out = []
-    for line in fact.frame[:n]:
+    for line, x in zip(fact.frame[:n], zip(p, q)):
         pt = projective_normalize(line)
-        if any(polar(fact.cubic, pt)):
+        if any(map(any, _pair_apply((T.contract(x[0]), T.contract(x[1])), x, d))):
             raise PostCheckFailed(
                 "singular-locus gradient",
                 f"gradient does not vanish on claimed singular line {pt}",

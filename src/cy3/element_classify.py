@@ -4,7 +4,8 @@ deficient Jordan block. All eigen-data is computed exactly on integers. The
 eigenline v of alpha = (s + f√d)/2 is the kernel line of 2g - (s + f√d)·id, one
 cross product of two of its rows, normalized on integer pairs; since g is
 integral, the eigenline u of 1/alpha is the Galois conjugate of v, coordinate
-by coordinate. Every returned eigenvector is checked against its eigen-equation.
+by coordinate. Every returned eigenvector is checked against its eigen-equation
+on those integer pairs before its surds are built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .lattice_forms import (
     _IDENTITY_ROWS,
     LatticeMap,
     LinearForm,
-    _int_pairs,
     _matvec,
     cross,
     primitive_part,
@@ -130,29 +130,15 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
     return primitive_part(line[0]).vector
 
 
-def _eigenvector_real_pair(g: LatticeMap, s: int, f: int, d: int) -> tuple:
-    """Projective kernel vector of 2g - (s + f√d)·id, the eigenline of
-    (s + f√d)/2, normalized to a first nonzero coordinate of 1 on integers:
-    with pivot a + b√d, the first nonzero kernel coordinate, each coordinate
-    p + q√d becomes (p + q√d)(a - b√d)/(a² - d·b²)."""
-    line = _kernel_line(g, s, f, d)
-    if line is None:
-        raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
-    p, q = line
-    a, b = next((x, y) for x, y in zip(p, q) if x or y)
-    n = a * a - d * b * b
-    return tuple(_from_ints(x * a - d * y * b, y * a - x * b, n, d) for x, y in zip(p, q))
-
-
-def _check_real_pair_eigenvector(g: LatticeMap, x: tuple, s: int, f: int, d: int,
-                                 check: str) -> None:
-    """2·g·X = (s + f√d)·X on the integer pairs X = (p + q√d)/den of x."""
-    dx, _, p, q = _int_pairs(x)
-    if dx not in (0, d) or any(
-        2 * gp != s * pi + f * d * qi or 2 * gq != s * qi + f * pi
-        for gp, gq, pi, qi in zip(g.apply(p), g.apply(q), p, q)
-    ):
+def _eigenvector(g: LatticeMap, x: tuple, n: int, s: int, f: int, d: int,
+                 check: str) -> tuple:
+    """(p + q√d)/n for x = (p, q), built after the check 2·g·(p + q√d) =
+    (s + f√d)·(p + q√d) on the ints."""
+    p, q = x
+    if any(2 * gp != s * pi + f * d * qi or 2 * gq != s * qi + f * pi
+           for gp, gq, pi, qi in zip(g.apply(p), g.apply(q), p, q)):
         raise PostCheckFailed(check)
+    return tuple([_from_ints(a, b, n, d) for a, b in zip(p, q)])
 
 
 def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
@@ -160,16 +146,25 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     eigenvalues are real, i.e. |s| > 2 for s = trace - 1: alpha is the larger
     root of t^2 - s*t + 1, v its eigenvector, u the eigenvector for 1/alpha
     and w the primitive fixed vector. For s < -2 both roots are negative and
-    |alpha| < 1. The eigen-equations are checked before returning."""
+    |alpha| < 1. v is the kernel line of 2g - (s + f√d)·id with pivot
+    a + b√d, its first nonzero coordinate, normalized to 1 on integers: each
+    p + q√d becomes (P + Q√d)/n = (p + q√d)(a - b√d)/(a² - d·b²)."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
     f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d
-    v = _eigenvector_real_pair(g, s, f, d)
-    # g is integral, so √d -> -√d maps the eigenline of alpha onto that of 1/alpha.
-    u = tuple(x.conjugate() for x in v)
+    line = _kernel_line(g, s, f, d)
+    if line is None:
+        raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
+    p, q = line
+    a, b = next((x, y) for x, y in zip(p, q) if x or y)
+    n = a * a - d * b * b
+    P = tuple([x * a - d * y * b for x, y in zip(p, q)])
+    Q = tuple([y * a - x * b for x, y in zip(p, q)])
     w = _eigenvector_1(g)
-    _check_real_pair_eigenvector(g, u, s, -f, d, "eigen-equation g u = u / alpha")
-    _check_real_pair_eigenvector(g, v, s, f, d, "eigen-equation g v = alpha v")
+    # g is integral, so √d -> -√d maps the eigenline of alpha onto that of 1/alpha.
+    u = _eigenvector(g, (P, tuple([-y for y in Q])), n, s, -f, d,
+                     "eigen-equation g u = u / alpha")
+    v = _eigenvector(g, (P, Q), n, s, f, d, "eigen-equation g v = alpha v")
     if g.apply(w) != w:
         raise PostCheckFailed("eigen-equation g w = w")
     if not (alpha * beta == 1 and alpha + beta == s):

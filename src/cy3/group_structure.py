@@ -98,11 +98,15 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
 
     Passing to 4th powers removes the finite ambiguity of line swaps and signs,
     so the returned value is a multiplicative character on the group. Both
-    lines are cleared once to integer pairs p + q√d over one field; images and
-    same-line tests stay in plain ints, and the eigenvalue is one surd
-    quotient of two coordinates."""
+    lines are cleared once to integer pairs p + q√d over one field."""
     d, _, p, q = _int_pairs((*line1, *line2))
-    x1, x2 = (p[:3], q[:3]), (p[3:], q[3:])
+    return _scaling_value(h, d, (p[:3], q[:3]), (p[3:], q[3:]))
+
+
+def _scaling_value(h: LatticeMap, d: int, x1: tuple, x2: tuple) -> QuadSurd:
+    """scaling_character on lines given as integer pairs x = (p, q) of vectors
+    p + q√d: images and same-line tests stay in plain ints, and the eigenvalue
+    is one surd quotient of two coordinates."""
 
     def image(m, x):
         return _matvec(m, x[0]), _matvec(m, x[1])
@@ -115,6 +119,7 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
     if not same_line(img, x1, d):
         raise LinesNotPreserved("4th power does not fix line1")
     # beta = (P + Q√d)/(a + b√d) at a pivot i of line1
+    p, q = x1
     i = next(i for i in range(3) if p[i] or q[i])
     beta = _from_ints(img[0][i], img[1][i], 1, d) / _from_ints(p[i], q[i], 1, d)
     if beta.sign() <= 0:
@@ -509,12 +514,14 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
 
 
 def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdict:
-    u, v = fact.frame[:2]
+    # u and v as integer pairs, read off the frame the relations cleared
+    d, _, p, q = fact.cleared
+    u, v = (p[0], q[0]), (p[1], q[1])
     values = []
     for h in generators:
         try:
             # v carries the larger root alpha of the seed generator
-            values.append(scaling_character(h, v, u))
+            values.append(_scaling_value(h, d, v, u))
         except LinesNotPreserved as exc:
             return GroupVerdict(kind="Inconclusive", reason=str(exc))
     reductions.append("scaling character computed on 4th powers (index ≤ 4)")

@@ -51,8 +51,10 @@ def multinomial(i: int, j: int, k: int) -> int:
     return 6
 
 
-# Monomial key -> (its slot in ENTRY_KEYS, 6 / its multinomial weight).
-_MONOMIAL_SLOTS = {name: (ENTRY_KEYS.index(key), 6 // multinomial(*key))
+# Sorted index triple -> its slot in ENTRY_KEYS; monomial key -> (its slot,
+# 6 / its multinomial weight).
+_ENTRY_SLOTS = {key: slot for slot, key in enumerate(ENTRY_KEYS)}
+_MONOMIAL_SLOTS = {name: (_ENTRY_SLOTS[key], 6 // multinomial(*key))
                    for name, key in MONOMIAL_INDICES.items()}
 
 
@@ -62,14 +64,13 @@ class TrilinearForm:
     The form is held as the integer tensor D·T over the least common
     denominator `scale` = D of its entries (a divisor of 6 for an integral
     cubic): `flat` is the tuple of its ten distinct entries in ENTRY_KEYS
-    order, and `scaled` the same tensor as nested 3x3x3 tuples indexed from
-    0. Pullbacks, invariance checks and enumeration run on it in plain ints;
+    order. Pullbacks, invariance checks and enumeration run on it in plain ints;
     the entries T[ijk] are `Fraction` views. Entries are given as ints or
     Fractions on the ten sorted index triples; any other key or value raises
     ValidationError.
     """
 
-    __slots__ = ("scale", "flat", "scaled")
+    __slots__ = ("scale", "flat")
 
     def __init__(self, entries: Mapping[tuple[int, int, int], int | Fraction]):
         unknown = set(entries) - set(ENTRY_KEYS)
@@ -82,22 +83,24 @@ class TrilinearForm:
         scale = lcm(*(v.denominator for v in values))
         form = TrilinearForm._from_scaled(
             [v.numerator * (scale // v.denominator) for v in values], scale)
-        self.scale, self.flat, self.scaled = form.scale, form.flat, form.scaled
+        self.scale, self.flat = form.scale, form.flat
 
     @classmethod
     def _from_scaled(cls, scaled: Collection[int], scale: int):
         """The trusted constructor: the form whose entries are the ten integers
         `scaled`, in ENTRY_KEYS order, over scale > 0. Divides out one gcd, so
-        (scale, flat) is canonical, and writes out the nested tensor."""
+        (scale, flat) is canonical."""
         g = gcd(scale, *scaled)
-        flat = tuple(scaled) if g == 1 else tuple([x // g for x in scaled])
-        t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = flat
-        r11, r12, r13 = (t111, t112, t113), (t112, t122, t123), (t113, t123, t133)
-        r22, r23, r33 = (t122, t222, t223), (t123, t223, t233), (t133, t233, t333)
         obj = object.__new__(cls)
-        obj.scale, obj.flat = scale // g, flat
-        obj.scaled = ((r11, r12, r13), (r12, r22, r23), (r13, r23, r33))
+        obj.scale = scale // g
+        obj.flat = tuple(scaled) if g == 1 else tuple([x // g for x in scaled])
         return obj
+
+    @property
+    def scaled(self) -> tuple:
+        """D·T as nested 3x3x3 tuples indexed from 0, read off `flat`."""
+        return tuple(tuple(tuple(self.flat[_ENTRY_SLOTS[tuple(sorted((i, j, k)))]]
+                                 for k in (1, 2, 3)) for j in (1, 2, 3)) for i in (1, 2, 3))
 
     def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """The symmetric integer matrix (D·T)(v, ·, ·) for an integer vector v,
@@ -128,7 +131,7 @@ class TrilinearForm:
         return cls._from_scaled(scaled, 6)
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self.scaled[i - 1][j - 1][k - 1], self.scale)
+        return Fraction(self.flat[_ENTRY_SLOTS[tuple(sorted((i, j, k)))]], self.scale)
 
     def entries(self) -> dict[tuple[int, int, int], Fraction]:
         return {key: self.entry(*key) for key in ENTRY_KEYS}
@@ -185,18 +188,24 @@ class LinearForm(_Covector):
 _IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _rows3(m) -> tuple:
+    """The rows of a 3x3 matrix as tuples; any other shape raises ValidationError."""
+    try:
+        rows = tuple(map(tuple, m))
+    except TypeError:
+        raise ValidationError("expected a 3x3 matrix") from None
+    if tuple(map(len, rows)) != (3, 3, 3):
+        raise ValidationError("expected a 3x3 matrix")
+    return rows
+
+
 class LatticeMap:
     """3x3 integer matrix with determinant +-1, acting on column vectors."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        try:
-            rows = tuple(map(tuple, rows))
-        except TypeError:
-            raise ValidationError("expected a 3x3 matrix") from None
-        if tuple(map(len, rows)) != (3, 3, 3):
-            raise ValidationError("expected a 3x3 matrix")
+        rows = _rows3(rows)
         if not all(type(x) is int for r in rows for x in r):
             if not all(_is_integer(x) for r in rows for x in r):
                 raise ValidationError(f"matrix entries must be integers: {rows}")
@@ -310,13 +319,13 @@ def _as_surd(x) -> QuadSurd:
 def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """(d, den, p, q) with v = (p + q·√d)/den coordinatewise, in plain ints,
     for a vector of ints, Fractions and surds over one field ℚ(√d)."""
-    xs = [_as_surd(x) for x in v]
-    fields = {x.d for x in xs if x.d}
+    xs = [x if type(x) is QuadSurd else _as_surd(x) for x in v]
+    fields = {x.d for x in xs} - {0}
     if len(fields) > 1:
         raise IncompatibleFields(f"radicands {sorted(fields)} in one vector")
-    den = lcm(*(x.den for x in xs))
-    p = tuple(x.p * (den // x.den) for x in xs)
-    q = tuple(x.q * (den // x.den) for x in xs)
+    den = lcm(*[x.den for x in xs])
+    p = tuple([x.p * (den // x.den) for x in xs])
+    q = tuple([x.q * (den // x.den) for x in xs])
     return max(fields, default=0), den, p, q
 
 
@@ -389,13 +398,19 @@ def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> tuple:
     return tuple(out)
 
 
-def frame_table(T: TrilinearForm, frame: Sequence[Sequence]) -> dict[tuple, QuadSurd]:
-    """The cubic in the coordinates of a frame (f1, f2, f3): the entries
-    T(f_i, f_j, f_k) on the 10 sorted index triples, exact. The whole frame is
-    cleared once to integer pairs (p + q·√d)/den, and one surd is built per
-    entry."""
+def clear_frame(frame: Sequence[Sequence]) -> tuple:
+    """(d, den, p, q) with the columns f_i = (p_i + q_i·√d)/den of a frame
+    (f1, f2, f3) over one field: the whole frame cleared once to integer
+    vectors, p and q each a tuple of three columns."""
     d, den, p, q = _int_pairs(tuple(x for f in frame for x in f))
-    p, q = (p[:3], p[3:6], p[6:]), (q[:3], q[3:6], q[6:])
+    return d, den, (p[:3], p[3:6], p[6:]), (q[:3], q[3:6], q[6:])
+
+
+def frame_table(T: TrilinearForm, cleared: tuple) -> dict[tuple, QuadSurd]:
+    """The cubic in the coordinates of a frame, given as `clear_frame` clears
+    it: the entries T(f_i, f_j, f_k) on the 10 sorted index triples, exact,
+    one surd per entry."""
+    d, den, p, q = cleared
     scale = T.scale * den ** 3
     if not d:
         return {key: _from_ints(x, 0, scale, 0)
@@ -445,11 +460,14 @@ def primitive_part(v: Sequence[int]) -> PrimitivePart:
 
 
 def projective_normalize(v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
-    """Scale so the first nonzero coordinate is 1 (line identity normal form)."""
+    """Scale so the first nonzero coordinate is 1 (line identity normal form);
+    a line whose pivot is already 1 comes back as it is."""
     v = tuple(_as_surd(x) for x in v)
     pivot = next((x for x in v if x), None)
     if pivot is None:
         raise ZeroVector("cannot normalize the zero vector")
+    if pivot == 1:
+        return v
     inv = pivot.inverse()
     return tuple(x * inv for x in v)
 
@@ -458,9 +476,15 @@ def same_line(x, y, d: int) -> bool:
     """True iff the nonzero vectors p + q·√d and r + s·√d, given as pairs of
     integer vectors x = (p, q) and y = (r, s), span one line: both the rational
     and the √d part of their cross product vanish."""
+    return _pair_cross(x, y, d) == ((0, 0, 0), (0, 0, 0))
+
+
+def _pair_cross(x, y, d: int) -> tuple:
+    """The cross product of two integer pairs of vectors, as an integer pair."""
     (p, q), (r, s) = x, y
-    return (cross(p, s) == cross(r, q)
-            and all(a + d * b == 0 for a, b in zip(cross(p, r), cross(q, s))))
+    a, b, c, e = cross(p, r), cross(q, s), cross(p, s), cross(q, r)
+    return ((a[0] + d * b[0], a[1] + d * b[1], a[2] + d * b[2]),
+            (c[0] + e[0], c[1] + e[1], c[2] + e[2]))
 
 
 def cross(r1: Sequence, r2: Sequence) -> tuple:

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reconstructs, surd
 from cy3 import cubic_geometry
@@ -11,6 +12,7 @@ from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
     FULL_JORDAN,
     HODGE_INDEX,
+    HYPERBOLIC_ROWS,
     LEFSCHETZ,
     QuadraticForm,
     QuadricLine,
@@ -30,9 +32,13 @@ from cy3.errors import (
     RelationsNotVerified,
     ValidationError,
 )
+from cy3.group_structure import analyze_group, scaling_character
 from cy3.lattice_forms import (
     LatticeMap,
+    LinearForm,
     TrilinearForm,
+    clear_frame,
+    preserves_pair,
     projective_normalize,
     transform_cubic,
 )
@@ -154,6 +160,13 @@ class TestQuadraticFormInput:
         with pytest.raises(ValidationError, match="matrix is not symmetric"):
             QuadraticForm(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
 
+    @pytest.mark.parametrize("m", [5, [1, 2, 3], None])
+    def test_non_matrix_rejected(self, m):
+        """A scalar or a flat list is no matrix: the named error, not a bare
+        TypeError from iterating it."""
+        with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
+            QuadraticForm(m)
+
 
 class TestFactorizationRecord:
     """A Factorization is a NamedTuple; each kind is a slotted subclass."""
@@ -208,12 +221,19 @@ class TestSignature:
             assert quadric_signature(QuadraticForm(conj)) == base
 
 
+def to_mpf(x):
+    """An int or QuadSurd (p + q√d)/den as an mpmath number at the working precision."""
+    x = surd(x) if isinstance(x, int) else x
+    return (mpmath.mpf(x.p) + mpmath.mpf(x.q) * mpmath.sqrt(x.d)) / x.den
+
+
 def eigsy_signature(m):
     """(positive, negative, zero) eigenvalue counts of a real symmetric matrix
     from mpmath.eigsy at 50 digits; |x| <= 1e-30 counts as zero, far below
     every nonzero eigenvalue of the matrices drawn here."""
     with mpmath.workdps(50):
-        values = mpmath.eigsy(mpmath.matrix(m), eigvals_only=True)
+        values = mpmath.eigsy(mpmath.matrix([[to_mpf(x) for x in row] for row in m]),
+                              eigvals_only=True)
         tiny = mpmath.mpf(10) ** -30
         return (sum(1 for x in values if x > tiny), sum(1 for x in values if x < -tiny),
                 sum(1 for x in values if abs(x) <= tiny))
@@ -224,20 +244,29 @@ small_ints = st.integers(-9, 9)
 
 @st.composite
 def symmetric_matrices(draw):
-    """Symmetric integer 3x3 matrices: half with six free entries, half sums
+    """Symmetric 3x3 matrices over ℚ(√d), d in {0, 2, 3, 5, 13}, with entries
+    (a + b√d)/den for den in {1, 2, 3}: half with six free entries, half sums
     of at most two rank-one terms c·v·v^t, so singular ones of each rank and
     the zero matrix come up often."""
+    d = draw(st.sampled_from([0, 2, 3, 5, 13]))
+
+    def scalar():
+        den = draw(st.sampled_from([1, 2, 3]))
+        return surd(Fraction(draw(small_ints), den),
+                    Fraction(draw(small_ints) if d else 0, den), d)
+
     if draw(st.booleans()):
-        a, b, c, d, e, f = (draw(small_ints) for _ in range(6))
-        return ((a, b, c), (b, d, e), (c, e, f))
-    m = [[0] * 3 for _ in range(3)]
+        a, b, c, e, f, i = (scalar() for _ in range(6))
+        return ((a, b, c), (b, e, f), (c, f, i))
+    m = [[surd(0)] * 3 for _ in range(3)]
     for _ in range(draw(st.integers(0, 2))):
-        c, v = draw(st.integers(-3, 3)), draw(st.tuples(small_ints, small_ints, small_ints))
-        m = [[m[i][j] + c * v[i] * v[j] for j in range(3)] for i in range(3)]
+        c, v = draw(st.integers(-3, 3)), (scalar(), scalar(), scalar())
+        m = [[m[i][j] + v[i] * v[j] * c for j in range(3)] for i in range(3)]
     return tuple(map(tuple, m))
 
 
 @given(symmetric_matrices())
+@example(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 def test_signature_matches_mpmath_eigenvalues(m):
     assert quadric_signature(QuadraticForm(m)) == eigsy_signature(m)
 
@@ -247,11 +276,86 @@ def test_singular_surd_signature_matches_mpmath_eigenvalues():
     exactly 0, one eigenvalue of each sign."""
     phi, s5 = surd(Fraction(1, 2), Fraction(1, 2), 5), surd(0, 1, 5)
     q = QuadraticForm(((1, phi, 0), (phi, phi, -s5), (0, -s5, -5)))
-    with mpmath.workdps(50):
-        value = [[mpmath.mpf(x.a.numerator) / x.a.denominator
-                  + mpmath.mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(x.d or 0)
-                  for x in row] for row in q.m]
-    assert quadric_signature(q) == eigsy_signature(value) == (1, 1, 1)
+    assert quadric_signature(q) == eigsy_signature(q.m) == (1, 1, 1)
+
+
+# -- the hyperbolic certificate against a 27-term trilinear oracle ---------------
+
+# Binary forms q = ax² + bxy + cy² with D = b² - 4ac > 0 not a square.
+BINARY_FORMS = ((1, -1, -1), (1, 0, -2), (1, 0, -3), (1, 3, 1), (2, 1, -2), (3, 1, -1))
+
+
+def automorph(a, b, c):
+    """The 2x2 integer automorph ((t - bu)/2, -cu; au, (t + bu)/2) of q from
+    the least u > 0 with t² - D·u² = 4, found by search."""
+    D = b * b - 4 * a * c
+    u = next(u for u in range(1, 1000) if math.isqrt(4 + D * u * u) ** 2 == 4 + D * u * u)
+    t = math.isqrt(4 + D * u * u)
+    return (((t - b * u) // 2, -c * u, 0), (a * u, (t + b * u) // 2, 0), (0, 0, 1))
+
+
+def trilinear_eval(T, a, b, c):
+    """T(a, b, c) as the 27-term sum of the Fraction entries of T, in QuadSurd
+    arithmetic: a test-local oracle that shares no code with the library's
+    integer-pair contractions."""
+    return sum((T.entry(i + 1, j + 1, k + 1) * a[i] * b[j] * c[k]
+                for i in range(3) for j in range(3) for k in range(3)), surd(0))
+
+
+def surd_apply(g, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), surd(0)) for row in g.rows)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.randoms(use_true_random=False), st.sampled_from(BINARY_FORMS),
+       st.sampled_from([0, 1, -2]), st.integers(1, 4))
+def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
+    """For a random unimodular P-conjugate of the pair (z·q + e·z³, z) and of
+    the automorph g of q: the relation rows, the split Q, the singular lines
+    and the scaling character of g and g² all equal what the oracle gives on
+    the eigenframe (u, v, w) of classify."""
+    a, b, c = form
+    T0 = TrilinearForm.from_cubic_coefficients({"x2z": a, "xyz": b, "y2z": c, "z3": e})
+    P = random_unimodular(rng, steps=steps)
+    T, L = transform_cubic(T0, P), LinearForm(0, 0, 1).compose(P)
+    g = P.inverse() @ LatticeMap(automorph(a, b, c)) @ P
+    assert preserves_pair(g, T, L)
+    cls = classify(g, L)
+    assert isinstance(cls, Hyperbolic)
+    frame = (cls.u, cls.v, cls.w)
+
+    report = check_hyperbolic_relations(T, L, *frame)
+    table = {key: trilinear_eval(T, *(frame[i - 1] for i in key)) for _, key in HYPERBOLIC_ROWS}
+    lines = {"L(u)": sum((x * y for x, y in zip(L, cls.u)), surd(0)),
+             "L(v)": sum((x * y for x, y in zip(L, cls.v)), surd(0))}
+    assert [(r.name, r.left) for r in report.rows] == [
+        *((name, table[key]) for name, key in HYPERBOLIC_ROWS), *lines.items()]
+    assert report.overall
+
+    fact = hyperbolic_factorization(report)
+    assert isinstance(fact, ThreeLines if e == 0 else QuadricLine)
+    t = lambda i, j, k: trilinear_eval(T, frame[i], frame[j], frame[k])  # noqa: E731
+    expected_q = [[t(i, j, 2) * 3 if j < 2 else t(i, 2, 2) * Fraction(3, 2) for j in range(3)]
+                  for i in range(2)]
+    expected_q.append([expected_q[0][2], expected_q[1][2], t(2, 2, 2)])
+    assert [list(row) for row in fact.quadric.m] == expected_q
+
+    singular = singular_locus(fact)
+    assert singular == [projective_normalize(f) for f in frame[:3 if e == 0 else 2]]
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for pt in singular:
+        assert all(trilinear_eval(T, pt, pt, x) == 0 for x in basis)
+
+    betas = []
+    for h in (g, g @ g):
+        image = surd_apply(h ** 4, cls.v)
+        beta = next(x for x in image if x) / next(x for x in cls.v if x)
+        assert image == tuple(x * beta for x in cls.v)
+        assert scaling_character(h, cls.v, cls.u) == beta
+        betas.append(beta)
+    assert betas == [cls.alpha ** 4, cls.alpha ** 8]
+    verdict = analyze_group(T, L, [g, g @ g])
+    assert verdict.witness.values == tuple(betas)
 
 
 class TestUnipotentRelations:
@@ -360,14 +464,15 @@ class TestReconstructionAndSingularLocus:
         lines = singular_locus(fact)
         assert set(lines) == {projective_normalize(u), projective_normalize(v)}
 
-    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, L_z, monkeypatch):
+    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, L_z):
         """A claimed singular line on which the gradient does not vanish raises
-        the named post-check, not a bare ArithmeticError."""
+        the named post-check, not a bare ArithmeticError. The gradient is read
+        off the cleared frame; claiming the standard basis there puts e1 first,
+        where the gradient of C is (0, 0, 1/3)."""
         fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
-        one = QuadSurd(1)
-        monkeypatch.setattr(cubic_geometry, "projective_normalize", lambda v: (one, one, one))
+        tampered = fact._replace(cleared=clear_frame(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         with pytest.raises(PostCheckFailed) as info:
-            singular_locus(fact)
+            singular_locus(tampered)
         assert info.value.check == "singular-locus gradient"
 
     def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors, L_z):

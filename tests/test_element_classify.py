@@ -19,8 +19,10 @@ from cy3.element_classify import (
     finite_order,
 )
 from cy3.errors import DoesNotPreserveL, PostCheckFailed, RadicandTooLarge
-from cy3.lattice_forms import LatticeMap, LinearForm
+from cy3.lattice_forms import LatticeMap, LinearForm, _int_pairs
 from test_lattice_forms import random_unimodular
+
+EIGEN_CHECKS = {"u": "eigen-equation g u = u / alpha", "v": "eigen-equation g v = alpha v"}
 
 
 def _char_poly_at_1(g):
@@ -283,20 +285,30 @@ class TestRealPairEigenvectors:
         assert next(x for x in verdict.u if x) == 1
         assert next(x for x in verdict.v if x) == 1
 
+    @staticmethod
+    def _built_from(monkeypatch, name, pair):
+        """Make _real_pair_eigendata build the eigenvector `name` ("u" or "v")
+        from pair(p, q) in place of its own integer pair (p, q), before its
+        eigen-equation is checked."""
+        original = element_classify._eigenvector
+
+        def faulty(g, x, n, s, f, d, check):
+            if check == EIGEN_CHECKS[name]:
+                x = pair(*x)
+            return original(g, x, n, s, f, d, check)
+
+        monkeypatch.setattr(element_classify, "_eigenvector", faulty)
+
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_wrong_eigenvector_fails_the_post_check(self, wrong, golden_generator, L_z,
                                                     monkeypatch):
-        # With conjugation a no-op, u is v itself: the eigenline of the other root.
-        monkeypatch.setattr(QuadSurd, "conjugate", lambda self: self)
-        if wrong == "v":
-            # v becomes the eigenline of 1/alpha, so u = v is right and v is not
-            original = element_classify._kernel_line
-            monkeypatch.setattr(element_classify, "_kernel_line",
-                                lambda g, s, f, d: original(g, s, -f, d))
+        # With conjugation a no-op the vector is built from the pair of the
+        # other root: u from (P, Q), the eigenline of alpha, or v from (P, -Q),
+        # the eigenline of 1/alpha. The other vector stays right.
+        self._built_from(monkeypatch, wrong, lambda p, q: (p, tuple(-y for y in q)))
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
-        assert info.value.check == {
-            "u": "eigen-equation g u = u / alpha", "v": "eigen-equation g v = alpha v"}[wrong]
+        assert info.value.check == EIGEN_CHECKS[wrong]
 
     @pytest.mark.parametrize("x", [
         (QuadSurd(1), QuadSurd(0), QuadSurd(0)),
@@ -306,9 +318,9 @@ class TestRealPairEigenvectors:
     ])
     def test_non_eigenvector_fails_the_post_check(self, x, golden_generator, L_z,
                                                   monkeypatch):
-        # u is read off x, one coordinate per conjugation
-        coordinates = iter(x)
-        monkeypatch.setattr(QuadSurd, "conjugate", lambda self: next(coordinates))
+        # u is built from the integer pair of x
+        _, _, p, q = _int_pairs(x)
+        self._built_from(monkeypatch, "u", lambda *_: (p, q))
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == "eigen-equation g u = u / alpha"
@@ -373,6 +385,16 @@ class TestPostChecks:
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == "eigen-equation g w = w"
+
+    def test_wrong_root_pair_fails_its_check(self, golden_generator, L_z, monkeypatch):
+        """alpha stays right, so every eigen-equation holds, but beta = alpha
+        is no root pair of t^2 - 3t + 1: alpha·beta != 1."""
+        solve = element_classify.solve_unit_quadratic
+        monkeypatch.setattr(element_classify, "solve_unit_quadratic",
+                            lambda s: (solve(s)[0],) * 2)
+        with pytest.raises(PostCheckFailed) as info:
+            classify(golden_generator, L_z)
+        assert info.value.check == "alpha·beta = 1 and alpha + beta = s"
 
     def test_eigenspace_of_dimension_three_is_named(self):
         with pytest.raises(PostCheckFailed) as info:

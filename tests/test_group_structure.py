@@ -758,9 +758,8 @@ class TestCertifySeed:
     def test_one_frame_table_per_check(self, golden_cubic_quadric, golden_generator, L_z,
                                         monkeypatch):
         """On a conjugated hyperbolic seed the frame is cleared to integer
-        pairs once for the frame table, which the factorization reads off the
-        relation report, and once per singular line: 3 times, where clearing
-        each vector of each trilinear evaluation took 48."""
+        pairs once: the relation rows, the frame table, the split and the
+        singular-line gradients are all read off that one clearing."""
         rng = random.Random(5)
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
@@ -773,7 +772,25 @@ class TestCertifySeed:
         cert = certify_seed(T, L, lines)
         assert isinstance(cert.factorization, QuadricLine)
         assert len(cert.singular_lines) == 2
-        assert len(calls) <= 3
+        assert len(calls) == 1
+
+    def test_one_clearing_per_hyperbolic_analysis(self, golden_cubic_quadric, golden_generator,
+                                                  L_z, monkeypatch):
+        """classify builds u and v from integer pairs and the route reads the
+        scaling character of every generator off the frame the relations
+        cleared: one clearing for the whole analysis of three generators."""
+        rng = random.Random(6)
+        p = random_unimodular(rng, steps=4)
+        T = transform_cubic(golden_cubic_quadric, p)
+        g, L = p.inverse() @ golden_generator @ p, L_z.compose(p)
+        calls = []
+        int_pairs = lattice_forms._int_pairs
+        monkeypatch.setattr(lattice_forms, "_int_pairs",
+                            lambda v: calls.append(v) or int_pairs(v))
+        verdict = analyze_group(T, L, [g, g @ g, g.inverse()])
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert verdict.witness.exponents == (8, 16, -8)
+        assert len(calls) == 1
 
     def test_analyze_runs_the_unipotent_singular_locus_post_check(
             self, unipotent_cubic, unipotent_generator, L_z, monkeypatch):
@@ -783,7 +800,8 @@ class TestCertifySeed:
 
         def tampered(*args, **kwargs):
             split = factor(*args, **kwargs)
-            return split._replace(frame=split.frame[::-1])
+            d, den, p, q = split.cleared
+            return split._replace(frame=split.frame[::-1], cleared=(d, den, p[::-1], q[::-1]))
 
         monkeypatch.setattr(group_structure, "unipotent_factorization", tampered)
         with pytest.raises(PostCheckFailed) as info:

@@ -20,6 +20,7 @@ from cy3.lattice_forms import (
     _matmul,
     _matvec,
     _scaled_pullback,
+    clear_frame,
     cross,
     cubic_eval,
     frame_table,
@@ -592,12 +593,13 @@ def test_trilinear_eval_rejects_mixed_fields(vectors, golden_cubic_quadric):
 
 def test_sqrt5_frame_table_and_normalization_build_no_fraction(golden_cubic_quadric,
                                                                fraction_builds):
-    """Surds stay integer pairs through the frame table of a √5 frame and the
-    projective normalization of its lines."""
+    """Surds stay integer pairs through the clearing and frame table of a √5
+    frame and the projective normalization of its lines."""
     u = (QuadSurd(-1, 1, 5) / 2, 1, 0)
     v = (QuadSurd(-1, -1, 5) / 2, 1, 0)
     frame = (u, v, (0, 0, 1))
-    table, built = fraction_builds(frame_table, golden_cubic_quadric, frame)
+    table, built = fraction_builds(
+        lambda f: frame_table(golden_cubic_quadric, clear_frame(f)), frame)
     assert built == 0
     assert table == {(i, j, k): trilinear_eval(golden_cubic_quadric, frame[i - 1],
                                                 frame[j - 1], frame[k - 1])
@@ -614,7 +616,7 @@ def test_sqrt5_frame_table_and_normalization_build_no_fraction(golden_cubic_quad
 def test_frame_table_and_polar_match_trilinear_eval(T, frame):
     """The frame table holds T(f_i, f_j, f_k) on every sorted index triple, and
     polar(T, f) is T(f, f, e_i) on the standard basis."""
-    table = frame_table(T, frame)
+    table = frame_table(T, clear_frame(frame))
     assert sorted(table) == sorted(ENTRY_KEYS)
     for i, j, k in ENTRY_KEYS:
         assert table[i, j, k] == trilinear_eval(T, frame[i - 1], frame[j - 1], frame[k - 1])
