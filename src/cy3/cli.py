@@ -156,7 +156,7 @@ def render_factorization(fact) -> dict:
     if isinstance(fact, ThreeLines):
         return {
             "kind": "ThreeLines",
-            "frame": [render_vector(col) for col in fact.frame],
+            "frame": [render_vector(col.surds) for col in fact.frame],
             "B": str(fact.b),
             # C = L1·L2·L with the covectors 6B·y, x and z of the frame
             "lines_in_frame": {
@@ -166,26 +166,27 @@ def render_factorization(fact) -> dict:
             },
         }
     if isinstance(fact, QuadricLine):
+        frame = [render_vector(col.surds) for col in fact.frame]
         return {
             "kind": "QuadricLine",
-            "frame": [render_vector(col) for col in fact.frame],
+            "frame": frame,
             "A": str(fact.a),
             "B": str(fact.b),
             "quadric_in_frame": [render_vector(row) for row in fact.quadric.m],
             "signature": list(quadric_signature(fact.quadric)),
-            "tangency_points": [render_vector(p) for p in fact.frame[:2]],
+            "tangency_points": frame[:2],
             "tangent": False,
         }
     if not isinstance(fact, UnipotentSplit):
         raise PostCheckFailed("known factorization", type(fact).__name__)
     return {
         "kind": "QuadricLine",
-        "frame": [list(col) for col in fact.frame],
+        "frame": [list(col.p) for col in fact.frame],
         "E": str(fact.e),
         "F": str(fact.f),
         "quadric_in_frame": [render_vector(row) for row in fact.quadric.m],
         "signature": list(quadric_signature(fact.quadric)),
-        "tangency_points": [render_vector(fact.frame[0])],
+        "tangency_points": [render_vector(fact.frame[0].p)],
         "tangent": True,
     }
 

@@ -24,11 +24,11 @@ from .lattice_forms import (
     _pair_apply,
     _pair_cross,
     _pair_dot,
+    _normalized,
     _rows3,
     clear_frame,
     frame_table,
     polar,
-    projective_normalize,
 )
 
 HODGE_INDEX = "Hodge index theorem (triple product u·v·w must be nonzero)"
@@ -46,9 +46,8 @@ class RelationRow(NamedTuple):
 class RelationReport(NamedTuple):
     rows: tuple[RelationRow, ...]
     overall: bool
-    # (T, frame, table, cleared): the cubic, the frame, the table read off
-    # its `clear_frame` clearing and that clearing, which the factorization
-    # and its singular lines read off; not rendered.
+    # (T, frame, table): the cubic, the frame as `clear_frame` cleared it and
+    # the frame table, which the factorization reads off; not rendered.
     source: tuple
 
     @classmethod
@@ -65,6 +64,12 @@ class RelationReport(NamedTuple):
 def _row(name: str, left: QuadSurd, right=QuadSurd(0), *, equal: bool = True) -> RelationRow:
     """The row "left = right" of surds, or "left != right" when `equal` is False."""
     return RelationRow(name, left, right, (left == right) == equal)
+
+
+def _form_rows(L: LinearForm, names: tuple, frame) -> list[RelationRow]:
+    """The rows L(f) = 0 for the named leading columns f of a cleared frame."""
+    return [_row(f"L({name})", _from_ints(_dot(L, f.p), _dot(L, f.q), f.den, f.d))
+            for name, f in zip(names, frame)]
 
 
 class QuadraticForm:
@@ -99,9 +104,8 @@ class Factorization(NamedTuple):
     frame table. Each kind is a subclass; its named constants are views of Q."""
 
     cubic: TrilinearForm
-    frame: tuple  # columns (f1, f2, f3)
+    frame: tuple  # columns (f1, f2, f3) as `clear_frame` cleared them
     quadric: QuadraticForm  # in frame coordinates
-    cleared: tuple  # the frame as `clear_frame` cleared it for the relations
 
 
 class _HyperbolicSplit(Factorization):
@@ -133,7 +137,7 @@ class QuadricLine(_HyperbolicSplit):
 
 
 class UnipotentSplit(Factorization):
-    """Frame (w, w1, w2) of integer vectors: C = z(F z^2 + 2E xz - E y^2 + E yz),
+    """Frame (w, w1, w2) of integer vectors, den = 1: C = z(F z^2 + 2E xz - E y^2 + E yz),
     with Q tangent to the plane z at w."""
 
     __slots__ = ()
@@ -190,14 +194,10 @@ def check_hyperbolic_relations(
     """The eight vanishing triple products of a hyperbolic frame, read off
     its frame table, plus L(u) = L(v) = 0, all exact. The frame is cleared
     once; the table and L(u), L(v) are read off that clearing."""
-    frame = tuple(tuple(_as_surd(x) for x in f) for f in (u, v, w))
-    cleared = clear_frame(frame)
-    d, den, p, q = cleared
-    t = frame_table(T, cleared)
+    frame = clear_frame((u, v, w))
+    t = frame_table(T, frame)
     rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]
-    rows += [_row(f"L({name})", _from_ints(_dot(L, p[i]), _dot(L, q[i]), den, d))
-             for i, name in enumerate("uv")]
-    return RelationReport.from_rows(rows, (T, frame, t, cleared))
+    return RelationReport.from_rows([*rows, *_form_rows(L, ("u", "v"), frame)], (T, frame, t))
 
 
 def hyperbolic_factorization(relations: RelationReport) -> Factorization:
@@ -211,12 +211,12 @@ def hyperbolic_factorization(relations: RelationReport) -> Factorization:
     """
     if not relations.overall:
         raise RelationsNotVerified(f"failing relations: {relations.failing}")
-    T, frame, t, cleared = relations.source
+    T, frame, t = relations.source
     if not t[1, 2, 3]:
         raise GeometricInconsistency(HODGE_INDEX, "B = T(u, v, w) = 0")
     quadric = _checked_quadric(t, "hyperbolic split C = z(A z^2 + 6B xy)",
                                ((1, 1, 3), (2, 2, 3), (1, 3, 3), (2, 3, 3)))
-    return (QuadricLine if t[3, 3, 3] else ThreeLines)(T, frame, quadric, cleared)
+    return (QuadricLine if t[3, 3, 3] else ThreeLines)(T, frame, quadric)
 
 
 def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
@@ -253,13 +253,11 @@ def check_unipotent_relations(
     T(w, w, x) = 0 for every basis vector x, which is the only consequence the
     certification needs.
     """
-    frame = (w, w1, w2)
-    cleared = clear_frame(frame)
-    t = frame_table(T, cleared)
+    frame = clear_frame((w, w1, w2))
+    t = frame_table(T, frame)
     ww22 = t[1, 3, 3]
     rows = [
-        _row("L(w)", _as_surd(L(w))),
-        _row("L(w1)", _as_surd(L(w1))),
+        *_form_rows(L, ("w", "w1"), frame),
         *[_row(f"w^2·e{i + 1}", x) for i, x in enumerate(polar(T, w))],
         _row("w1^3", t[2, 2, 2]),
         _row("w·w1^2", t[1, 2, 2]),
@@ -268,7 +266,7 @@ def check_unipotent_relations(
         _row("w·w2^2 = -2·w1^2·w2", ww22, t[2, 2, 3] * (-2)),
         _row("w·w2^2 ≠ 0", ww22, equal=False),
     ]
-    return RelationReport.from_rows(rows, (T, frame, t, cleared))
+    return RelationReport.from_rows(rows, (T, frame, t))
 
 
 def unipotent_factorization(relations: RelationReport) -> UnipotentSplit:
@@ -279,13 +277,13 @@ def unipotent_factorization(relations: RelationReport) -> UnipotentSplit:
     report raises RelationsNotVerified. The split is post-checked on the frame
     table. With E = q13 != 0, L = z is tangent to Q at w = (1, 0, 0) exactly
     when q11 = q12 = 0, so t113 and t123 must vanish too."""
-    T, frame, t, cleared = relations.source
+    T, frame, t = relations.source
     if not t[1, 3, 3]:
         raise GeometricInconsistency(LEFSCHETZ, "E = 3·T(w, w2, w2)/2 = 0")
     if not relations.overall:
         raise RelationsNotVerified(f"failing relations: {relations.failing}")
     q = _checked_quadric(t, "unipotent split C = z·Q", ((1, 1, 3), (1, 2, 3)))
-    return UnipotentSplit(T, frame, q, cleared)
+    return UnipotentSplit(T, frame, q)
 
 
 # -- singular loci ------------------------------------------------------------
@@ -298,14 +296,14 @@ def singular_locus(fact: Factorization) -> list[tuple]:
     -E y^2 = 0.
 
     Every returned line is post-checked against the gradient of C, computed
-    from T: T(pt, pt, ·) must vanish. That is a nonzero multiple of the
-    integer-pair contraction of the line's column (p, q) in the cleared frame."""
+    from T: T(pt, pt, ·) must vanish. Both come from one normalized integer
+    pair (p, q), the point (p + q√d)/n and the contraction of D·T with it."""
     n = 3 if isinstance(fact, ThreeLines) else 2 if isinstance(fact, QuadricLine) else 1
-    T, (d, _, p, q) = fact.cubic, fact.cleared
-    out = []
-    for line, x in zip(fact.frame[:n], zip(p, q)):
-        pt = projective_normalize(line)
-        if any(map(any, _pair_apply((T.contract(x[0]), T.contract(x[1])), x, d))):
+    T, out = fact.cubic, []
+    for col in fact.frame[:n]:
+        p, q, _, d = line = _normalized(col)
+        pt = line.surds
+        if any(map(any, _pair_apply((T.contract(p), T.contract(q)), (p, q), d))):
             raise PostCheckFailed(
                 "singular-locus gradient",
                 f"gradient does not vanish on claimed singular line {pt}",

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core_arith import QuadSurd, _from_ints, solve_unit_quadratic
+from .core_arith import QuadSurd, solve_unit_quadratic
 from .errors import DoesNotPreserveL, PostCheckFailed
 from .lattice_forms import (
     _IDENTITY_ROWS,
     LatticeMap,
     LinearForm,
+    PairVector,
     _matvec,
+    _normalized,
     cross,
     primitive_part,
 )
@@ -130,15 +132,14 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
     return primitive_part(line[0]).vector
 
 
-def _eigenvector(g: LatticeMap, x: tuple, n: int, s: int, f: int, d: int,
-                 check: str) -> tuple:
-    """(p + q√d)/n for x = (p, q), built after the check 2·g·(p + q√d) =
+def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> tuple:
+    """The surds of x = (p + q√d)/den, built after the check 2·g·(p + q√d) =
     (s + f√d)·(p + q√d) on the ints."""
-    p, q = x
+    p, q, _, d = x
     if any(2 * gp != s * pi + f * d * qi or 2 * gq != s * qi + f * pi
            for gp, gq, pi, qi in zip(g.apply(p), g.apply(q), p, q)):
         raise PostCheckFailed(check)
-    return tuple([_from_ints(a, b, n, d) for a, b in zip(p, q)])
+    return x.surds
 
 
 def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
@@ -146,25 +147,20 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     eigenvalues are real, i.e. |s| > 2 for s = trace - 1: alpha is the larger
     root of t^2 - s*t + 1, v its eigenvector, u the eigenvector for 1/alpha
     and w the primitive fixed vector. For s < -2 both roots are negative and
-    |alpha| < 1. v is the kernel line of 2g - (s + f√d)·id with pivot
-    a + b√d, its first nonzero coordinate, normalized to 1 on integers: each
-    p + q√d becomes (P + Q√d)/n = (p + q√d)(a - b√d)/(a² - d·b²)."""
+    |alpha| < 1. v is the kernel line of 2g - (s + f√d)·id, its first
+    nonzero coordinate normalized to 1 on integers."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
     f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d
     line = _kernel_line(g, s, f, d)
     if line is None:
         raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
-    p, q = line
-    a, b = next((x, y) for x, y in zip(p, q) if x or y)
-    n = a * a - d * b * b
-    P = tuple([x * a - d * y * b for x, y in zip(p, q)])
-    Q = tuple([y * a - x * b for x, y in zip(p, q)])
+    v = _normalized(PairVector(*line, 1, d))
     w = _eigenvector_1(g)
     # g is integral, so √d -> -√d maps the eigenline of alpha onto that of 1/alpha.
-    u = _eigenvector(g, (P, tuple([-y for y in Q])), n, s, -f, d,
+    u = _eigenvector(g, PairVector(v.p, tuple([-y for y in v.q]), v.den, d), s, -f,
                      "eigen-equation g u = u / alpha")
-    v = _eigenvector(g, (P, Q), n, s, f, d, "eigen-equation g v = alpha v")
+    v = _eigenvector(g, v, s, f, "eigen-equation g v = alpha v")
     if g.apply(w) != w:
         raise PostCheckFailed("eigen-equation g w = w")
     if not (alpha * beta == 1 and alpha + beta == s):

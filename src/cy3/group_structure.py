@@ -52,14 +52,15 @@ from .errors import (
 from .lattice_forms import (
     LatticeMap,
     LinearForm,
+    PairVector,
     TrilinearForm,
     _adjugate3,
     _as_surd,
     _det3,
     _dot,
-    _int_pairs,
     _matmul,
     _matvec,
+    clear_frame,
     preserves_pair,
     primitive_part,
     same_line,
@@ -98,15 +99,14 @@ def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSu
 
     Passing to 4th powers removes the finite ambiguity of line swaps and signs,
     so the returned value is a multiplicative character on the group. Both
-    lines are cleared once to integer pairs p + q√d over one field."""
-    d, _, p, q = _int_pairs((*line1, *line2))
-    return _scaling_value(h, d, (p[:3], q[:3]), (p[3:], q[3:]))
+    lines are cleared at once to integer pairs p + q√d over one field."""
+    return _scaling_value(h, *clear_frame((line1, line2)))
 
 
-def _scaling_value(h: LatticeMap, d: int, x1: tuple, x2: tuple) -> QuadSurd:
-    """scaling_character on lines given as integer pairs x = (p, q) of vectors
-    p + q√d: images and same-line tests stay in plain ints, and the eigenvalue
-    is one surd quotient of two coordinates."""
+def _scaling_value(h: LatticeMap, line1: PairVector, line2: PairVector) -> QuadSurd:
+    """scaling_character on cleared lines: images and same-line tests stay in
+    plain ints, and the eigenvalue is one surd quotient of two coordinates."""
+    d, x1, x2 = line1.d, line1[:2], line2[:2]
 
     def image(m, x):
         return _matvec(m, x[0]), _matvec(m, x[1])
@@ -482,7 +482,7 @@ def _finite_closure(generators) -> GroupVerdict:
 
 
 def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerdict:
-    frame = split.frame
+    frame = [f.p for f in split.frame]
     p = primitive_part(frame[0]).scale
     taus = []
     for h in generators:
@@ -514,14 +514,12 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
 
 
 def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdict:
-    # u and v as integer pairs, read off the frame the relations cleared
-    d, _, p, q = fact.cleared
-    u, v = (p[0], q[0]), (p[1], q[1])
+    u, v = fact.frame[:2]
     values = []
     for h in generators:
         try:
             # v carries the larger root alpha of the seed generator
-            values.append(_scaling_value(h, d, v, u))
+            values.append(_scaling_value(h, v, u))
         except LinesNotPreserved as exc:
             return GroupVerdict(kind="Inconclusive", reason=str(exc))
     reductions.append("scaling character computed on 4th powers (index ≤ 4)")

@@ -316,6 +316,20 @@ def _as_surd(x) -> QuadSurd:
     return QuadSurd(x) if s is None else s
 
 
+class PairVector(NamedTuple):
+    """The vector (p + q·√d)/den in plain ints: integer vectors p and q over a
+    denominator den > 0, in the field ℚ(√d), d = 0 for ℚ."""
+
+    p: tuple
+    q: tuple
+    den: int
+    d: int
+
+    @property
+    def surds(self) -> tuple[QuadSurd, ...]:
+        return tuple([_from_ints(x, y, self.den, self.d) for x, y in zip(self.p, self.q)])
+
+
 def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """(d, den, p, q) with v = (p + q·√d)/den coordinatewise, in plain ints,
     for a vector of ints, Fractions and surds over one field ℚ(√d)."""
@@ -398,19 +412,19 @@ def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> tuple:
     return tuple(out)
 
 
-def clear_frame(frame: Sequence[Sequence]) -> tuple:
-    """(d, den, p, q) with the columns f_i = (p_i + q_i·√d)/den of a frame
-    (f1, f2, f3) over one field: the whole frame cleared once to integer
-    vectors, p and q each a tuple of three columns."""
-    d, den, p, q = _int_pairs(tuple(x for f in frame for x in f))
-    return d, den, (p[:3], p[3:6], p[6:]), (q[:3], q[3:6], q[6:])
+def clear_frame(frame: Sequence[Sequence]) -> tuple[PairVector, ...]:
+    """The 3-vectors of `frame` cleared at once to integer pairs over one field
+    and one denominator, one PairVector each."""
+    d, den, p, q = _int_pairs([x for f in frame for x in f])
+    return tuple([PairVector(p[i:i + 3], q[i:i + 3], den, d) for i in range(0, len(p), 3)])
 
 
-def frame_table(T: TrilinearForm, cleared: tuple) -> dict[tuple, QuadSurd]:
-    """The cubic in the coordinates of a frame, given as `clear_frame` clears
-    it: the entries T(f_i, f_j, f_k) on the 10 sorted index triples, exact,
-    one surd per entry."""
-    d, den, p, q = cleared
+def frame_table(T: TrilinearForm, frame: Sequence[PairVector]) -> dict[tuple, QuadSurd]:
+    """The cubic in the coordinates of a frame (f1, f2, f3), cleared by
+    `clear_frame`: the entries T(f_i, f_j, f_k) on the 10 sorted index
+    triples, exact, one surd per entry."""
+    d, den = frame[0].d, frame[0].den
+    p, q = tuple([f.p for f in frame]), tuple([f.q for f in frame])
     scale = T.scale * den ** 3
     if not d:
         return {key: _from_ints(x, 0, scale, 0)
@@ -459,17 +473,25 @@ def primitive_part(v: Sequence[int]) -> PrimitivePart:
     return PrimitivePart(w, g, False)
 
 
-def projective_normalize(v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
-    """Scale so the first nonzero coordinate is 1 (line identity normal form);
-    a line whose pivot is already 1 comes back as it is."""
-    v = tuple(_as_surd(x) for x in v)
-    pivot = next((x for x in v if x), None)
+def _normalized(v: PairVector) -> PairVector:
+    """The line of v scaled to a first nonzero coordinate of 1, on integers:
+    with pivot a + b√d, its first nonzero coordinate over den, v becomes
+    (p + q√d)(a - b√d)/(a² - d·b²), or (p + q√d)/a when b = 0."""
+    p, q, _, d = v
+    pivot = next(((x, y) for x, y in zip(p, q) if x or y), None)
     if pivot is None:
         raise ZeroVector("cannot normalize the zero vector")
-    if pivot == 1:
-        return v
-    inv = pivot.inverse()
-    return tuple(x * inv for x in v)
+    a, b = pivot
+    if not b:
+        return PairVector(p, q, a, d)
+    return PairVector(tuple([x * a - d * y * b for x, y in zip(p, q)]),
+                      tuple([y * a - x * b for x, y in zip(p, q)]), a * a - d * b * b, d)
+
+
+def projective_normalize(v: Sequence) -> tuple[QuadSurd, ...]:
+    """Scale so the first nonzero coordinate is 1 (line identity normal form)."""
+    d, den, p, q = _int_pairs(v)
+    return _normalized(PairVector(p, q, den, d)).surds
 
 
 def same_line(x, y, d: int) -> bool:

@@ -103,9 +103,9 @@ def reconstructs(fact) -> bool:
     """True iff re-expanding the split z·Q in standard coordinates gives back
     C: C(M·X) = Z·Q(X) for the frame M at every X in {0, 1, 2, 3}^3, which
     determines a cubic in three variables."""
-    q = fact.quadric.m
+    q, frame = fact.quadric.m, [f.surds for f in fact.frame]
     for x in product(range(4), repeat=3):
-        point = [sum(x[k] * fact.frame[k][i] for k in range(3)) for i in range(3)]
+        point = [sum(x[k] * frame[k][i] for k in range(3)) for i in range(3)]
         zq = x[2] * sum(q[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
         if cubic_eval(fact.cubic, point) != zq:
             return False

@@ -36,8 +36,8 @@ from cy3.group_structure import analyze_group, scaling_character
 from cy3.lattice_forms import (
     LatticeMap,
     LinearForm,
+    PairVector,
     TrilinearForm,
-    clear_frame,
     preserves_pair,
     projective_normalize,
     transform_cubic,
@@ -464,15 +464,14 @@ class TestReconstructionAndSingularLocus:
         lines = singular_locus(fact)
         assert set(lines) == {projective_normalize(u), projective_normalize(v)}
 
-    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, L_z):
+    def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, L_z, monkeypatch):
         """A claimed singular line on which the gradient does not vanish raises
-        the named post-check, not a bare ArithmeticError. The gradient is read
-        off the cleared frame; claiming the standard basis there puts e1 first,
-        where the gradient of C is (0, 0, 1/3)."""
+        the named post-check, not a bare ArithmeticError."""
         fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
-        tampered = fact._replace(cleared=clear_frame(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+        one = PairVector((1, 1, 1), (0, 0, 0), 1, 0)
+        monkeypatch.setattr(cubic_geometry, "_normalized", lambda v: one)
         with pytest.raises(PostCheckFailed) as info:
-            singular_locus(tampered)
+            singular_locus(fact)
         assert info.value.check == "singular-locus gradient"
 
     def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors, L_z):

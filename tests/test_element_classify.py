@@ -19,7 +19,7 @@ from cy3.element_classify import (
     finite_order,
 )
 from cy3.errors import DoesNotPreserveL, PostCheckFailed, RadicandTooLarge
-from cy3.lattice_forms import LatticeMap, LinearForm, _int_pairs
+from cy3.lattice_forms import LatticeMap, LinearForm, clear_frame
 from test_lattice_forms import random_unimodular
 
 EIGEN_CHECKS = {"u": "eigen-equation g u = u / alpha", "v": "eigen-equation g v = alpha v"}
@@ -288,14 +288,14 @@ class TestRealPairEigenvectors:
     @staticmethod
     def _built_from(monkeypatch, name, pair):
         """Make _real_pair_eigendata build the eigenvector `name` ("u" or "v")
-        from pair(p, q) in place of its own integer pair (p, q), before its
+        from pair(x) in place of its own integer pair x, before its
         eigen-equation is checked."""
         original = element_classify._eigenvector
 
-        def faulty(g, x, n, s, f, d, check):
+        def faulty(g, x, s, f, check):
             if check == EIGEN_CHECKS[name]:
-                x = pair(*x)
-            return original(g, x, n, s, f, d, check)
+                x = pair(x)
+            return original(g, x, s, f, check)
 
         monkeypatch.setattr(element_classify, "_eigenvector", faulty)
 
@@ -305,7 +305,7 @@ class TestRealPairEigenvectors:
         # With conjugation a no-op the vector is built from the pair of the
         # other root: u from (P, Q), the eigenline of alpha, or v from (P, -Q),
         # the eigenline of 1/alpha. The other vector stays right.
-        self._built_from(monkeypatch, wrong, lambda p, q: (p, tuple(-y for y in q)))
+        self._built_from(monkeypatch, wrong, lambda x: x._replace(q=tuple(-y for y in x.q)))
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == EIGEN_CHECKS[wrong]
@@ -319,8 +319,8 @@ class TestRealPairEigenvectors:
     def test_non_eigenvector_fails_the_post_check(self, x, golden_generator, L_z,
                                                   monkeypatch):
         # u is built from the integer pair of x
-        _, _, p, q = _int_pairs(x)
-        self._built_from(monkeypatch, "u", lambda *_: (p, q))
+        (bad,) = clear_frame([x])
+        self._built_from(monkeypatch, "u", lambda _: bad)
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == "eigen-equation g u = u / alpha"
