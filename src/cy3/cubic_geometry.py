@@ -228,7 +228,7 @@ def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
     principal 2x2 minors, the diagonal of the adjugate. All three are signs
     of integer pairs: Q cleared over one denominator D > 0 scales them by
     D, D² and D³."""
-    d, _, p, q = _int_pairs([x for row in Q.m for x in row])
+    p, q, _, d = _int_pairs([x for row in Q.m for x in row])
     r1, r2, r3 = (p[:3], q[:3]), (p[3:6], q[3:6]), (p[6:], q[6:])
     a1, a2, a3 = _pair_cross(r2, r3, d), _pair_cross(r3, r1, d), _pair_cross(r1, r2, d)  # adj(Q)
     signs = [1, -_pair_sign(p[0] + p[4] + p[8], q[0] + q[4] + q[8], d),

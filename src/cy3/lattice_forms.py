@@ -318,7 +318,7 @@ def _as_surd(x) -> QuadSurd:
 
 class PairVector(NamedTuple):
     """The vector (p + q·√d)/den in plain ints: integer vectors p and q over a
-    denominator den > 0, in the field ℚ(√d), d = 0 for ℚ."""
+    nonzero denominator den, in the field ℚ(√d), d = 0 for ℚ."""
 
     p: tuple
     q: tuple
@@ -330,9 +330,9 @@ class PairVector(NamedTuple):
         return tuple([_from_ints(x, y, self.den, self.d) for x, y in zip(self.p, self.q)])
 
 
-def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """(d, den, p, q) with v = (p + q·√d)/den coordinatewise, in plain ints,
-    for a vector of ints, Fractions and surds over one field ℚ(√d)."""
+def _int_pairs(v: Sequence) -> PairVector:
+    """v = (p + q·√d)/den coordinatewise, in plain ints, for a vector of ints,
+    Fractions and surds over one field ℚ(√d)."""
     xs = [x if type(x) is QuadSurd else _as_surd(x) for x in v]
     fields = {x.d for x in xs} - {0}
     if len(fields) > 1:
@@ -340,7 +340,7 @@ def _int_pairs(v: Sequence) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]
     den = lcm(*[x.den for x in xs])
     p = tuple([x.p * (den // x.den) for x in xs])
     q = tuple([x.q * (den // x.den) for x in xs])
-    return max(fields, default=0), den, p, q
+    return PairVector(p, q, den, max(fields, default=0))
 
 
 def _pair_apply(m, v, d: int):
@@ -366,7 +366,7 @@ def trilinear_eval(T: TrilinearForm, a: Sequence, b: Sequence, c: Sequence) -> Q
     The three vectors are cleared at once to integer pairs (p + q·√d)/den over
     one field, the pairs are contracted with the integer tensor D·T, and one
     surd is built for the result."""
-    d, den, p, q = _int_pairs((*a, *b, *c))
+    p, q, den, d = _int_pairs((*a, *b, *c))
     s = _pair_apply((T.contract(p[:3]), T.contract(q[:3])), (p[3:6], q[3:6]), d)
     return _from_ints(*_pair_dot(s, (p[6:], q[6:]), d), T.scale * den ** 3, d)
 
@@ -379,7 +379,7 @@ def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
 def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
     """The covector T(v, v, ·), a third of the gradient of C at v, from one
     integer-pair contraction of v."""
-    d, den, p, q = _int_pairs(v)
+    p, q, den, d = _int_pairs(v)
     s = _pair_apply((T.contract(p), T.contract(q)), (p, q), d)
     return tuple(_from_ints(x, y, T.scale * den * den, d) for x, y in zip(*s))
 
@@ -415,7 +415,7 @@ def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> tuple:
 def clear_frame(frame: Sequence[Sequence]) -> tuple[PairVector, ...]:
     """The 3-vectors of `frame` cleared at once to integer pairs over one field
     and one denominator, one PairVector each."""
-    d, den, p, q = _int_pairs([x for f in frame for x in f])
+    p, q, den, d = _int_pairs([x for f in frame for x in f])
     return tuple([PairVector(p[i:i + 3], q[i:i + 3], den, d) for i in range(0, len(p), 3)])
 
 
@@ -490,8 +490,7 @@ def _normalized(v: PairVector) -> PairVector:
 
 def projective_normalize(v: Sequence) -> tuple[QuadSurd, ...]:
     """Scale so the first nonzero coordinate is 1 (line identity normal form)."""
-    d, den, p, q = _int_pairs(v)
-    return _normalized(PairVector(p, q, den, d)).surds
+    return _normalized(_int_pairs(v)).surds
 
 
 def same_line(x, y, d: int) -> bool:

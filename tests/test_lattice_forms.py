@@ -48,8 +48,7 @@ def random_unimodular(rng, steps=8):
 
 def _pairs(v):
     """The integer vectors (p, q) of v = (p + q·√d)/den."""
-    _, _, p, q = _int_pairs(v)
-    return p, q
+    return _int_pairs(v)[:2]
 
 
 class TestTrilinearForm:
