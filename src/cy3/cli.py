@@ -307,7 +307,7 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
         report["verdict"] = {"kind": "Inconclusive", "reason": cert.reason}
         return report, EXIT_INCONCLUSIVE
     rendered = render_factorization(cert.factorization)
-    rendered["singular_locus"] = [render_vector(line) for line in cert.singular_lines]
+    rendered["singular_locus"] = [render_vector(line.surds) for line in cert.singular_lines]
     report["factorization"] = rendered
     report["verdict"] = {"kind": "Factorized"}
     return report, EXIT_OK

@@ -17,6 +17,7 @@ from .core_arith import QuadSurd, _from_ints, _pair_sign
 from .errors import GeometricInconsistency, PostCheckFailed, RelationsNotVerified, ValidationError
 from .lattice_forms import (
     LinearForm,
+    PairVector,
     TrilinearForm,
     _as_surd,
     _dot,
@@ -289,24 +290,23 @@ def unipotent_factorization(relations: RelationReport) -> UnipotentSplit:
 # -- singular loci ------------------------------------------------------------
 
 
-def singular_locus(fact: Factorization) -> list[tuple]:
+def singular_locus(fact: Factorization) -> list[PairVector]:
     """Projective singular lines of the split cubic, in standard coordinates:
     all three frame lines of ThreeLines; u and v for QuadricLine, where
     A z^2 + 6B xy meets z = 0; w for the unipotent split, where z = 0 forces
-    -E y^2 = 0.
+    -E y^2 = 0. Each is the normalized integer pair (p, q) over n of its column.
 
     Every returned line is post-checked against the gradient of C, computed
-    from T: T(pt, pt, ·) must vanish. Both come from one normalized integer
-    pair (p, q), the point (p + q√d)/n and the contraction of D·T with it."""
+    from T: T(pt, pt, ·) must vanish, for pt = (p + q√d)/n its `surds`. The
+    check contracts D·T with (p, q), so it builds no surd."""
     n = 3 if isinstance(fact, ThreeLines) else 2 if isinstance(fact, QuadricLine) else 1
     T, out = fact.cubic, []
     for col in fact.frame[:n]:
         p, q, _, d = line = _normalized(col)
-        pt = line.surds
         if any(map(any, _pair_apply((T.contract(p), T.contract(q)), (p, q), d))):
             raise PostCheckFailed(
                 "singular-locus gradient",
-                f"gradient does not vanish on claimed singular line {pt}",
+                f"gradient does not vanish on claimed singular line {line.surds}",
             )
-        out.append(pt)
+        out.append(line)
     return out

@@ -1,11 +1,10 @@
 """Classify a single unimodular lattice map: finite order, hyperbolic (a real
 eigenvalue alpha > 1 in a real quadratic field), or unipotent with full or
 deficient Jordan block. All eigen-data is computed exactly on integers. The
-eigenline v of alpha = (s + f√d)/2 is the kernel line of 2g - (s + f√d)·id, one
-cross product of two of its rows, normalized on integer pairs; since g is
-integral, the eigenline u of 1/alpha is the Galois conjugate of v, coordinate
-by coordinate. Every returned eigenvector is checked against its eigen-equation
-on those integer pairs before its surds are built.
+eigenline v of alpha = (s + f√d)/2 is a cross product of two rows of 2g - (s + f√d)·id,
+written out and normalized on integer pairs; its Galois conjugate is the eigenline u
+of 1/alpha (g is integral). One eigen-equation check of u's pair, on the ints also
+v's, precedes every surd; w is a primitive cross product of two rows of g - id.
 """
 
 from __future__ import annotations
@@ -111,30 +110,33 @@ def _unipotent_frame(g: LatticeMap) -> UnipotentFull | UnipotentDeficient:
 
 
 def _kernel_line(g: LatticeMap, s: int, f: int, d: int) -> tuple | None:
-    """Integer vectors (p, q) with p + q√d the first nonzero cross product of two
-    rows n_i - f√d·e_i of 2g - (s + f√d)·id, n = 2g - s·id: it spans the kernel
-    when that is a line. None if every product is 0."""
-    n = _shifted(g, 2, s)
-    e = _IDENTITY_ROWS
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        p = [x + f * f * d * y for x, y in zip(cross(n[i], n[j]), cross(e[i], e[j]))]
-        q = [-f * (x + y) for x, y in zip(cross(n[i], e[j]), cross(e[i], n[j]))]
-        if any(p) or any(q):
-            return p, q
-    return None
+    """Integer vectors (p, q), p = n_i × n_j + f²d·(e_i × e_j) and q = -f·(n_i × e_j
+    + e_i × n_j) on n = 2g - s·id: p + q√d is the first nonzero cross product of
+    two rows of 2g - (s + f√d)·id, which spans its kernel when that is a line.
+    Row 0 is nonzero (f√d is irrational), so (1, 2) never comes first; None if
+    (0, 1) and (0, 2) are both 0."""
+    (a, b, c), (e, h, i), (j, k, l) = _shifted(g, 2, s)
+    t = f * f * d
+    p, q = (b * i - c * h, c * e - a * i, a * h - b * e + t), (f * c, f * i, -f * (a + h))
+    if not (any(p) or any(q)):
+        p, q = (b * l - c * k, c * j - a * l - t, a * k - b * j), (-f * b, f * (a + l), -f * k)
+        if not (any(p) or any(q)):
+            return None
+    return p, q
 
 
 def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
-    """Primitive integer eigenvector for eigenvalue 1: the kernel line of 2g - 2·id."""
-    line = _kernel_line(g, 2, 0, 0)
-    if line is None:
-        raise PostCheckFailed("eigenspace for 1 is not one-dimensional")
-    return primitive_part(line[0]).vector
+    """Primitive eigenvector for 1: the first nonzero cross product of two rows of g - id."""
+    n = _shifted(g, 1, 1)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        w = cross(n[i], n[j])
+        if any(w):
+            return primitive_part(w).vector
+    raise PostCheckFailed("eigenspace for 1 is not one-dimensional")
 
 
 def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> tuple:
-    """The surds of x = (p + q√d)/den, built after the check 2·g·(p + q√d) =
-    (s + f√d)·(p + q√d) on the ints."""
+    """The surds of x = (p + q√d)/den, after the check 2·g·x = (s + f√d)·x on the ints."""
     p, q, _, d = x
     if any(2 * gp != s * pi + f * d * qi or 2 * gq != s * qi + f * pi
            for gp, gq, pi, qi in zip(g.apply(p), g.apply(q), p, q)):
@@ -143,12 +145,9 @@ def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> tu
 
 
 def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
-    """(alpha, u, v, w) for a det-1 map with eigenvalue 1 whose other two
-    eigenvalues are real, i.e. |s| > 2 for s = trace - 1: alpha is the larger
-    root of t^2 - s*t + 1, v its eigenvector, u the eigenvector for 1/alpha
-    and w the primitive fixed vector. For s < -2 both roots are negative and
-    |alpha| < 1. v is the kernel line of 2g - (s + f√d)·id, its first
-    nonzero coordinate normalized to 1 on integers."""
+    """(alpha, u, v, w) for a det-1 map with eigenvalue 1 and |s| > 2, s = trace - 1:
+    alpha is the larger root of t^2 - s*t + 1 (|alpha| < 1 for s < -2), v and u the
+    eigenlines of alpha and 1/alpha, first nonzero coordinate 1, w the fixed vector."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
     f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d
@@ -156,16 +155,17 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     if line is None:
         raise PostCheckFailed(f"eigenspace for ({s} + {f}√{d})/2 is not one-dimensional")
     v = _normalized(PairVector(*line, 1, d))
-    w = _eigenvector_1(g)
-    # g is integral, so √d -> -√d maps the eigenline of alpha onto that of 1/alpha.
+    # g is integral: √d -> -√d maps v onto u, and on the ints u's check is v's.
     u = _eigenvector(g, PairVector(v.p, tuple([-y for y in v.q]), v.den, d), s, -f,
                      "eigen-equation g u = u / alpha")
-    v = _eigenvector(g, v, s, f, "eigen-equation g v = alpha v")
+    w = _eigenvector_1(g)
     if g.apply(w) != w:
         raise PostCheckFailed("eigen-equation g w = w")
-    if not (alpha * beta == 1 and alpha + beta == s):
+    p1, q1, n1, p2, q2, n2 = alpha.p, alpha.q, alpha.den, beta.p, beta.q, beta.den
+    if not (beta.d == d and p1 * p2 + d * q1 * q2 == n1 * n2 and p1 * q2 + q1 * p2 == 0
+            and p1 * n2 + p2 * n1 == s * n1 * n2 and q1 * n2 + q2 * n1 == 0):
         raise PostCheckFailed("alpha·beta = 1 and alpha + beta = s")
-    return alpha, u, v, w
+    return alpha, u, v.surds, w
 
 
 def real_pair_lines(g: LatticeMap, cls: ElementClass) -> tuple | None:

@@ -338,8 +338,8 @@ def enumerate_symmetries(
 
 class SeedCertificate(NamedTuple):
     """The relation report of one infinite-order seed, then either the
-    factorization of C with its singular lines, or the reason the relation gate
-    gave, or the inconsistency the factorization found."""
+    factorization of C with its singular lines (`PairVector`s), or the reason
+    the relation gate gave, or the inconsistency the factorization found."""
 
     relations: RelationReport
     factorization: Factorization | None = None

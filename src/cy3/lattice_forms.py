@@ -442,7 +442,7 @@ def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:
     """True iff g leaves both the cubic and the linear form invariant: L∘g = L,
     and the ten entries of the pullback over D equal those of D·T, compared
     as one tuple."""
-    return L.compose(g) == L and _scaled_pullback(T, tuple(zip(*g.rows))) == T.flat
+    return _matmul((L,), g.rows)[0] == L and _scaled_pullback(T, tuple(zip(*g.rows))) == T.flat
 
 
 # -- vectors -------------------------------------------------------------------

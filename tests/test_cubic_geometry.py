@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reconstructs, surd
-from cy3 import cubic_geometry
+from cy3 import cubic_geometry, group_structure
 from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
     FULL_JORDAN,
@@ -340,7 +340,7 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
     expected_q.append([expected_q[0][2], expected_q[1][2], t(2, 2, 2)])
     assert [list(row) for row in fact.quadric.m] == expected_q
 
-    singular = singular_locus(fact)
+    singular = [line.surds for line in singular_locus(fact)]
     assert singular == [projective_normalize(f) for f in frame[:3 if e == 0 else 2]]
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for pt in singular:
@@ -453,7 +453,7 @@ class TestReconstructionAndSingularLocus:
     def test_three_lines_singular_lines(self, golden_cubic, golden_frame, L_z):
         u, v, w = golden_frame
         fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
-        lines = singular_locus(fact)
+        lines = [line.surds for line in singular_locus(fact)]
         assert len(lines) == 3
         expected = {projective_normalize(p) for p in (u, v, w)}
         assert set(lines) == expected
@@ -461,8 +461,25 @@ class TestReconstructionAndSingularLocus:
     def test_quadric_line_singular_lines(self, golden_cubic_quadric, golden_frame, L_z):
         u, v, w = golden_frame
         fact = hyperbolic_split(golden_cubic_quadric, L_z, golden_frame)
-        lines = singular_locus(fact)
+        lines = [line.surds for line in singular_locus(fact)]
         assert set(lines) == {projective_normalize(u), projective_normalize(v)}
+
+    def test_singular_locus_builds_no_surd(self, golden_cubic, golden_frame, golden_generator,
+                                           L_z, monkeypatch):
+        """The singular lines are checked and returned as integer pairs: no
+        PairVector.surds is read until a caller renders them, and `analyze`
+        renders none."""
+        reads, returned = [], []
+        surds = PairVector.surds
+        monkeypatch.setattr(PairVector, "surds",
+                            property(lambda x: reads.append(x) or surds.fget(x)))
+        lines = singular_locus(hyperbolic_split(golden_cubic, L_z, golden_frame))
+        assert len(lines) == 3 and reads == []
+        monkeypatch.setattr(group_structure, "singular_locus",
+                            lambda fact: returned.extend(singular_locus(fact)) or returned)
+        assert analyze_group(golden_cubic, L_z, [golden_generator]).kind == "AlmostAbelianRankOne"
+        assert len(returned) == 3
+        assert not any(x is line for x in reads for line in returned)
 
     def test_gradient_post_check_is_named(self, golden_cubic, golden_frame, L_z, monkeypatch):
         """A claimed singular line on which the gradient does not vanish raises
@@ -476,7 +493,8 @@ class TestReconstructionAndSingularLocus:
 
     def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors, L_z):
         fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
-        assert singular_locus(fact) == [projective_normalize(unipotent_frame_vectors[0])]
+        (line,) = singular_locus(fact)
+        assert line.surds == projective_normalize(unipotent_frame_vectors[0])
 
     def test_tampered_factorizations_do_not_reconstruct(
         self, golden_cubic, golden_cubic_quadric, golden_frame, unipotent_cubic,

@@ -19,10 +19,10 @@ from cy3.element_classify import (
     finite_order,
 )
 from cy3.errors import DoesNotPreserveL, PostCheckFailed, RadicandTooLarge
-from cy3.lattice_forms import LatticeMap, LinearForm, clear_frame
+from cy3.lattice_forms import LatticeMap, LinearForm, clear_frame, cross, primitive_part
 from test_lattice_forms import random_unimodular
 
-EIGEN_CHECKS = {"u": "eigen-equation g u = u / alpha", "v": "eigen-equation g v = alpha v"}
+U_CHECK = "eigen-equation g u = u / alpha"
 
 
 def _char_poly_at_1(g):
@@ -286,29 +286,61 @@ class TestRealPairEigenvectors:
         assert next(x for x in verdict.v if x) == 1
 
     @staticmethod
-    def _built_from(monkeypatch, name, pair):
-        """Make _real_pair_eigendata build the eigenvector `name` ("u" or "v")
-        from pair(x) in place of its own integer pair x, before its
-        eigen-equation is checked."""
+    def _built_from(monkeypatch, pair):
+        """Make _real_pair_eigendata build u from pair(x) in place of its own
+        integer pair x, before the eigen-equation of u is checked."""
         original = element_classify._eigenvector
 
         def faulty(g, x, s, f, check):
-            if check == EIGEN_CHECKS[name]:
-                x = pair(x)
-            return original(g, x, s, f, check)
+            assert check == U_CHECK  # the one eigen-equation check of a real pair
+            return original(g, pair(x), s, f, check)
 
         monkeypatch.setattr(element_classify, "_eigenvector", faulty)
 
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_wrong_eigenvector_fails_the_post_check(self, wrong, golden_generator, L_z,
                                                     monkeypatch):
-        # With conjugation a no-op the vector is built from the pair of the
-        # other root: u from (P, Q), the eigenline of alpha, or v from (P, -Q),
-        # the eigenline of 1/alpha. The other vector stays right.
-        self._built_from(monkeypatch, wrong, lambda x: x._replace(q=tuple(-y for y in x.q)))
+        """u from (P, Q), the eigenline of alpha, with conjugation a no-op; or v
+        from (P, -Q), the eigenline of 1/alpha, through a kernel line of the
+        other root handed over before u is derived from v. On the ints the one
+        check of u is also the check of v, so both fail it."""
+        if wrong == "u":
+            self._built_from(monkeypatch, lambda x: x._replace(q=tuple(-y for y in x.q)))
+        else:
+            kernel_line = element_classify._kernel_line
+
+            def other_root(*args):
+                p, q = kernel_line(*args)
+                return p, tuple(-y for y in q)
+
+            monkeypatch.setattr(element_classify, "_kernel_line", other_root)
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
-        assert info.value.check == EIGEN_CHECKS[wrong]
+        assert info.value.check == U_CHECK
+
+    @pytest.mark.parametrize("fault", ["no-op", "Q doubled", "parts swapped"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_faulty_conjugation_fails_the_post_check(self, fault, seed, L_z, monkeypatch):
+        """u is v's pair (P, Q) with √d -> -√d. A conjugation that keeps Q,
+        gives -2Q or swaps P and Q yields P + Q√d, P - 2Q√d or Q + P√d, none
+        of them on the line of P - Q√d since P and Q are independent (the line
+        is irrational), and the one eigen-equation check names u."""
+        rng = random.Random(seed)
+        P = random_unimodular(rng, steps=3)
+        g = P.inverse() @ _companion(rng.choice([3, 7, 123])) @ P
+
+        def conjugation(x):
+            p, q = x.p, tuple(-y for y in x.q)  # v's pair, before the conjugation
+            if fault == "no-op":
+                return x._replace(q=q)
+            if fault == "Q doubled":
+                return x._replace(q=tuple(-2 * y for y in q))
+            return x._replace(p=q, q=p)
+
+        self._built_from(monkeypatch, conjugation)
+        with pytest.raises(PostCheckFailed) as info:
+            classify(g, L_z.compose(P))
+        assert info.value.check == U_CHECK
 
     @pytest.mark.parametrize("x", [
         (QuadSurd(1), QuadSurd(0), QuadSurd(0)),
@@ -320,14 +352,15 @@ class TestRealPairEigenvectors:
                                                   monkeypatch):
         # u is built from the integer pair of x
         (bad,) = clear_frame([x])
-        self._built_from(monkeypatch, "u", lambda _: bad)
+        self._built_from(monkeypatch, lambda _: bad)
         with pytest.raises(PostCheckFailed) as info:
             classify(golden_generator, L_z)
         assert info.value.check == "eigen-equation g u = u / alpha"
 
     @pytest.mark.parametrize("s", [3, 7, 99_991])
     def test_one_kernel_line_per_real_pair(self, s, L_z, monkeypatch):
-        """One kernel line for v and one for w: u is the conjugate of v."""
+        """One kernel line, for v: u is the conjugate of v, and w is the
+        primitive first nonzero cross product of two rows of g - id."""
         calls = []
         original = element_classify._kernel_line
 
@@ -336,23 +369,37 @@ class TestRealPairEigenvectors:
             return original(*args)
 
         monkeypatch.setattr(element_classify, "_kernel_line", counted)
-        assert isinstance(classify(FRAME_CHANGE.inverse() @ _companion(s) @ FRAME_CHANGE, L_z),
-                          Hyperbolic)
-        assert len(calls) == 2
+        g = FRAME_CHANGE.inverse() @ _companion(s) @ FRAME_CHANGE
+        verdict = classify(g, L_z)
+        assert isinstance(verdict, Hyperbolic)
+        assert len(calls) == 1
+        rows = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(g.rows)]
+        w = next(c for c in (cross(rows[0], rows[1]), cross(rows[0], rows[2]),
+                             cross(rows[1], rows[2])) if any(c))
+        assert verdict.w == primitive_part(w).vector
 
 
-def _reference_line(g, root):
-    """The kernel line of g - root·id in QuadSurd arithmetic: the first nonzero
-    cross product of two of its rows, divided by its first nonzero coordinate."""
-    m = [[QuadSurd(x) - root if i == j else QuadSurd(x) for j, x in enumerate(row)]
+def _first_row_product(g, k, root):
+    """(pair, c): the first row pair of k·g - root·id, in QuadSurd arithmetic,
+    whose cross product c is nonzero, or (None, None)."""
+    m = [[QuadSurd(k * x) - root if i == j else QuadSurd(k * x) for j, x in enumerate(row)]
          for i, row in enumerate(g.rows)]
     for a, b in ((0, 1), (0, 2), (1, 2)):
         r, t = m[a], m[b]
         c = (r[1] * t[2] - r[2] * t[1], r[2] * t[0] - r[0] * t[2], r[0] * t[1] - r[1] * t[0])
         if any(c):
-            pivot = next(x for x in c if x)
-            return tuple(x / pivot for x in c)
-    raise AssertionError("kernel is not a line")
+            return (a, b), c
+    return None, None
+
+
+def _reference_line(g, root):
+    """The kernel line of g - root·id in QuadSurd arithmetic: the first nonzero
+    cross product of two of its rows, divided by its first nonzero coordinate."""
+    _, c = _first_row_product(g, 1, root)
+    if c is None:
+        raise AssertionError("kernel is not a line")
+    pivot = next(x for x in c if x)
+    return tuple(x / pivot for x in c)
 
 
 @settings(deadline=None, max_examples=40)
@@ -370,6 +417,54 @@ def test_real_pair_lines_match_a_surd_reference(rng, s):
     u, v, _ = element_classify.real_pair_lines(g, verdict)
     assert v == _reference_line(g, root)
     assert u == _reference_line(g, root.conjugate())
+
+
+@pytest.mark.parametrize("pair, g", [
+    ((0, 1), FRAME_CHANGE.inverse() @ _companion(7) @ FRAME_CHANGE),
+    ((0, 2), _companion(7)),
+    ((0, 2), LatticeMap([[2, 1, 0], [1, 1, 0], [0, 0, 1]])),  # the golden generator
+])
+def test_each_written_out_row_pair_matches_the_reference(pair, g):
+    """The kernel line is written out for the row pairs (0, 1) and (0, 2); here
+    each is the first nonzero one in QuadSurd arithmetic, (0, 2) for a block
+    [[A, 0], [0, 1]], and u and v match the reference lines. The pair (1, 2)
+    never comes first: see the property test below."""
+    s = g.trace - 1
+    root = QuadSurd(s, 1, s * s - 4)  # 2·alpha
+    assert _first_row_product(g, 2, root)[0] == pair
+    u, v, _ = element_classify.real_pair_lines(g, classify(g))
+    assert v == _reference_line(g, root / 2)
+    assert u == _reference_line(g, root.conjugate() / 2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(-30, 30), min_size=9, max_size=9),
+       st.integers(-30, 30), st.integers(-30, 30).filter(bool),
+       st.sampled_from([2, 3, 5, 6, 7, 94, 10**6 + 3]), st.integers(-6, 6), st.booleans())
+def test_kernel_line_is_the_first_nonzero_row_product(entries, s, f, d, t, block):
+    """On any integer g and s, f != 0 and squarefree d > 1, _kernel_line is the
+    first nonzero of the three row-pair cross products of 2g - (s + f√d)·id in
+    QuadSurd arithmetic, and that is never the pair (1, 2): row 0 has the
+    irrational entry 2g00 - s - f√d, so if rows 1 and 2 are both parallel to it,
+    all three rows are parallel and f√d is a double eigenvalue of the integer
+    matrix 2g - s·id, and so is its conjugate -f√d: four eigenvalues in all.
+    With `block`, rows 0 and 1 of g are an SL2 block A = [[1, t], [x, 1 + tx]]
+    with |tr A| > 2 and s, f, d those of A, so the pair (0, 1) vanishes."""
+    rows = [entries[:3], entries[3:6], entries[6:]]
+    if block:
+        x = entries[0]
+        rows[:2] = [[1, t, 0], [x, 1 + t * x, 0]]
+        s = 2 + t * x
+        if abs(s) <= 2:
+            return
+        alpha = core_arith.solve_unit_quadratic(s)[0]
+        f, d = 2 * alpha.q // alpha.den, alpha.d
+    g = LatticeMap._from_rows(tuple(map(tuple, rows)))
+    pair, c = _first_row_product(g, 2, QuadSurd(s, f, d))
+    assert pair in ((0, 1), (0, 2))
+    assert pair == (0, 2) or not block
+    p, q = element_classify._kernel_line(g, s, f, d)
+    assert tuple(QuadSurd(x, y, d) for x, y in zip(p, q)) == c
 
 
 class TestPostChecks:

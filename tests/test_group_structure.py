@@ -742,7 +742,7 @@ class TestCertifySeed:
         cert = certify_seed(unipotent_cubic, L_z, classify(unipotent_generator, L_z))
         assert cert.relations.overall
         assert cert.factorization.e == 3
-        assert cert.singular_lines == ((1, 0, 0),)
+        assert [line.surds for line in cert.singular_lines] == [(1, 0, 0)]
 
     def test_hodge_index_comes_after_the_relation_gate(self, golden_generator, L_z):
         """z^3: every relation holds, then B = T(u, v, w) = 0 is returned."""

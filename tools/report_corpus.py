@@ -7,7 +7,8 @@ benchmark streams (perfbench/problems.py) and the 4 classify-sweep defect
 probes: 7440 reports. A report enters as its exit code and the bytes of
 `json.dumps(report, indent=2)`; a raised error enters as its type and message.
 Two commits that print the same digest give byte-identical reports on all of
-them.
+them. The reports are computed by os.cpu_count() spawned worker processes and
+hashed in corpus order, so the digest does not depend on the worker count.
 
     python tools/report_corpus.py
 """
@@ -16,7 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from pathlib import Path
 
@@ -47,12 +51,13 @@ def outcome(text: str, command: str) -> str:
 
 
 def main() -> int:
-    digest, count = hashlib.sha256(), 0
-    for problem in corpus():
-        for command in COMMANDS:
-            digest.update(outcome(problem.text, command).encode() + b"\n\0")
-            count += 1
-    print(count, digest.hexdigest())
+    texts, commands = zip(*[(p.text, c) for p in corpus() for c in COMMANDS])
+    digest = hashlib.sha256()
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(os.cpu_count(), mp_context=spawn) as pool:
+        for out in pool.map(outcome, texts, commands, chunksize=32):
+            digest.update(out.encode() + b"\n\0")
+    print(len(texts), digest.hexdigest())
     return 0
 
 
