@@ -8,7 +8,6 @@ from .core_arith import (
     solve_unit_quadratic,
 )
 from .cubic_geometry import (
-    QuadraticForm,
     QuadricLine,
     RelationReport,
     ThreeLines,
@@ -37,7 +36,6 @@ from .group_structure import (
     analyze_group,
     certify_discrete_cyclic,
     enumerate_symmetries,
-    scaling_character,
     unipotent_shear,
 )
 from .lattice_forms import (

@@ -172,7 +172,7 @@ def render_factorization(fact) -> dict:
             "frame": frame,
             "A": str(fact.a),
             "B": str(fact.b),
-            "quadric_in_frame": [render_vector(row) for row in fact.quadric.m],
+            "quadric_in_frame": [render_vector(row) for row in fact.quadric],
             "signature": list(quadric_signature(fact.quadric)),
             "tangency_points": frame[:2],
             "tangent": False,
@@ -184,7 +184,7 @@ def render_factorization(fact) -> dict:
         "frame": [list(col.p) for col in fact.frame],
         "E": str(fact.e),
         "F": str(fact.f),
-        "quadric_in_frame": [render_vector(row) for row in fact.quadric.m],
+        "quadric_in_frame": [render_vector(row) for row in fact.quadric],
         "signature": list(quadric_signature(fact.quadric)),
         "tangency_points": [render_vector(fact.frame[0].p)],
         "tangent": True,

@@ -19,7 +19,6 @@ from .lattice_forms import (
     LinearForm,
     PairVector,
     TrilinearForm,
-    _as_surd,
     _dot,
     _int_pairs,
     _pair_apply,
@@ -73,40 +72,13 @@ def _form_rows(L: LinearForm, names: tuple, frame) -> list[RelationRow]:
             for name, f in zip(names, frame)]
 
 
-class QuadraticForm:
-    """Symmetric 3x3 matrix of exact scalars."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: Sequence[Sequence]):
-        m = tuple(tuple(_as_surd(x) for x in row) for row in _rows3(m))
-        if m != tuple(zip(*m)):
-            raise ValidationError("matrix is not symmetric")
-        self.m = m
-
-    @classmethod
-    def _from_rows(cls, m: tuple) -> "QuadraticForm":
-        """The trusted constructor: a symmetric 3x3 tuple of surds."""
-        obj = object.__new__(cls)
-        obj.m = m
-        return obj
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticForm):
-            return NotImplemented
-        return self.m == other.m
-
-    def __repr__(self):
-        return f"QuadraticForm({[[str(x) for x in row] for row in self.m]})"
-
-
 class Factorization(NamedTuple):
     """C = z·Q(x, y, z) in the coordinates of `frame`, Q as read off the
     frame table. Each kind is a subclass; its named constants are views of Q."""
 
     cubic: TrilinearForm
     frame: tuple  # columns (f1, f2, f3) as `clear_frame` cleared them
-    quadric: QuadraticForm  # in frame coordinates
+    quadric: tuple  # symmetric 3x3 rows of surds, in frame coordinates
 
 
 class _HyperbolicSplit(Factorization):
@@ -117,12 +89,12 @@ class _HyperbolicSplit(Factorization):
     @property
     def a(self) -> QuadSurd:
         """A = T(w, w, w) = q_33."""
-        return self.quadric.m[2][2]
+        return self.quadric[2][2]
 
     @property
     def b(self) -> QuadSurd:
         """B = T(u, v, w) = q_12 / 3."""
-        return self.quadric.m[0][1] / 3
+        return self.quadric[0][1] / 3
 
 
 class ThreeLines(_HyperbolicSplit):
@@ -146,19 +118,19 @@ class UnipotentSplit(Factorization):
     @property
     def e(self) -> QuadSurd:
         """E = q_13 = 3 T(w, w2, w2) / 2, rational."""
-        return self.quadric.m[0][2]
+        return self.quadric[0][2]
 
     @property
     def f(self) -> QuadSurd:
         """F = q_33 = T(w2, w2, w2), rational."""
-        return self.quadric.m[2][2]
+        return self.quadric[2][2]
 
 
 # The entries of the frame table that C∘M = z·Q forces to vanish.
 Z_FREE = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
 
 
-def _read_quadric(t) -> QuadraticForm:
+def _read_quadric(t) -> tuple:
     """Q with C∘M = z·Q, built on the ints of the entries of the frame table
     t of a split cubic."""
 
@@ -167,14 +139,14 @@ def _read_quadric(t) -> QuadraticForm:
         return _from_ints(3 * x.p, 3 * x.q, den * x.den, x.d)
 
     q12, q13, q23 = q((1, 2, 3)), q((1, 3, 3), 2), q((2, 3, 3), 2)
-    return QuadraticForm._from_rows((
+    return (
         (q((1, 1, 3)), q12, q13),
         (q12, q((2, 2, 3)), q23),
         (q13, q23, t[3, 3, 3]),
-    ))
+    )
 
 
-def _checked_quadric(t, check: str, vanishing=()) -> QuadraticForm:
+def _checked_quadric(t, check: str, vanishing=()) -> tuple:
     """Q read off the frame table t, after the post-check that the z-free
     entries and the further entries `vanishing` are 0."""
     nonzero = [f"t{i}{j}{k} = {t[i, j, k]}" for i, j, k in (*Z_FREE, *vanishing) if t[i, j, k]]
@@ -220,16 +192,19 @@ def hyperbolic_factorization(relations: RelationReport) -> Factorization:
     return (QuadricLine if t[3, 3, 3] else ThreeLines)(T, frame, quadric)
 
 
-def quadric_signature(Q: QuadraticForm) -> tuple[int, int, int]:
-    """Sylvester inertia (positive, negative, zero) of Q from the signs of its
-    characteristic polynomial p = t^3 - tr·t^2 + m·t - det. All roots of p are
-    real (Q is real symmetric), so by Descartes' rule of signs p(t) and p(-t)
-    have as many positive roots as sign changes; 0 is a root as often as
-    trailing coefficients vanish. The coefficient m is the sum of the three
-    principal 2x2 minors, the diagonal of the adjugate. All three are signs
-    of integer pairs: Q cleared over one denominator D > 0 scales them by
-    D, D² and D³."""
-    p, q, _, d = _int_pairs([x for row in Q.m for x in row])
+def quadric_signature(Q: Sequence[Sequence]) -> tuple[int, int, int]:
+    """Sylvester inertia (positive, negative, zero) of Q, the 3x3 rows of a
+    `Factorization.quadric`, from the signs of its characteristic polynomial
+    p = t^3 - tr·t^2 + m·t - det. All roots of p are real (Q is real
+    symmetric), so by Descartes' rule of signs p(t) and p(-t) have as many
+    positive roots as sign changes; 0 is a root as often as trailing
+    coefficients vanish. The coefficient m is the sum of the three principal
+    2x2 minors, the diagonal of the adjugate. All three are signs of integer
+    pairs: Q cleared over one denominator D > 0 scales them by D, D² and D³.
+    A Q that is not a symmetric 3x3 matrix of numbers raises ValidationError."""
+    p, q, _, d = _int_pairs([x for row in _rows3(Q) for x in row])
+    if (p, q) != (p[0::3] + p[1::3] + p[2::3], q[0::3] + q[1::3] + q[2::3]):
+        raise ValidationError("matrix is not symmetric")
     r1, r2, r3 = (p[:3], q[:3]), (p[3:6], q[3:6]), (p[6:], q[6:])
     a1, a2, a3 = _pair_cross(r2, r3, d), _pair_cross(r3, r1, d), _pair_cross(r1, r2, d)  # adj(Q)
     signs = [1, -_pair_sign(p[0] + p[4] + p[8], q[0] + q[4] + q[8], d),

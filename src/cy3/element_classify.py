@@ -18,6 +18,7 @@ from .lattice_forms import (
     LatticeMap,
     LinearForm,
     PairVector,
+    _form_pullback,
     _matvec,
     _normalized,
     cross,
@@ -192,7 +193,7 @@ def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:
     if L is not None:
         if L.is_zero():
             raise DoesNotPreserveL("the zero covector is not admitted")
-        if L.compose(g) != L:
+        if _form_pullback(L, g) != L:
             raise DoesNotPreserveL(f"{g!r} does not fix {L}")
 
     if g.is_identity():

@@ -60,7 +60,6 @@ from .lattice_forms import (
     _dot,
     _matmul,
     _matvec,
-    clear_frame,
     preserves_pair,
     primitive_part,
     same_line,
@@ -93,19 +92,12 @@ class GroupVerdict(NamedTuple):
 # -- scaling character ----------------------------------------------------------
 
 
-def scaling_character(h: LatticeMap, line1: Sequence, line2: Sequence) -> QuadSurd:
-    """Positive eigenvalue of h^4 on line1, for a symmetry h that fixes or
-    swaps the eigenlines line1 and line2 in Z^3.
-
-    Passing to 4th powers removes the finite ambiguity of line swaps and signs,
-    so the returned value is a multiplicative character on the group. Both
-    lines are cleared at once to integer pairs p + q√d over one field."""
-    return _scaling_value(h, *clear_frame((line1, line2)))
-
-
 def _scaling_value(h: LatticeMap, line1: PairVector, line2: PairVector) -> QuadSurd:
-    """scaling_character on cleared lines: images and same-line tests stay in
-    plain ints, and the eigenvalue is one surd quotient of two coordinates."""
+    """Positive eigenvalue of h^4 on line1, for a symmetry h that fixes or
+    swaps the eigenlines line1 and line2 in Z^3, cleared by `clear_frame`.
+    Passing to 4th powers removes the finite ambiguity of line swaps and signs,
+    so the returned value is a multiplicative character on the group. Images
+    and same-line tests stay in plain ints; the eigenvalue is one surd quotient."""
     d, x1, x2 = line1.d, line1[:2], line2[:2]
 
     def image(m, x):
@@ -263,8 +255,8 @@ def quadric_preserved_in_frame(hf, split: UnipotentSplit) -> None:
     frame matrix hf = (H, e), on integers: with Q = Q'/f over the lcm
     denominator, it reads Hᵀ·Q'·H = e²·Q'."""
     h, e = hf
-    f = math.lcm(*(x.den for row in split.quadric.m for x in row))
-    q = tuple(tuple(x.p * (f // x.den) for x in row) for row in split.quadric.m)
+    f = math.lcm(*(x.den for row in split.quadric for x in row))
+    q = tuple(tuple(x.p * (f // x.den) for x in row) for row in split.quadric)
     m = _matmul(_matmul(tuple(zip(*h)), q), h)
     # the scalar is forced to 1 by taking determinants; read it off a pivot entry
     if any(m[i][j] * q[0][2] != m[0][2] * q[i][j] for i in range(3) for j in range(3)):
@@ -451,9 +443,15 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
         raise cert.inconsistency
     if cert.reason is not None:
         return GroupVerdict(kind="Inconclusive", reason=cert.reason)
-    if unipotent:
-        return _unipotent_route(generators, cert.factorization, reductions)
-    return _hyperbolic_route(generators, cert.factorization, reductions)
+    route = _unipotent_route if unipotent else _hyperbolic_route
+    character = route(generators, cert.factorization, reductions)
+    if isinstance(character, str):
+        return GroupVerdict(kind="Inconclusive", reason=character)
+    phi, witness = character
+    # the seed is a generator: its tau is p in its own frame, and its alpha^4 is not 1
+    if not any(phi):
+        raise PostCheckFailed("the character is nonzero on the seed generator")
+    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness)
 
 
 def _finite_closure(generators) -> GroupVerdict:
@@ -481,7 +479,8 @@ def _finite_closure(generators) -> GroupVerdict:
     )
 
 
-def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerdict:
+def _unipotent_route(generators, split: UnipotentSplit, reductions) -> tuple | str:
+    """(phi, witness), phi = tau per generator, or why the route is inconclusive."""
     frame = [f.p for f in split.frame]
     p = primitive_part(frame[0]).scale
     taus = []
@@ -495,8 +494,7 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
             try:
                 shear = unipotent_shear(hf)
             except NotUnipotentInFrame:
-                return GroupVerdict(kind="Inconclusive",
-                                    reason=f"generator not unipotent in the frame: {exc}")
+                return f"generator not unipotent in the frame: {exc}"
             reductions.append("generator squared to reach det(h|_L) = 1 (index ≤ 2)")
         quadric_preserved_in_frame(hf, split)
         # tau = p·a = p·H01/e; the primitivity scale p clears the denominator
@@ -504,16 +502,12 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> GroupVerd
         if r:
             raise NonIntegral(f"p·a = {_ratio_str(p * shear, hf[1])} is not an integer")
         taus.append(t)
-    nonzero = [abs(t) for t in taus if t]
-    generator_value = math.gcd(*nonzero) if nonzero else 0
-    if generator_value == 0:
-        # all generators act trivially on the frame, hence are the identity
-        return _finite_closure(generators)
-    witness = TauWitness(p=p, values=tuple(taus), generator_value=generator_value)
-    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness)
+    return taus, TauWitness(p=p, values=tuple(taus), generator_value=math.gcd(*taus))
 
 
-def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdict:
+def _hyperbolic_route(generators, fact: Factorization, reductions) -> tuple | str:
+    """(phi, witness), phi = the exponents of the 4th-power scaling values per
+    generator, () when all are 1, or why the route is inconclusive."""
     u, v = fact.frame[:2]
     values = []
     for h in generators:
@@ -521,13 +515,10 @@ def _hyperbolic_route(generators, fact: Factorization, reductions) -> GroupVerdi
             # v carries the larger root alpha of the seed generator
             values.append(_scaling_value(h, v, u))
         except LinesNotPreserved as exc:
-            return GroupVerdict(kind="Inconclusive", reason=str(exc))
+            return str(exc)
     reductions.append("scaling character computed on 4th powers (index ≤ 4)")
     cert = certify_discrete_cyclic(values)
     if cert.kind == "Inconclusive":
-        return GroupVerdict(kind="Inconclusive", reason=cert.reason)
-    if cert.kind == "Finite":
-        return _finite_closure(generators)
-    witness = CharacterWitness(generator=cert.generator, exponents=cert.exponents,
-                               values=tuple(values))
-    return GroupVerdict(kind="AlmostAbelianRankOne", witness=witness)
+        return cert.reason
+    return cert.exponents, CharacterWitness(generator=cert.generator, exponents=cert.exponents,
+                                            values=tuple(values))

@@ -4,8 +4,7 @@ forms, unimodular lattice maps, and the invariance predicates tying them togethe
 On disk a cubic is a vector of 10 integer monomial coefficients. Each trilinear
 entry t[ijk] is the monomial coefficient divided by its multinomial weight; the
 form holds only the integer tensor D·T over the common denominator D, on which
-evaluation, pullbacks and invariance checks run, and its rational entries are
-views.
+evaluation, pullbacks and invariance checks run.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ def multinomial(i: int, j: int, k: int) -> int:
     return 6
 
 
-# Sorted index triple -> its slot in ENTRY_KEYS; monomial key -> (its slot,
-# 6 / its multinomial weight).
-_ENTRY_SLOTS = {key: slot for slot, key in enumerate(ENTRY_KEYS)}
-_MONOMIAL_SLOTS = {name: (_ENTRY_SLOTS[key], 6 // multinomial(*key))
+# Monomial key -> (the slot of its index triple in ENTRY_KEYS, 6 / its
+# multinomial weight).
+_MONOMIAL_SLOTS = {name: (ENTRY_KEYS.index(key), 6 // multinomial(*key))
                    for name, key in MONOMIAL_INDICES.items()}
 
 
@@ -64,10 +62,9 @@ class TrilinearForm:
     The form is held as the integer tensor D·T over the least common
     denominator `scale` = D of its entries (a divisor of 6 for an integral
     cubic): `flat` is the tuple of its ten distinct entries in ENTRY_KEYS
-    order. Pullbacks, invariance checks and enumeration run on it in plain ints;
-    the entries T[ijk] are `Fraction` views. Entries are given as ints or
-    Fractions on the ten sorted index triples; any other key or value raises
-    ValidationError.
+    order. Pullbacks, invariance checks and enumeration run on it in plain ints.
+    Entries are given as ints or Fractions on the ten sorted index triples; any
+    other key or value raises ValidationError.
     """
 
     __slots__ = ("scale", "flat")
@@ -95,12 +92,6 @@ class TrilinearForm:
         obj.scale = scale // g
         obj.flat = tuple(scaled) if g == 1 else tuple([x // g for x in scaled])
         return obj
-
-    @property
-    def scaled(self) -> tuple:
-        """D·T as nested 3x3x3 tuples indexed from 0, read off `flat`."""
-        return tuple(tuple(tuple(self.flat[_ENTRY_SLOTS[tuple(sorted((i, j, k)))]]
-                                 for k in (1, 2, 3)) for j in (1, 2, 3)) for i in (1, 2, 3))
 
     def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """The symmetric integer matrix (D·T)(v, ·, ·) for an integer vector v,
@@ -130,16 +121,10 @@ class TrilinearForm:
             scaled[slot] = c.numerator * weight
         return cls._from_scaled(scaled, 6)
 
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self.flat[_ENTRY_SLOTS[tuple(sorted((i, j, k)))]], self.scale)
-
-    def entries(self) -> dict[tuple[int, int, int], Fraction]:
-        return {key: self.entry(*key) for key in ENTRY_KEYS}
-
     def cubic_coefficients(self) -> dict[str, Fraction]:
         """Monomial coefficients of the induced cubic (integers for valid input)."""
-        return {INDEX_MONOMIALS[key]: self.entry(*key) * multinomial(*key)
-                for key in ENTRY_KEYS}
+        return {INDEX_MONOMIALS[key]: Fraction(x * multinomial(*key), self.scale)
+                for key, x in zip(ENTRY_KEYS, self.flat)}
 
     def __eq__(self, other):
         if not isinstance(other, TrilinearForm):
@@ -174,15 +159,8 @@ class LinearForm(_Covector):
     def coefficients(self) -> tuple[int, int, int]:
         return (self.l1, self.l2, self.l3)
 
-    def __call__(self, v: Sequence):
-        return _dot(v, self.coefficients())
-
     def is_zero(self) -> bool:
         return self.coefficients() == (0, 0, 0)
-
-    def compose(self, g: "LatticeMap") -> "LinearForm":
-        """The covector L∘g, i.e. v -> L(g v)."""
-        return LinearForm._make(_matmul((self.coefficients(),), g.rows)[0])
 
 
 _IDENTITY_ROWS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -438,11 +416,18 @@ def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:
     return TrilinearForm._from_scaled(_scaled_pullback(T, tuple(zip(*g.rows))), T.scale)
 
 
+def _form_pullback(L: Sequence[int], g: LatticeMap) -> tuple[int, int, int]:
+    """The covector L∘g, v -> L(g v), as the row product L·g written out."""
+    l1, l2, l3 = L
+    (a, b, c), (d, e, f), (h, i, j) = g.rows
+    return (l1 * a + l2 * d + l3 * h, l1 * b + l2 * e + l3 * i, l1 * c + l2 * f + l3 * j)
+
+
 def preserves_pair(g: LatticeMap, T: TrilinearForm, L: LinearForm) -> bool:
     """True iff g leaves both the cubic and the linear form invariant: L∘g = L,
     and the ten entries of the pullback over D equal those of D·T, compared
     as one tuple."""
-    return _matmul((L,), g.rows)[0] == L and _scaled_pullback(T, tuple(zip(*g.rows))) == T.flat
+    return _form_pullback(L, g) == L and _scaled_pullback(T, tuple(zip(*g.rows))) == T.flat
 
 
 # -- vectors -------------------------------------------------------------------
@@ -486,11 +471,6 @@ def _normalized(v: PairVector) -> PairVector:
         return PairVector(p, q, a, d)
     return PairVector(tuple([x * a - d * y * b for x, y in zip(p, q)]),
                       tuple([y * a - x * b for x, y in zip(p, q)]), a * a - d * b * b, d)
-
-
-def projective_normalize(v: Sequence) -> tuple[QuadSurd, ...]:
-    """Scale so the first nonzero coordinate is 1 (line identity normal form)."""
-    return _normalized(_int_pairs(v)).surds
 
 
 def same_line(x, y, d: int) -> bool:

@@ -6,6 +6,34 @@ import pytest
 from cy3 import LatticeMap, LinearForm, TrilinearForm, cubic_eval
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import FiniteOrder, Identity
+from cy3.lattice_forms import ENTRY_KEYS, _form_pullback, _int_pairs, _normalized
+
+
+def form_entries(T) -> dict:
+    """The ten distinct entries of T, Fractions on the sorted index triples."""
+    return {key: Fraction(x, T.scale) for key, x in zip(ENTRY_KEYS, T.flat)}
+
+
+def form_entry(T, i: int, j: int, k: int) -> Fraction:
+    """The entry T[ijk], indices from 1 in any order."""
+    return Fraction(T.flat[ENTRY_KEYS.index(tuple(sorted((i, j, k))))], T.scale)
+
+
+def scaled_tensor(T) -> tuple:
+    """D·T as nested 3x3x3 tuples of ints indexed from 0."""
+    flat = dict(zip(ENTRY_KEYS, T.flat))
+    return tuple(tuple(tuple(flat[tuple(sorted((i, j, k)))] for k in (1, 2, 3))
+                       for j in (1, 2, 3)) for i in (1, 2, 3))
+
+
+def normalize(v) -> tuple:
+    """The surds of the line of v scaled to a first nonzero coordinate of 1."""
+    return _normalized(_int_pairs(v)).surds
+
+
+def compose(L, g) -> LinearForm:
+    """The linear form L∘g, v -> L(g v)."""
+    return LinearForm(*_form_pullback(L, g))
 
 
 @pytest.fixture
@@ -103,7 +131,7 @@ def reconstructs(fact) -> bool:
     """True iff re-expanding the split z·Q in standard coordinates gives back
     C: C(M·X) = Z·Q(X) for the frame M at every X in {0, 1, 2, 3}^3, which
     determines a cubic in three variables."""
-    q, frame = fact.quadric.m, [f.surds for f in fact.frame]
+    q, frame = fact.quadric, [f.surds for f in fact.frame]
     for x in product(range(4), repeat=3):
         point = [sum(x[k] * frame[k][i] for k in range(3)) for i in range(3)]
         zq = x[2] * sum(q[i][j] * x[i] * x[j] for i in range(3) for j in range(3))

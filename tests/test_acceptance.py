@@ -111,7 +111,7 @@ def test_criterion_2_unipotent_pipeline():
 
         fact = unipotent_factorization(report)
         assert fact.e == 3 and fact.f == 1
-        assert fact.quadric.m[0][:2] == (0, 0)  # z is tangent to Q at w
+        assert fact.quadric[0][:2] == (0, 0)  # z is tangent to Q at w
         _FACTORIZATIONS.append(fact)
 
         for n in range(1, 11):

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reconstructs, surd
+from conftest import compose, form_entry, normalize, reconstructs, surd
 from cy3 import cubic_geometry, group_structure
 from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
@@ -14,7 +14,6 @@ from cy3.cubic_geometry import (
     HODGE_INDEX,
     HYPERBOLIC_ROWS,
     LEFSCHETZ,
-    QuadraticForm,
     QuadricLine,
     ThreeLines,
     UnipotentSplit,
@@ -32,14 +31,14 @@ from cy3.errors import (
     RelationsNotVerified,
     ValidationError,
 )
-from cy3.group_structure import analyze_group, scaling_character
+from cy3.group_structure import _scaling_value, analyze_group
 from cy3.lattice_forms import (
     LatticeMap,
     LinearForm,
     PairVector,
     TrilinearForm,
+    clear_frame,
     preserves_pair,
-    projective_normalize,
     transform_cubic,
 )
 from test_lattice_forms import random_unimodular
@@ -109,7 +108,7 @@ class TestHyperbolicFactorization:
         assert isinstance(fact, ThreeLines)
         assert fact.b == surd(Fraction(5, 6))
         three_b = fact.b * 3
-        assert fact.quadric == QuadraticForm(((0, three_b, 0), (three_b, 0, 0), (0, 0, 0)))
+        assert fact.quadric == ((0, three_b, 0), (three_b, 0, 0), (0, 0, 0))
         assert reconstructs(fact)
 
     def test_quadric_line(self, golden_cubic_quadric, golden_frame, L_z):
@@ -118,7 +117,7 @@ class TestHyperbolicFactorization:
         assert fact.a == 1
         assert fact.b == surd(Fraction(5, 6))
         three_b = fact.b * 3
-        assert fact.quadric == QuadraticForm(((0, three_b, 0), (three_b, 0, 0), (0, 0, 1)))
+        assert fact.quadric == ((0, three_b, 0), (three_b, 0, 0), (0, 0, 1))
         assert quadric_signature(fact.quadric) == (2, 1, 0)
         assert reconstructs(fact)
 
@@ -146,26 +145,36 @@ class TestHyperbolicFactorization:
         # in frame coordinates u, v are the first two axes: Q(u) = q11 and
         # Q(v) = q22 vanish, and the tangent planes there, rows 1 and 2 of Q,
         # are y and x
-        (q11, q12, q13), (_, q22, q23), _ = fact.quadric.m
+        (q11, q12, q13), (_, q22, q23), _ = fact.quadric
         assert q11 == q22 == q13 == q23 == 0
         assert q12 != 0
 
 
-class TestQuadraticFormInput:
+class TestSignatureInput:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
-            QuadraticForm(((1, 0), (0, 1)))
+            quadric_signature(((1, 0), (0, 1)))
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError, match="matrix is not symmetric"):
-            QuadraticForm(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+            quadric_signature(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_asymmetric_surd_entry_rejected(self):
+        s5 = surd(0, 1, 5)
+        with pytest.raises(ValidationError, match="matrix is not symmetric"):
+            quadric_signature(((1, s5, 0), (-s5, 1, 0), (0, 0, 1)))
 
     @pytest.mark.parametrize("m", [5, [1, 2, 3], None])
     def test_non_matrix_rejected(self, m):
         """A scalar or a flat list is no matrix: the named error, not a bare
         TypeError from iterating it."""
         with pytest.raises(ValidationError, match="expected a 3x3 matrix"):
-            QuadraticForm(m)
+            quadric_signature(m)
+
+    @pytest.mark.parametrize("x", ["1", None, 1.5])
+    def test_non_number_entry_rejected(self, x):
+        with pytest.raises(ValidationError, match="surd parts must be ints or Fractions"):
+            quadric_signature(((x, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 class TestFactorizationRecord:
@@ -188,21 +197,21 @@ class TestFactorizationRecord:
 
 class TestSignature:
     def test_diagonal(self):
-        q = QuadraticForm(((1, 0, 0), (0, -2, 0), (0, 0, 0)))
+        q = ((1, 0, 0), (0, -2, 0), (0, 0, 0))
         assert quadric_signature(q) == (1, 1, 1)
 
     def test_hyperbolic_plane_block(self):
-        q = QuadraticForm(((0, 1, 0), (1, 0, 0), (0, 0, 3)))
+        q = ((0, 1, 0), (1, 0, 0), (0, 0, 3))
         assert quadric_signature(q) == (2, 1, 0)
 
     def test_surd_entries(self):
         s5 = surd(0, 1, 5)
-        q = QuadraticForm(((s5, 0, 0), (0, -s5, 0), (0, 0, s5)))
+        q = ((s5, 0, 0), (0, -s5, 0), (0, 0, s5))
         assert quadric_signature(q) == (2, 1, 0)
 
     def test_invariance_under_unimodular_congruence(self):
         """Sylvester's law: inertia is stable under 20 random congruences."""
-        q = QuadraticForm(((0, 3, 0), (3, 0, 0), (0, 0, 7)))
+        q = ((0, 3, 0), (3, 0, 0), (0, 0, 7))
         base = quadric_signature(q)
         rng = random.Random(314)
         for _ in range(20):
@@ -210,7 +219,7 @@ class TestSignature:
             conj = [
                 [
                     sum(
-                        p[k][i] * q.m[k][l] * p[l][j]
+                        p[k][i] * q[k][l] * p[l][j]
                         for k in range(3)
                         for l in range(3)
                     )
@@ -218,7 +227,7 @@ class TestSignature:
                 ]
                 for i in range(3)
             ]
-            assert quadric_signature(QuadraticForm(conj)) == base
+            assert quadric_signature(conj) == base
 
 
 def to_mpf(x):
@@ -268,15 +277,15 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 @example(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 def test_signature_matches_mpmath_eigenvalues(m):
-    assert quadric_signature(QuadraticForm(m)) == eigsy_signature(m)
+    assert quadric_signature(m) == eigsy_signature(m)
 
 
 def test_singular_surd_signature_matches_mpmath_eigenvalues():
     """Q = v·v^t - w·w^t with v = (1, phi, 0) and w = (0, 1, √5): rank 2, det
     exactly 0, one eigenvalue of each sign."""
     phi, s5 = surd(Fraction(1, 2), Fraction(1, 2), 5), surd(0, 1, 5)
-    q = QuadraticForm(((1, phi, 0), (phi, phi, -s5), (0, -s5, -5)))
-    assert quadric_signature(q) == eigsy_signature(q.m) == (1, 1, 1)
+    q = ((1, phi, 0), (phi, phi, -s5), (0, -s5, -5))
+    assert quadric_signature(q) == eigsy_signature(q) == (1, 1, 1)
 
 
 # -- the hyperbolic certificate against a 27-term trilinear oracle ---------------
@@ -298,7 +307,7 @@ def trilinear_eval(T, a, b, c):
     """T(a, b, c) as the 27-term sum of the Fraction entries of T, in QuadSurd
     arithmetic: a test-local oracle that shares no code with the library's
     integer-pair contractions."""
-    return sum((T.entry(i + 1, j + 1, k + 1) * a[i] * b[j] * c[k]
+    return sum((form_entry(T, i + 1, j + 1, k + 1) * a[i] * b[j] * c[k]
                 for i in range(3) for j in range(3) for k in range(3)), surd(0))
 
 
@@ -317,7 +326,7 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
     a, b, c = form
     T0 = TrilinearForm.from_cubic_coefficients({"x2z": a, "xyz": b, "y2z": c, "z3": e})
     P = random_unimodular(rng, steps=steps)
-    T, L = transform_cubic(T0, P), LinearForm(0, 0, 1).compose(P)
+    T, L = transform_cubic(T0, P), compose(LinearForm(0, 0, 1), P)
     g = P.inverse() @ LatticeMap(automorph(a, b, c)) @ P
     assert preserves_pair(g, T, L)
     cls = classify(g, L)
@@ -338,10 +347,10 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
     expected_q = [[t(i, j, 2) * 3 if j < 2 else t(i, 2, 2) * Fraction(3, 2) for j in range(3)]
                   for i in range(2)]
     expected_q.append([expected_q[0][2], expected_q[1][2], t(2, 2, 2)])
-    assert [list(row) for row in fact.quadric.m] == expected_q
+    assert [list(row) for row in fact.quadric] == expected_q
 
     singular = [line.surds for line in singular_locus(fact)]
-    assert singular == [projective_normalize(f) for f in frame[:3 if e == 0 else 2]]
+    assert singular == [normalize(f) for f in frame[:3 if e == 0 else 2]]
     basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for pt in singular:
         assert all(trilinear_eval(T, pt, pt, x) == 0 for x in basis)
@@ -351,7 +360,7 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
         image = surd_apply(h ** 4, cls.v)
         beta = next(x for x in image if x) / next(x for x in cls.v if x)
         assert image == tuple(x * beta for x in cls.v)
-        assert scaling_character(h, cls.v, cls.u) == beta
+        assert _scaling_value(h, *clear_frame((cls.v, cls.u))) == beta
         betas.append(beta)
     assert betas == [cls.alpha ** 4, cls.alpha ** 8]
     verdict = analyze_group(T, L, [g, g @ g])
@@ -386,15 +395,13 @@ class TestUnipotentFactorization:
         assert fact.e == 3
         assert fact.f == 1
         # with E = q13 != 0, z is tangent to Q at w = (1, 0, 0)
-        assert fact.quadric.m[0][:2] == (0, 0)
+        assert fact.quadric[0][:2] == (0, 0)
         assert reconstructs(fact)
 
     def test_quadric_matrix(self, unipotent_cubic, unipotent_frame_vectors, L_z):
         fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
         e, f = Fraction(3), Fraction(1)
-        assert fact.quadric == QuadraticForm(
-            ((0, 0, e), (0, -e, e / 2), (e, e / 2, f))
-        )
+        assert fact.quadric == ((0, 0, e), (0, -e, e / 2), (e, e / 2, f))
 
     def test_z_free_entry_fails_the_named_post_check(self, unipotent_frame_vectors, L_z):
         """An x^3 term is no multiple of z: with the relation gate forced open,
@@ -445,8 +452,8 @@ class TestUnipotentFactorization:
         fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
         # w = (1,0,0) in frame coordinates lies on Q (q11 = 0) and the tangent
         # there, row 1 of Q, is z (q12 = 0 != q13)
-        assert fact.quadric.m[0][:2] == (0, 0)
-        assert fact.quadric.m[0][2] != 0
+        assert fact.quadric[0][:2] == (0, 0)
+        assert fact.quadric[0][2] != 0
 
 
 class TestReconstructionAndSingularLocus:
@@ -455,14 +462,14 @@ class TestReconstructionAndSingularLocus:
         fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         lines = [line.surds for line in singular_locus(fact)]
         assert len(lines) == 3
-        expected = {projective_normalize(p) for p in (u, v, w)}
+        expected = {normalize(p) for p in (u, v, w)}
         assert set(lines) == expected
 
     def test_quadric_line_singular_lines(self, golden_cubic_quadric, golden_frame, L_z):
         u, v, w = golden_frame
         fact = hyperbolic_split(golden_cubic_quadric, L_z, golden_frame)
         lines = [line.surds for line in singular_locus(fact)]
-        assert set(lines) == {projective_normalize(u), projective_normalize(v)}
+        assert set(lines) == {normalize(u), normalize(v)}
 
     def test_singular_locus_builds_no_surd(self, golden_cubic, golden_frame, golden_generator,
                                            L_z, monkeypatch):
@@ -494,7 +501,7 @@ class TestReconstructionAndSingularLocus:
     def test_unipotent_singular_line(self, unipotent_cubic, unipotent_frame_vectors, L_z):
         fact = unipotent_split(unipotent_cubic, L_z, unipotent_frame_vectors)
         (line,) = singular_locus(fact)
-        assert line.surds == projective_normalize(unipotent_frame_vectors[0])
+        assert line.surds == normalize(unipotent_frame_vectors[0])
 
     def test_tampered_factorizations_do_not_reconstruct(
         self, golden_cubic, golden_cubic_quadric, golden_frame, unipotent_cubic,
@@ -509,9 +516,9 @@ class TestReconstructionAndSingularLocus:
         for fact in facts:
             assert reconstructs(fact)
             for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-                m = [list(row) for row in fact.quadric.m]
+                m = [list(row) for row in fact.quadric]
                 m[i][j] = m[j][i] = m[i][j] + 1
-                tampered = fact._replace(quadric=QuadraticForm(m))
+                tampered = fact._replace(quadric=m)
                 assert not reconstructs(tampered), (type(fact).__name__, i, j)
 
     def test_reconstruction_survives_base_change(
@@ -524,7 +531,7 @@ class TestReconstructionAndSingularLocus:
             # transported pair: cubic pulled back by p, generator conjugated
             T2 = transform_cubic(unipotent_cubic, p)
             g2 = p.inverse() @ unipotent_generator @ p
-            L2 = L_z.compose(p)
+            L2 = compose(L_z, p)
             verdict = classify(g2, L2)
             assert isinstance(verdict, UnipotentFull)
             rep = check_unipotent_relations(T2, L2, verdict.w, verdict.w1, verdict.w2)
@@ -543,7 +550,7 @@ class TestReconstructionAndSingularLocus:
                 p = random_unimodular(rng, steps=4)
                 T2 = transform_cubic(T, p)
                 g2 = p.inverse() @ golden_generator @ p
-                L2 = L_z.compose(p)
+                L2 = compose(L_z, p)
                 verdict = classify(g2, L2)
                 assert isinstance(verdict, Hyperbolic)
                 rep = check_hyperbolic_relations(T2, L2, verdict.u, verdict.v, verdict.w)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLDEN_ALPHA, is_finite_class
+from conftest import GOLDEN_ALPHA, compose, is_finite_class
 from cy3 import core_arith, element_classify
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import (
@@ -277,7 +277,7 @@ class TestRealPairEigenvectors:
         s = rng.choice([3, 4, 5, 7, 18, 123, 1442, 99_991])
         P = random_unimodular(rng, steps=rng.randint(1, 5))
         g = P.inverse() @ _companion(s) @ P
-        verdict = classify(g, L_z.compose(P))
+        verdict = classify(g, compose(L_z, P))
         assert isinstance(verdict, Hyperbolic)
         alpha = verdict.alpha
         assert surd_apply(g, verdict.v) == tuple(x * alpha for x in verdict.v)
@@ -339,7 +339,7 @@ class TestRealPairEigenvectors:
 
         self._built_from(monkeypatch, conjugation)
         with pytest.raises(PostCheckFailed) as info:
-            classify(g, L_z.compose(P))
+            classify(g, compose(L_z, P))
         assert info.value.check == U_CHECK
 
     @pytest.mark.parametrize("x", [

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import GOLDEN_ALPHA, surd
+from conftest import GOLDEN_ALPHA, compose, form_entries, surd
 from cy3 import group_structure, lattice_forms
 from cy3.core_arith import QuadSurd, squarefree_decompose
 from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
@@ -29,13 +29,13 @@ from cy3.errors import (
 from cy3.group_structure import (
     CharacterWitness,
     TauWitness,
+    _scaling_value,
     analyze_group,
     certify_discrete_cyclic,
     certify_seed,
     enumerate_symmetries,
     frame_coordinates_matrix,
     quadric_preserved_in_frame,
-    scaling_character,
     unipotent_shear,
 )
 from cy3.lattice_forms import (
@@ -43,6 +43,7 @@ from cy3.lattice_forms import (
     LatticeMap,
     LinearForm,
     TrilinearForm,
+    clear_frame,
     preserves_pair,
     transform_cubic,
 )
@@ -74,14 +75,21 @@ PLANE_FLIP = LatticeMap([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
 class TestScalingCharacter:
+    """`_scaling_value` on eigenlines cleared by `clear_frame`, as the
+    hyperbolic route reads them."""
+
     @pytest.fixture
     def golden_lines(self, golden_generator, L_z):
         """The eigenlines (v, u) in Z^3, v for the larger root alpha."""
         cls = classify(golden_generator, L_z)
         return cls.v, cls.u
 
-    def test_generator_value(self, golden_generator, golden_lines):
-        assert scaling_character(golden_generator, *golden_lines) == GOLDEN_ALPHA**4
+    @pytest.fixture
+    def cleared(self, golden_lines):
+        return clear_frame(golden_lines)
+
+    def test_generator_value(self, golden_generator, cleared):
+        assert _scaling_value(golden_generator, *cleared) == GOLDEN_ALPHA**4
 
     def test_value_does_not_depend_on_the_scale_of_the_lines(self, golden_generator,
                                                              golden_lines):
@@ -90,50 +98,52 @@ class TestScalingCharacter:
         v_scaled = tuple(x * surd(2, -1, 5) for x in v)
         u_scaled = tuple(x * Fraction(-3, 2) for x in u)
         assert v_scaled[0].b != 0
-        assert scaling_character(golden_generator, v_scaled, u_scaled) == GOLDEN_ALPHA**4
-        assert scaling_character(golden_generator, u_scaled, v_scaled) == GOLDEN_ALPHA**-4
+        v_cleared, u_cleared = clear_frame((v_scaled, u_scaled))
+        assert _scaling_value(golden_generator, v_cleared, u_cleared) == GOLDEN_ALPHA**4
+        assert _scaling_value(golden_generator, u_cleared, v_cleared) == GOLDEN_ALPHA**-4
 
-    def test_multiplicativity_on_words(self, golden_generator, golden_lines):
+    def test_multiplicativity_on_words(self, golden_generator, cleared):
         """chi(g^a) * chi(g^b) = chi(g^(a+b)) on words up to length 4."""
         for a in range(-4, 5):
             for b in range(-4, 5):
-                prod = (scaling_character(golden_generator**a, *golden_lines)
-                        * scaling_character(golden_generator**b, *golden_lines))
-                assert prod == scaling_character(golden_generator ** (a + b), *golden_lines)
+                prod = (_scaling_value(golden_generator**a, *cleared)
+                        * _scaling_value(golden_generator**b, *cleared))
+                assert prod == _scaling_value(golden_generator ** (a + b), *cleared)
 
-    def test_line_swap_absorbed_by_fourth_power(self, golden_lines):
+    def test_line_swap_absorbed_by_fourth_power(self, cleared):
         """A symmetry swapping the two eigenlines still yields a positive value."""
-        assert scaling_character(LINE_SWAP, *golden_lines) == 1
-        assert scaling_character(LINE_SWAP, *golden_lines[::-1]) == 1
+        assert _scaling_value(LINE_SWAP, *cleared) == 1
+        assert _scaling_value(LINE_SWAP, *cleared[::-1]) == 1
 
-    def test_non_preserving_raises(self, golden_lines):
+    def test_non_preserving_raises(self, cleared):
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(LinesNotPreserved) as info:
-            scaling_character(shear, *golden_lines)
+            _scaling_value(shear, *cleared)
         assert str(info.value) == "restricted action does not permute the two lines"
 
-    def test_fourth_power_check_is_named(self, golden_generator, golden_lines, monkeypatch):
+    def test_fourth_power_check_is_named(self, golden_generator, cleared, monkeypatch):
         """A 4th power that moves line1 fails its own check."""
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: shear)
         with pytest.raises(LinesNotPreserved) as info:
-            scaling_character(golden_generator, *golden_lines)
+            _scaling_value(golden_generator, *cleared)
         assert str(info.value) == "4th power does not fix line1"
 
-    def test_positivity_check_is_named(self, golden_generator, golden_lines, monkeypatch):
+    def test_positivity_check_is_named(self, golden_generator, cleared, monkeypatch):
         """-g^4 has the eigenvalue -alpha^4 on line1, which the check rejects."""
         power = LatticeMap.__pow__
         monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: LatticeMap(
             [[-x for x in row] for row in power(self, n).rows]))
         with pytest.raises(LinesNotPreserved) as info:
-            scaling_character(golden_generator, *golden_lines)
+            _scaling_value(golden_generator, *cleared)
         assert str(info.value) == "4th-power scalar is not positive"
 
     def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_lines,
                                                fraction_builds):
-        """Lines, images, same-line tests and the eigenvalue itself stay in
-        ints: no Fraction is built."""
-        value, built = fraction_builds(scaling_character, golden_generator, *golden_lines)
+        """Clearing the lines, images, same-line tests and the eigenvalue itself
+        stay in ints: no Fraction is built."""
+        value, built = fraction_builds(
+            lambda: _scaling_value(golden_generator, *clear_frame(golden_lines)))
         assert value == GOLDEN_ALPHA**4
         assert built == 0
 
@@ -356,7 +366,7 @@ class TestUnipotentConstraints:
         Fraction entries."""
         p = LatticeMap([[1, 2, -1], [0, 1, 0], [2, 5, -1]])
         gens = [unipotent_generator, unipotent_generator**2, unipotent_generator.inverse()]
-        conjugate = (transform_cubic(unipotent_cubic, p), L_z.compose(p),
+        conjugate = (transform_cubic(unipotent_cubic, p), compose(L_z, p),
                      [p.inverse() @ h @ p for h in gens])
         assert abs(lattice_forms._det3(_unipotent_frame(conjugate[2][0], conjugate[1]))) == 8
         for problem, witness in (((unipotent_cubic, L_z, gens), TauWitness(1, (1, 2, -1), 1)),
@@ -376,7 +386,7 @@ class TestUnipotentConstraints:
         the frame of a random unimodular conjugate of the unipotent example."""
         p = random_unimodular(rng, steps=6)
         g = p.inverse() @ LatticeMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) @ p
-        cls = classify(g, LinearForm(0, 0, 1).compose(p))
+        cls = classify(g, compose(LinearForm(0, 0, 1), p))
         frame = (cls.w, cls.w1, cls.w2)
         h = g**k @ random_unimodular(rng, steps=3)
         m = [[frame[j][i] for j in range(3)] for i in range(3)]
@@ -456,7 +466,7 @@ def unipotent_split(p=LatticeMap.identity()):
     """The unipotent example conjugated by p: its split and its generator."""
     g = p.inverse() @ LatticeMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) @ p
     T = TrilinearForm.from_cubic_coefficients({"z3": 1, "xz2": 6, "y2z": -3, "yz2": 3})
-    L = LinearForm(0, 0, 1).compose(p)
+    L = compose(LinearForm(0, 0, 1), p)
     return certify_seed(transform_cubic(T, p), L, classify(g, L)).factorization, g
 
 
@@ -480,7 +490,7 @@ class TestQuadricPreservedInFrame:
     def fraction_check(hf, split):
         """The reference over Fractions for hf = H/e: the message it raises, or None."""
         hf = [[Fraction(x, hf[1]) for x in row] for row in hf[0]]
-        q = [[x.a for x in row] for row in split.quadric.m]
+        q = [[x.a for x in row] for row in split.quadric]
         m = _mat_mul(_mat_mul([list(c) for c in zip(*hf)], q), hf)
         lam = m[0][2] / q[0][2]
         if any(m[i][j] != lam * q[i][j] for i in range(3) for j in range(3)):
@@ -650,7 +660,7 @@ def test_enumeration_matches_brute_force(rng, shape, coefficients):
         assume(any(cubic[m] for m in ("x3", "x2y", "xy2", "y3")))
     p = random_unimodular(rng, steps=rng.randint(0, 3))
     T = transform_cubic(TrilinearForm.from_cubic_coefficients(cubic), p)
-    L = LinearForm(0, 0, 1).compose(p)
+    L = compose(LinearForm(0, 0, 1), p)
     expected = [g for g in _unimodular_box_1() if preserves_pair(g, T, L)]
     with mock.patch.object(group_structure, "preserves_pair", wraps=preserves_pair) as pullback:
         assert enumerate_symmetries(T, L, 1) == expected
@@ -681,13 +691,13 @@ def test_near_miss_stops_at_its_entry(entry):
     full pullback, which runs once per map found."""
     cubic, l = NEAR_MISSES[entry]
     T, L = TrilinearForm.from_cubic_coefficients(cubic), LinearForm(*l)
-    entries = T.entries()
+    entries = form_entries(T)
 
     def failing(g):
-        moved = transform_cubic(T, g).entries()
+        moved = form_entries(transform_cubic(T, g))
         return {key for key in entries if moved[key] != entries[key]}
 
-    assert any(L.compose(g) == L and failing(g) == {entry} for g in _unimodular_box_1())
+    assert any(compose(L, g) == L and failing(g) == {entry} for g in _unimodular_box_1())
     with mock.patch.object(group_structure, "preserves_pair", wraps=preserves_pair) as pullback:
         found = enumerate_symmetries(T, L, 1)
     assert pullback.call_count == len(found)
@@ -768,7 +778,7 @@ class TestCertifySeed:
         rng = random.Random(5)
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
-        g, L = p.inverse() @ golden_generator @ p, L_z.compose(p)
+        g, L = p.inverse() @ golden_generator @ p, compose(L_z, p)
         lines = real_pair_lines(g, classify(g, L))
         calls = []
         int_pairs = lattice_forms._int_pairs
@@ -787,7 +797,7 @@ class TestCertifySeed:
         rng = random.Random(6)
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
-        g, L = p.inverse() @ golden_generator @ p, L_z.compose(p)
+        g, L = p.inverse() @ golden_generator @ p, compose(L_z, p)
         calls = []
         int_pairs = lattice_forms._int_pairs
         monkeypatch.setattr(lattice_forms, "_int_pairs",
@@ -876,6 +886,32 @@ class TestAnalyzeGroup:
         v2, v3 = verdict.witness.values
         assert v2 * 3 == v3 * 2
         assert verdict.witness.generator_value == __import__("math").gcd(v2, v3)
+
+    def test_generator_value_of_negative_taus(self, unipotent_cubic, unipotent_generator, L_z):
+        """In the frame of g, g^-2 has tau = -2 and g^6 has tau = 6; the gcd
+        is taken of absolute values."""
+        gens = [unipotent_generator ** -2, unipotent_generator ** 6]
+        verdict = analyze_group(unipotent_cubic, L_z, [unipotent_generator, *gens])
+        assert verdict.witness.values == (1, -2, 6)
+        verdict = analyze_group(unipotent_cubic, L_z, gens)
+        assert verdict.witness.values[1] == -3 * verdict.witness.values[0] < 0
+        assert verdict.witness.generator_value == abs(verdict.witness.values[0])
+
+    @pytest.mark.parametrize("route, cubic, generator", [
+        ("_unipotent_route", "unipotent_cubic", "unipotent_generator"),
+        ("_hyperbolic_route", "golden_cubic", "golden_generator"),
+    ])
+    def test_zero_character_fails_the_tail_post_check(self, request, monkeypatch, L_z,
+                                                       route, cubic, generator):
+        """The seed is a generator with a nonzero character value, so phi = 0
+        cannot come out of either route; if it did, the shared tail raises its
+        named post-check rather than answer Finite or AlmostAbelianRankOne."""
+        monkeypatch.setattr(group_structure, route,
+                            lambda generators, fact, reductions: ((0,) * len(generators), None))
+        T, g = request.getfixturevalue(cubic), request.getfixturevalue(generator)
+        with pytest.raises(PostCheckFailed) as info:
+            analyze_group(T, L_z, [g])
+        assert info.value.check == "the character is nonzero on the seed generator"
 
     def test_finite_verdict(self, golden_cubic, L_z):
         flip = LatticeMap([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
@@ -985,10 +1021,10 @@ def test_hyperbolic_witness_is_coordinate_covariant(rng, which):
     T = TrilinearForm.from_cubic_coefficients({"x2z": 1, "xyz": -1, "y2z": -1})
     L = LinearForm(0, 0, 1)
     p = random_unimodular(rng, steps=6)
-    assume(L.compose(p) != L)
+    assume(compose(L, p) != L)
     gens = GOLDEN_SETS[which]
     base = analyze_group(T, L, gens)
-    moved = analyze_group(transform_cubic(T, p), L.compose(p),
+    moved = analyze_group(transform_cubic(T, p), compose(L, p),
                           [p.inverse() @ g @ p for g in gens])
     assert base.kind == moved.kind == "AlmostAbelianRankOne"
     assert moved.witness.generator == base.witness.generator

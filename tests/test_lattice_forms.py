@@ -8,6 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import compose, form_entries, form_entry, normalize, scaled_tensor
 from cy3.core_arith import QuadSurd
 from cy3.errors import Cy3Error, IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
 from cy3.lattice_forms import (
@@ -16,9 +17,12 @@ from cy3.lattice_forms import (
     LatticeMap,
     LinearForm,
     TrilinearForm,
+    _dot,
+    _form_pullback,
     _int_pairs,
     _matmul,
     _matvec,
+    _normalized,
     _scaled_pullback,
     clear_frame,
     cross,
@@ -28,7 +32,6 @@ from cy3.lattice_forms import (
     polar,
     preserves_pair,
     primitive_part,
-    projective_normalize,
     same_line,
     transform_cubic,
     trilinear_eval,
@@ -58,14 +61,10 @@ class TestTrilinearForm:
         assert multinomial(1, 2, 3) == 6
 
     def test_entries_from_coefficients(self, golden_cubic):
-        # z*x^2 has coefficient 1 on a weight-3 orbit, so t[113] = 1/3
-        assert golden_cubic.entry(1, 1, 3) == Fraction(1, 3)
-        assert golden_cubic.entry(1, 2, 3) == Fraction(-1, 6)
-        assert golden_cubic.entry(2, 2, 3) == Fraction(-1, 3)
-        assert golden_cubic.entry(1, 1, 1) == 0
-
-    def test_entry_index_symmetry(self, golden_cubic):
-        assert golden_cubic.entry(3, 1, 2) == golden_cubic.entry(1, 2, 3)
+        # z*x^2 has coefficient 1 on a weight-3 orbit, so t[113] = 1/3: over
+        # D = 6 the entries 113, 123 and 223 of x^2 z - xyz - y^2 z are 2, -1, -2
+        assert golden_cubic.scale == 6
+        assert golden_cubic.flat == (0, 0, 2, 0, -1, 0, 0, -2, 0, 0)
 
     def test_coefficients_roundtrip(self, unipotent_cubic):
         coeffs = unipotent_cubic.cubic_coefficients()
@@ -109,7 +108,7 @@ class TestTrilinearForm:
         assert built == 0
         pulled, built = fraction_builds(transform_cubic, T, golden_generator)
         assert built == 0
-        assert pulled.entries() == fraction_pullback(T, golden_generator)
+        assert form_entries(pulled) == fraction_pullback(T, golden_generator)
 
     def test_constructors_agree_on_one_cubic(self, golden_generator):
         """From monomials, from rational entries and by a pullback and its
@@ -117,15 +116,15 @@ class TestTrilinearForm:
         g = golden_generator
         coeffs = {"x2z": 2, "xyz": -2, "y2z": -2, "z3": 4}  # entries in (1/3)Z
         forms = [TrilinearForm.from_cubic_coefficients(coeffs)]
-        forms.append(TrilinearForm(forms[0].entries()))
+        forms.append(TrilinearForm(form_entries(forms[0])))
         forms.append(transform_cubic(transform_cubic(forms[0], g), g.inverse()))
         assert forms[0].scale == 3
         sevenths = TrilinearForm({key: Fraction(i - 4, 7) for i, key in enumerate(ENTRY_KEYS)})
         pulled = transform_cubic(sevenths, g)
         for same in (forms, [sevenths, transform_cubic(pulled, g.inverse()),
-                             TrilinearForm(sevenths.entries())]):
+                             TrilinearForm(form_entries(sevenths))]):
             assert all(f == same[0] and hash(f) == hash(same[0]) for f in same)
-            assert len({(f.scale, f.scaled) for f in same}) == 1
+            assert len({(f.scale, f.flat) for f in same}) == 1
         assert sevenths.scale == 7 and pulled != sevenths
 
 
@@ -176,7 +175,7 @@ class TestEvaluation:
         phi = QuadSurd(Fraction(-1, 2), Fraction(-1, 2), 5)
         u = (QuadSurd(1), phi, QuadSurd(0))
         assert cubic_eval(golden_cubic, u) == 0
-        assert L_z(u) == 0
+        assert _dot(L_z, u) == 0
 
 
 class TestLinearFormRecord:
@@ -206,9 +205,9 @@ class TestLinearFormRecord:
         L = LinearForm(0, Fraction(4, 2), 1)
         assert L == (0, 2, 1) and type(L.l2) is int
 
-    def test_compose_is_a_linear_form(self, golden_generator):
-        L = LinearForm(1, -2, 3).compose(golden_generator)
-        assert type(L) is LinearForm and L == LinearForm(0, -1, 3)
+    def test_form_pullback_is_the_row_product(self, golden_generator):
+        L = _form_pullback(LinearForm(1, -2, 3), golden_generator)
+        assert L == (0, -1, 3) and all(type(x) is int for x in L)
 
 
 class TestLatticeMap:
@@ -287,7 +286,7 @@ class TestTransform:
 
     def test_swap_does_not_preserve_linear(self, golden_cubic, L_z):
         h = LatticeMap([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-        assert L_z.compose(h) != L_z
+        assert _form_pullback(L_z, h) != L_z
 
     def test_contravariant_composition(self, unipotent_cubic):
         """(gh)*T = h*(g*T): pullbacks compose in reverse order."""
@@ -307,12 +306,12 @@ class TestTransform:
             v = tuple(rng.randint(-3, 3) for _ in range(3))
             assert cubic_eval(gT, v) == cubic_eval(golden_cubic_quadric, g.apply(v))
 
-    def test_linear_compose_matches_pointwise(self, L_z):
+    def test_form_pullback_matches_pointwise(self, L_z):
         rng = random.Random(56)
         for _ in range(25):
             g = random_unimodular(rng)
             v = tuple(rng.randint(-5, 5) for _ in range(3))
-            assert L_z.compose(g)(v) == L_z(g.apply(v))
+            assert _dot(_form_pullback(L_z, g), v) == _dot(L_z, g.apply(v))
 
 
 class TestVectors:
@@ -340,9 +339,9 @@ class TestVectors:
         with pytest.raises(ValidationError):
             trilinear_eval(T, (0.1, 0, 0), (1, 0, 0), (1, 0, 0))
 
-    def test_projective_normalize(self):
-        v = projective_normalize((0, 3, -6))
-        assert v == (QuadSurd(0), QuadSurd(1), QuadSurd(-2))
+    def test_normalized(self):
+        v = _normalized(_int_pairs((0, 3, -6)))
+        assert v.surds == (QuadSurd(0), QuadSurd(1), QuadSurd(-2))
 
     def test_same_line_surds(self):
         phi = QuadSurd(Fraction(1, 2), Fraction(1, 2), 5)
@@ -391,7 +390,7 @@ def fraction_pullback(T, g):
     cols = [[g.rows[p][i] for p in range(3)] for i in range(3)]
     return {
         (i, j, k): sum(
-            (T.entry(p + 1, q + 1, r + 1) * cols[i - 1][p] * cols[j - 1][q] * cols[k - 1][r]
+            (form_entry(T, p + 1, q + 1, r + 1) * cols[i - 1][p] * cols[j - 1][q] * cols[k - 1][r]
              for p in range(3) for q in range(3) for r in range(3)),
             start=Fraction(0),
         )
@@ -399,8 +398,13 @@ def fraction_pullback(T, g):
     }
 
 
+def covector_pullback(L, g):
+    """Reference L∘g: L dotted with each column of g, as a plain sum."""
+    return tuple(sum(l * x for l, x in zip(L, col)) for col in zip(*g.rows))
+
+
 def fraction_preserves(g, T, L):
-    return L.compose(g) == L and fraction_pullback(T, g) == T.entries()
+    return covector_pullback(L, g) == L and fraction_pullback(T, g) == form_entries(T)
 
 
 # Cubics with a known automorph fixing L = z (from the test fixtures).
@@ -421,7 +425,7 @@ def pair_and_map(seed: int, coeffs: dict, l: tuple, perturb: bool):
         base, h = AUTOMORPHED[rng.randrange(len(AUTOMORPHED))]
         P = random_unimodular(rng, steps=rng.randint(0, 3))
         T = TrilinearForm(fraction_pullback(TrilinearForm.from_cubic_coefficients(base), P))
-        L = LinearForm(0, 0, 1).compose(P)
+        L = compose(LinearForm(0, 0, 1), P)
         g = P.inverse() @ LatticeMap(h) ** rng.choice((1, 2, -1)) @ P
     else:
         T = TrilinearForm.from_cubic_coefficients(coeffs)
@@ -439,7 +443,7 @@ nonzero_l = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)
 def test_integer_preserves_pair_matches_fraction_reference(seed, coeffs, l, perturb):
     g, T, L = pair_and_map(seed, coeffs, l, perturb)
     assert preserves_pair(g, T, L) == fraction_preserves(g, T, L)
-    assert transform_cubic(T, g).entries() == fraction_pullback(T, g)
+    assert form_entries(transform_cubic(T, g)) == fraction_pullback(T, g)
 
 
 def test_reference_inputs_cover_both_outcomes():
@@ -455,11 +459,11 @@ def test_non_integral_form_roundtrips_exactly():
     rng = random.Random(77)
     T = TrilinearForm({key: Fraction(rng.randint(-9, 9), 7) for key in ENTRY_KEYS})
     assert T.scale == 7
-    assert any(value.denominator == 7 for value in T.entries().values())
+    assert any(value.denominator == 7 for value in form_entries(T).values())
     for _ in range(20):
         g = random_unimodular(rng, steps=4)
         pulled = transform_cubic(T, g)
-        assert pulled.entries() == fraction_pullback(T, g)
+        assert form_entries(pulled) == fraction_pullback(T, g)
         assert transform_cubic(pulled, g.inverse()) == T
         assert preserves_pair(g, T, LinearForm(0, 0, 1)) == fraction_preserves(
             g, T, LinearForm(0, 0, 1))
@@ -471,7 +475,8 @@ def test_non_integral_form_roundtrips_exactly():
 def contract_reference(T, v):
     """(D·T)(v, ·, ·) as the sum over a of v_a·(D·T)[a]: all 27 products of the
     full tensor, no symmetry assumed."""
-    return [[sum(v[a] * T.scaled[a][j][k] for a in range(3)) for k in range(3)]
+    t = scaled_tensor(T)
+    return [[sum(v[a] * t[a][j][k] for a in range(3)) for k in range(3)]
             for j in range(3)]
 
 
@@ -502,8 +507,8 @@ def test_contract_matches_full_sum(name):
 def test_scaled_tensor_is_the_integer_multiple():
     T = TrilinearForm({(1, 1, 1): Fraction(1, 7), (1, 2, 3): Fraction(1, 6)})
     assert T.scale == 42
-    assert T.scaled[0][0][0] == 6
-    assert T.scaled[2][0][1] == T.scaled[1][2][0] == 7
+    assert T.flat[ENTRY_KEYS.index((1, 1, 1))] == 6
+    assert T.flat[ENTRY_KEYS.index((1, 2, 3))] == 7
     assert TrilinearForm.from_cubic_coefficients({"z3": 1}).scale == 1
 
 
@@ -527,7 +532,7 @@ def surd_trilinear(T, a, b, c):
     a, b, c = ([x if isinstance(x, QuadSurd) else QuadSurd(x) for x in v] for v in (a, b, c))
     total = QuadSurd(0)
     for i, j, k in product(range(3), repeat=3):
-        t = T.entry(i + 1, j + 1, k + 1)
+        t = form_entry(T, i + 1, j + 1, k + 1)
         if t:
             total = total + a[i] * b[j] * c[k] * t
     return total
@@ -605,7 +610,7 @@ def test_sqrt5_frame_table_and_normalization_build_no_fraction(golden_cubic_quad
                      for i, j, k in ENTRY_KEYS}
     assert any(x.d == 5 for x in table.values())
     for line in (u, v):
-        normal, built = fraction_builds(projective_normalize, line)
+        normal, built = fraction_builds(normalize, line)
         assert normal == (1, QuadSurd(1, 1, 5) / 2 if line is u else QuadSurd(1, -1, 5) / 2, 0)
         assert built == 0
 
@@ -655,13 +660,13 @@ scaled_forms = st.builds(TrilinearForm._from_scaled, st.tuples(*[big] * 10), st.
 @given(scaled_forms, int_columns)
 def test_scaled_pullback_matches_the_triple_sum(T, p):
     zero = ((0, 0, 0),) * 3
-    naive = naive_pullback(T.scaled, p, zero, 0)
+    naive = naive_pullback(scaled_tensor(T), p, zero, 0)
     assert _scaled_pullback(T, p) == tuple(naive[key][0] for key in ENTRY_KEYS)
 
 
 @given(scaled_forms, int_columns, int_columns, st.sampled_from([2, 3, 5, 13]))
 def test_scaled_pullback_on_pairs_matches_the_triple_sum(T, p, q, d):
-    naive = naive_pullback(T.scaled, p, q, d)
+    naive = naive_pullback(scaled_tensor(T), p, q, d)
     assert _scaled_pullback(T, p, q, d) == tuple(naive[key] for key in ENTRY_KEYS)
 
 
@@ -680,25 +685,21 @@ def pair_checks(draw):
 @given(pair_checks())
 def test_preserves_pair_is_the_pullback_and_the_l_check(triple):
     g, T, L = triple
-    assert preserves_pair(g, T, L) == (transform_cubic(T, g) == T and L.compose(g) == L)
+    assert preserves_pair(g, T, L) == (transform_cubic(T, g) == T
+                                       and covector_pullback(L, g) == L)
 
 
-def assert_flat_is_the_nested_tensor(T):
-    """`flat` is a tuple of ten ints, and each of the 27 nested entries is the
-    flat entry of its sorted key."""
+def assert_flat_is_ten_ints(T):
     assert type(T.flat) is tuple and len(T.flat) == 10 and all(type(x) is int for x in T.flat)
-    for i, j, k in product(range(3), repeat=3):
-        key = tuple(sorted((i + 1, j + 1, k + 1)))
-        assert T.scaled[i][j][k] == T.flat[ENTRY_KEYS.index(key)]
 
 
 @given(st.dictionaries(st.sampled_from(ENTRY_KEYS), rationals), coeff_strategy,
        st.integers(0, 2**32 - 1))
-def test_flat_entries_agree_with_the_nested_tensor(entries, coeffs, seed):
+def test_flat_is_ten_ints(entries, coeffs, seed):
     g = random_unimodular(random.Random(seed), steps=4)
     for T in (TrilinearForm(entries), TrilinearForm.from_cubic_coefficients(coeffs)):
-        assert_flat_is_the_nested_tensor(T)
-        assert_flat_is_the_nested_tensor(transform_cubic(T, g))
+        assert_flat_is_ten_ints(T)
+        assert_flat_is_ten_ints(transform_cubic(T, g))
 
 
 def entries(kind, d):
@@ -791,14 +792,13 @@ monomial_values = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**6, 10**
 
 @given(st.dictionaries(st.sampled_from(sorted(MONOMIAL_INDICES)), monomial_values))
 def test_from_cubic_coefficients_matches_the_fraction_entries(coeffs):
-    """Monomials give the form of the rational entries c/m, and its 27 nested
-    entries are the sorted-key entries, read without the constructor."""
+    """Monomials give the form of the rational entries c/m, and its ten flat
+    entries over its scale are those entries, read without the constructor."""
     T = TrilinearForm.from_cubic_coefficients(coeffs)
     entries = {MONOMIAL_INDICES[name]: Fraction(c) / multinomial(*MONOMIAL_INDICES[name])
                for name, c in coeffs.items()}
     expected = TrilinearForm(entries)
-    assert (T.scale, T.scaled) == (expected.scale, expected.scaled)
-    for i, j, k in product(range(3), repeat=3):
-        key = tuple(sorted((i + 1, j + 1, k + 1)))
-        assert Fraction(T.scaled[i][j][k], T.scale) == entries.get(key, 0)
-        assert type(T.scaled[i][j][k]) is int
+    assert (T.scale, T.flat) == (expected.scale, expected.flat)
+    for key, x in zip(ENTRY_KEYS, T.flat):
+        assert Fraction(x, T.scale) == entries.get(key, 0)
+        assert type(x) is int
