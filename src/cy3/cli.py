@@ -209,7 +209,10 @@ def render_verdict(verdict: GroupVerdict) -> dict:
 
 def run(problem: ProblemFile, command: str, *, bound: int | None = None,
         allow_large_bound: bool = False) -> tuple[dict, int]:
-    """Run one pipeline; returns (report, exit code)."""
+    """Run one pipeline; returns (report, exit code). A generator that does
+    not preserve the pair raises instead, with no report: DoesNotPreserveL
+    (L∘g != L) under classify and factor, NonPreservingGenerator under
+    analyze; `main` prints either as "cy3: ..." on stderr and exits 1."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     report = {
@@ -306,8 +309,12 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
     if cert.reason is not None:
         report["verdict"] = {"kind": "Inconclusive", "reason": cert.reason}
         return report, EXIT_INCONCLUSIVE
-    rendered = render_factorization(cert.factorization)
-    rendered["singular_locus"] = [render_vector(line.surds) for line in cert.singular_lines]
+    fact = cert.factorization
+    rendered = render_factorization(fact)
+    # a singular line equal to its column reuses its strings (a unipotent frame renders ints)
+    columns = {} if isinstance(fact, UnipotentSplit) else dict(zip(fact.frame, rendered["frame"]))
+    rendered["singular_locus"] = [columns.get(line) or render_vector(line.surds)
+                                  for line in cert.singular_lines]
     report["factorization"] = rendered
     report["verdict"] = {"kind": "Factorized"}
     return report, EXIT_OK

@@ -166,7 +166,8 @@ def check_hyperbolic_relations(
 ) -> RelationReport:
     """The eight vanishing triple products of a hyperbolic frame, read off
     its frame table, plus L(u) = L(v) = 0, all exact. The frame is cleared
-    once; the table and L(u), L(v) are read off that clearing."""
+    once; the table and L(u), L(v) are read off that clearing. An irrational
+    frame other than (σ(v), v, w) with w rational raises ValidationError."""
     frame = clear_frame((u, v, w))
     t = frame_table(T, frame)
     rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]

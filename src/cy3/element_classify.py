@@ -138,9 +138,11 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
 
 def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> tuple:
     """The surds of x = (p + q√d)/den, after the check 2·g·x = (s + f√d)·x on the ints."""
-    p, q, _, d = x
-    if any(2 * gp != s * pi + f * d * qi or 2 * gq != s * qi + f * pi
-           for gp, gq, pi, qi in zip(g.apply(p), g.apply(q), p, q)):
+    (p1, p2, p3), (q1, q2, q3), _, d = x
+    (a1, a2, a3), (b1, b2, b3), fd = g.apply(x.p), g.apply(x.q), f * d
+    if (2 * a1, 2 * a2, 2 * a3, 2 * b1, 2 * b2, 2 * b3) != (
+            s * p1 + fd * q1, s * p2 + fd * q2, s * p3 + fd * q3,
+            s * q1 + f * p1, s * q2 + f * p2, s * q3 + f * p3):
         raise PostCheckFailed(check)
     return x.surds
 

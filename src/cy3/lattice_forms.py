@@ -310,15 +310,21 @@ class PairVector(NamedTuple):
 
 def _int_pairs(v: Sequence) -> PairVector:
     """v = (p + q·√d)/den coordinatewise, in plain ints, for a vector of ints,
-    Fractions and surds over one field ℚ(√d)."""
-    xs = [x if type(x) is QuadSurd else _as_surd(x) for x in v]
-    fields = {x.d for x in xs} - {0}
+    Fractions and surds over one field ℚ(√d). An int x is read as (x, 0, 1)
+    and builds no surd."""
+    ps, qs, dens, ds = zip(*[(x, 0, 1, 0) if type(x) is int else _surd_parts(x) for x in v])
+    fields = set(ds) - {0}
     if len(fields) > 1:
         raise IncompatibleFields(f"radicands {sorted(fields)} in one vector")
-    den = lcm(*[x.den for x in xs])
-    p = tuple([x.p * (den // x.den) for x in xs])
-    q = tuple([x.q * (den // x.den) for x in xs])
+    den = lcm(*dens)
+    p = tuple([x * (den // n) for x, n in zip(ps, dens)])
+    q = tuple([y * (den // n) for y, n in zip(qs, dens)])
     return PairVector(p, q, den, max(fields, default=0))
+
+
+def _surd_parts(x) -> tuple[int, int, int, int]:
+    s = x if type(x) is QuadSurd else _as_surd(x)
+    return s.p, s.q, s.den, s.d
 
 
 def _pair_apply(m, v, d: int):
@@ -362,32 +368,17 @@ def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
     return tuple(_from_ints(x, y, T.scale * den * den, d) for x, y in zip(*s))
 
 
-# The pairs i <= j of column indices, from 0, whose covectors (D·T)(f_i, f_j, ·)
-# give every sorted entry (i, j, k), k >= j, in the order of ENTRY_KEYS.
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-def _scaled_pullback(T: TrilinearForm, p, q=None, d: int = 0) -> tuple:
+def _scaled_pullback(T: TrilinearForm, cols) -> tuple:
     """The ten entries of (D·T)(f_i, f_j, f_k), in ENTRY_KEYS order, for
-    columns f = p + q·√d given as integer vectors: ints when q is None (the
-    columns of a lattice map), else integer pairs (rational part, √d part).
-    Each covector (D·T)(f_i, f_j, ·), i <= j, is formed once and dotted with
-    every f_k, k >= j; on ints that is three contractions, six matrix-vector
-    products and ten dot products, written out."""
-    if q is None:
-        f1, f2, f3 = p
-        m1, m2, m3 = T.contract(f1), T.contract(f2), T.contract(f3)
-        s11, s12, s13 = _matvec(m1, f1), _matvec(m1, f2), _matvec(m1, f3)
-        s22, s23, s33 = _matvec(m2, f2), _matvec(m2, f3), _matvec(m3, f3)
-        return (_dot(s11, f1), _dot(s11, f2), _dot(s11, f3), _dot(s12, f2), _dot(s12, f3),
-                _dot(s13, f3), _dot(s22, f2), _dot(s22, f3), _dot(s23, f3), _dot(s33, f3))
-    cols = tuple(zip(p, q))
-    m = [(T.contract(a), T.contract(b)) for a, b in cols]
-    out = []
-    for i, j in _PAIRS:
-        s = _pair_apply(m[i], cols[j], d)
-        out += [_pair_dot(s, cols[k], d) for k in range(j, 3)]
-    return tuple(out)
+    three integer columns f. Each covector (D·T)(f_i, f_j, ·), i <= j, is
+    formed once and dotted with every f_k, k >= j: three contractions, six
+    matrix-vector products and ten dot products, written out."""
+    f1, f2, f3 = cols
+    m1, m2, m3 = T.contract(f1), T.contract(f2), T.contract(f3)
+    s11, s12, s13 = _matvec(m1, f1), _matvec(m1, f2), _matvec(m1, f3)
+    s22, s23, s33 = _matvec(m2, f2), _matvec(m2, f3), _matvec(m3, f3)
+    return (_dot(s11, f1), _dot(s11, f2), _dot(s11, f3), _dot(s12, f2), _dot(s12, f3),
+            _dot(s13, f3), _dot(s22, f2), _dot(s22, f3), _dot(s23, f3), _dot(s33, f3))
 
 
 def clear_frame(frame: Sequence[Sequence]) -> tuple[PairVector, ...]:
@@ -400,15 +391,23 @@ def clear_frame(frame: Sequence[Sequence]) -> tuple[PairVector, ...]:
 def frame_table(T: TrilinearForm, frame: Sequence[PairVector]) -> dict[tuple, QuadSurd]:
     """The cubic in the coordinates of a frame (f1, f2, f3), cleared by
     `clear_frame`: the entries T(f_i, f_j, f_k) on the 10 sorted index
-    triples, exact, one surd per entry."""
-    d, den = frame[0].d, frame[0].den
-    p, q = tuple([f.p for f in frame]), tuple([f.q for f in frame])
+    triples, exact, one surd per entry, from one integer pullback. An
+    irrational frame must be (u, v, w) = ((P - Q√d)/N, (P + Q√d)/N, W/N), read
+    on its real basis (P, Q, W); any other raises ValidationError."""
+    (p1, q1, den, d), (p, q, _, _), (w, qw, _, _) = frame
     scale = T.scale * den ** 3
     if not d:
         return {key: _from_ints(x, 0, scale, 0)
-                for key, x in zip(ENTRY_KEYS, _scaled_pullback(T, p))}
-    return {key: _from_ints(x, y, scale, d)
-            for key, (x, y) in zip(ENTRY_KEYS, _scaled_pullback(T, p, q, d))}
+                for key, x in zip(ENTRY_KEYS, _scaled_pullback(T, (p1, p, w)))}
+    if p1 != p or q1 != tuple([-y for y in q]) or any(qw):
+        raise ValidationError("an irrational frame must be (σ(v), v, w) with w rational")
+    ppp, ppq, ppw, pqq, pqw, pww, qqq, qqw, qww, www = _scaled_pullback(T, (p, q, w))
+    vvv, uuv = (ppp + 3 * d * pqq, 3 * ppq + d * qqq), (ppp - d * pqq, d * qqq - ppq)
+    vvw = (ppw + d * qqw, 2 * pqw)
+    # on (u, v, w) in ENTRY_KEYS order; each u-entry is the conjugate of a v-entry
+    entries = ((vvv[0], -vvv[1]), uuv, (vvw[0], -vvw[1]), (uuv[0], -uuv[1]),
+               (ppw - d * qqw, 0), (pww, -qww), vvv, vvw, (pww, qww), (www, 0))
+    return {key: _from_ints(x, y, scale, d) for key, (x, y) in zip(ENTRY_KEYS, entries)}
 
 
 def transform_cubic(T: TrilinearForm, g: LatticeMap) -> TrilinearForm:

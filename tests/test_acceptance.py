@@ -26,7 +26,6 @@ from cy3.element_classify import (
     Hyperbolic,
     Identity,
     UnipotentDeficient,
-    UnipotentFull,
     classify,
 )
 from cy3.errors import ConstraintViolated, GeometricInconsistency, ValidationError

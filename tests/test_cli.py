@@ -17,8 +17,14 @@ from cy3.cli import (
     run,
 )
 from cy3.cubic_geometry import FULL_JORDAN, LEFSCHETZ
-from cy3.errors import ParseError, PostCheckFailed, ValidationError
-from cy3.lattice_forms import MONOMIAL_INDICES
+from cy3.errors import (
+    DoesNotPreserveL,
+    NonPreservingGenerator,
+    ParseError,
+    PostCheckFailed,
+    ValidationError,
+)
+from cy3.lattice_forms import MONOMIAL_INDICES, PairVector
 
 GOLDEN = {
     "cubic": {"x2z": 1, "xyz": -1, "y2z": -1},
@@ -43,6 +49,10 @@ SPLIT = {
     "c2": [0, 0, 1],
     "matrices": [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]],
 }
+
+# L∘g = (1, 0, 1) is not L = z; the shear keeps L but moves the golden cubic
+MOVES_L = {**GOLDEN, "matrices": [[[1, 0, 0], [0, 1, 0], [1, 0, 1]]]}
+MOVES_CUBIC = {**GOLDEN, "matrices": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]]}
 
 # c2 = (0, 0, 10^5000): one more digit than Python's default int-string limit
 DIGITS_5001 = '{"cubic": {"z3": 1}, "c2": [0, 0, 1' + "0" * 5000 + "]}"
@@ -183,6 +193,20 @@ class TestFactorCommand:
         assert len(fact["singular_locus"]) == 3
         assert report["relations"][0]["overall"] is True
         assert report["verdict"] == {"kind": "Factorized"}
+
+    @pytest.mark.parametrize("data, kind", [(GOLDEN, "ThreeLines"),
+                                            (GOLDEN_QUADRIC, "QuadricLine")])
+    def test_each_distinct_line_renders_once(self, monkeypatch, data, kind):
+        """A singular line equal to its frame column reuses the column's
+        strings: no PairVector builds its surds twice."""
+        reads = []
+        surds = PairVector.surds
+        monkeypatch.setattr(PairVector, "surds",
+                            property(lambda x: reads.append(x) or surds.fget(x)))
+        report, _ = run(problem(data), "factor")
+        fact = report["factorization"]
+        assert fact["kind"] == kind and len(reads) == len(set(reads))
+        assert fact["singular_locus"] == fact["frame"][:len(fact["singular_locus"])]
 
     def test_quadric_line(self):
         report, code = run(problem(GOLDEN_QUADRIC), "factor")
@@ -442,6 +466,34 @@ class TestEnumerateCommand:
             assert code == EXIT_INPUT
             assert report["verdict"] == {"kind": "InputError",
                                          "message": "bound -1 must be nonnegative"}
+
+
+NON_PRESERVING = [
+    (MOVES_L, "classify", DoesNotPreserveL),
+    (MOVES_L, "factor", DoesNotPreserveL),
+    (MOVES_L, "analyze", NonPreservingGenerator),
+    (MOVES_CUBIC, "analyze", NonPreservingGenerator),
+]
+
+
+class TestNonPreservingGenerator:
+    """A generator that does not preserve the pair is raised by `run`, not
+    reported; `main` prints it as "cy3: ..." on stderr and exits 1 with no
+    report."""
+
+    @pytest.mark.parametrize("data, command, error", NON_PRESERVING)
+    def test_run_raises(self, data, command, error):
+        with pytest.raises(error):
+            run(problem(data), command)
+
+    @pytest.mark.parametrize("data, command, error", NON_PRESERVING)
+    def test_main_exits_1_with_no_report(self, tmp_path, capsys, data, command, error):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--input", str(path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cy3: ") and "Traceback" not in err
 
 
 class TestRenderDispatch:

@@ -8,9 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import compose, form_entry, normalize, reconstructs, surd
 from cy3 import cubic_geometry, group_structure
-from cy3.core_arith import QuadSurd
 from cy3.cubic_geometry import (
-    FULL_JORDAN,
     HODGE_INDEX,
     HYPERBOLIC_ROWS,
     LEFSCHETZ,
@@ -93,6 +91,14 @@ class TestHyperbolicRelations:
         with pytest.raises(RelationsNotVerified) as info:
             hyperbolic_factorization(bad)
         assert str(info.value) == f"failing relations: {bad.failing}"
+
+    def test_a_frame_off_the_real_basis_is_rejected(self, golden_cubic, L_z, golden_frame):
+        """An irrational frame must be (σ(v), v, w) with w rational: 2u is not
+        the conjugate of v, and w + v is irrational."""
+        u, v, w = golden_frame
+        for frame in ((tuple(x * 2 for x in u), v, w), (u, v, tuple(x + y for x, y in zip(w, v)))):
+            with pytest.raises(ValidationError, match="irrational frame"):
+                check_hyperbolic_relations(golden_cubic, L_z, *frame)
 
     def test_failed_report_blocks_factorization(self, golden_cubic, L_z):
         bad = check_hyperbolic_relations(

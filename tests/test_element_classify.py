@@ -10,7 +10,6 @@ from cy3.core_arith import QuadSurd
 from cy3.element_classify import (
     FiniteOrder,
     Hyperbolic,
-    Identity,
     ORDER_SEARCH_BOUND,
     OutOfTheory,
     UnipotentDeficient,

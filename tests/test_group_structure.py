@@ -14,7 +14,7 @@ from conftest import GOLDEN_ALPHA, compose, form_entries, surd
 from cy3 import group_structure, lattice_forms
 from cy3.core_arith import QuadSurd, squarefree_decompose
 from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
-from cy3.element_classify import UnipotentFull, classify, real_pair_lines
+from cy3.element_classify import classify, real_pair_lines
 from cy3.errors import (
     BoundTooLarge,
     ConstraintViolated,
