@@ -47,6 +47,7 @@ from .group_structure import (
 from .lattice_forms import (
     LatticeMap,
     LinearForm,
+    PairVector,
     TrilinearForm,
     preserves_pair,
 )
@@ -123,12 +124,15 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def render(record, out: dict) -> dict:
-    """out, followed by a record's fields in order: a QuadSurd as its str and a
-    vector as a list, whose surd coordinates print as str."""
+    """out, followed by a record's fields in order: a QuadSurd as its str, a
+    PairVector as the strs of its surds and a vector as a list, whose surd
+    coordinates print as str."""
     for name, x in zip(record._fields, record):
         t = type(x)
         if t is QuadSurd:
             x = str(x)
+        elif t is PairVector:
+            x = render_vector(x.surds)
         elif t is tuple:
             x = [str(y) if type(y) is QuadSurd else y for y in x]
         out[name] = x

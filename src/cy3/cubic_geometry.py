@@ -21,14 +21,13 @@ from .lattice_forms import (
     TrilinearForm,
     _dot,
     _int_pairs,
+    _matvec,
     _pair_apply,
     _pair_cross,
     _pair_dot,
     _normalized,
     _rows3,
-    clear_frame,
     frame_table,
-    polar,
 )
 
 HODGE_INDEX = "Hodge index theorem (triple product u·v·w must be nonzero)"
@@ -46,8 +45,8 @@ class RelationRow(NamedTuple):
 class RelationReport(NamedTuple):
     rows: tuple[RelationRow, ...]
     overall: bool
-    # (T, frame, table): the cubic, the frame as `clear_frame` cleared it and
-    # the frame table, which the factorization reads off; not rendered.
+    # (T, frame, table): the cubic, the frame's PairVector columns and the
+    # frame table, which the factorization reads off; not rendered.
     source: tuple
 
     @classmethod
@@ -67,7 +66,7 @@ def _row(name: str, left: QuadSurd, right=QuadSurd(0), *, equal: bool = True) ->
 
 
 def _form_rows(L: LinearForm, names: tuple, frame) -> list[RelationRow]:
-    """The rows L(f) = 0 for the named leading columns f of a cleared frame."""
+    """The rows L(f) = 0 for the named leading PairVector columns f of a frame."""
     return [_row(f"L({name})", _from_ints(_dot(L, f.p), _dot(L, f.q), f.den, f.d))
             for name, f in zip(names, frame)]
 
@@ -77,7 +76,7 @@ class Factorization(NamedTuple):
     frame table. Each kind is a subclass; its named constants are views of Q."""
 
     cubic: TrilinearForm
-    frame: tuple  # columns (f1, f2, f3) as `clear_frame` cleared them
+    frame: tuple  # PairVector columns (f1, f2, f3) over one den
     quadric: tuple  # symmetric 3x3 rows of surds, in frame coordinates
 
 
@@ -161,14 +160,21 @@ HYPERBOLIC_ROWS = (
 )
 
 
+def _int_columns(cols: Sequence[Sequence], den: int, d: int) -> tuple[PairVector, ...]:
+    """Int columns c as PairVectors c·den over den; any other raises ValidationError."""
+    if not all(type(x) is int for c in cols for x in c):
+        raise ValidationError(f"frame columns must be integer vectors: {cols}")
+    return tuple([PairVector(tuple([x * den for x in c]), (0, 0, 0), den, d) for c in cols])
+
+
 def check_hyperbolic_relations(
-    T: TrilinearForm, L: LinearForm, u: Sequence, v: Sequence, w: Sequence
+    T: TrilinearForm, L: LinearForm, u: PairVector, v: PairVector, w: Sequence[int]
 ) -> RelationReport:
     """The eight vanishing triple products of a hyperbolic frame, read off
-    its frame table, plus L(u) = L(v) = 0, all exact. The frame is cleared
-    once; the table and L(u), L(v) are read off that clearing. An irrational
-    frame other than (σ(v), v, w) with w rational raises ValidationError."""
-    frame = clear_frame((u, v, w))
+    its frame table, plus L(u) = L(v) = 0, all exact, on the frame (u, v, W):
+    the eigenlines as `classify` checked them and W = w·N over v's den N. A u
+    that is not σ(v), or a w that is not an int vector, raises ValidationError."""
+    frame = (u, v, *_int_columns((w,), v.den, v.d))
     t = frame_table(T, frame)
     rows = [_row(name, t[key]) for name, key in HYPERBOLIC_ROWS]
     return RelationReport.from_rows([*rows, *_form_rows(L, ("u", "v"), frame)], (T, frame, t))
@@ -228,14 +234,15 @@ def check_unipotent_relations(
 
     The cycle identity "w^2 = 0" lives in codimension 2; its lattice shadow is
     T(w, w, x) = 0 for every basis vector x, which is the only consequence the
-    certification needs.
+    certification needs, read as D·T(w, w, ·) over D. Columns must be int vectors.
     """
-    frame = clear_frame((w, w1, w2))
+    frame = _int_columns((w, w1, w2), 1, 0)
     t = frame_table(T, frame)
     ww22 = t[1, 3, 3]
     rows = [
         *_form_rows(L, ("w", "w1"), frame),
-        *[_row(f"w^2·e{i + 1}", x) for i, x in enumerate(polar(T, w))],
+        *[_row(f"w^2·e{i + 1}", _from_ints(x, 0, T.scale, 0))
+          for i, x in enumerate(_matvec(T.contract(w), w))],
         _row("w1^3", t[2, 2, 2]),
         _row("w·w1^2", t[1, 2, 2]),
         _row("w·w1·w2", t[1, 2, 3]),

@@ -3,8 +3,8 @@ eigenvalue alpha > 1 in a real quadratic field), or unipotent with full or
 deficient Jordan block. All eigen-data is computed exactly on integers. The
 eigenline v of alpha = (s + f√d)/2 is a cross product of two rows of 2g - (s + f√d)·id,
 written out and normalized on integer pairs; its Galois conjugate is the eigenline u
-of 1/alpha (g is integral). One eigen-equation check of u's pair, on the ints also
-v's, precedes every surd; w is a primitive cross product of two rows of g - id.
+of 1/alpha (g is integral). Both stay `PairVector`s, checked by one eigen-equation
+of u's pair, on the ints also v's; w is a primitive cross product of two rows of g - id.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class FiniteOrder(NamedTuple):
 class Hyperbolic(NamedTuple):
     s: int  # trace of the quadratic factor t^2 - s*t + 1
     alpha: QuadSurd  # the root > 1
-    u: tuple  # eigenvector for 1/alpha, projective
-    v: tuple  # eigenvector for alpha, projective
+    u: PairVector  # eigenvector for 1/alpha, σ(v): v's ints with q negated
+    v: PairVector  # eigenvector for alpha, first nonzero coordinate 1
     w: tuple[int, int, int]  # primitive integer eigenvector for 1
 
 
@@ -136,21 +136,21 @@ def _eigenvector_1(g: LatticeMap) -> tuple[int, int, int]:
     raise PostCheckFailed("eigenspace for 1 is not one-dimensional")
 
 
-def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> tuple:
-    """The surds of x = (p + q√d)/den, after the check 2·g·x = (s + f√d)·x on the ints."""
+def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> PairVector:
+    """x = (p + q√d)/den, after the check 2·g·x = (s + f√d)·x on the ints."""
     (p1, p2, p3), (q1, q2, q3), _, d = x
     (a1, a2, a3), (b1, b2, b3), fd = g.apply(x.p), g.apply(x.q), f * d
     if (2 * a1, 2 * a2, 2 * a3, 2 * b1, 2 * b2, 2 * b3) != (
             s * p1 + fd * q1, s * p2 + fd * q2, s * p3 + fd * q3,
             s * q1 + f * p1, s * q2 + f * p2, s * q3 + f * p3):
         raise PostCheckFailed(check)
-    return x.surds
+    return x
 
 
-def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
+def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, PairVector, PairVector, tuple]:
     """(alpha, u, v, w) for a det-1 map with eigenvalue 1 and |s| > 2, s = trace - 1:
-    alpha is the larger root of t^2 - s*t + 1 (|alpha| < 1 for s < -2), v and u the
-    eigenlines of alpha and 1/alpha, first nonzero coordinate 1, w the fixed vector."""
+    alpha is the larger root of t^2 - s*t + 1 (|alpha| < 1 for s < -2), v and u = σ(v)
+    the eigenlines of alpha and 1/alpha, first nonzero coordinate 1, w the fixed vector."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
     f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d
@@ -168,7 +168,7 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, tuple, tuple, tuple]:
     if not (beta.d == d and p1 * p2 + d * q1 * q2 == n1 * n2 and p1 * q2 + q1 * p2 == 0
             and p1 * n2 + p2 * n1 == s * n1 * n2 and q1 * n2 + q2 * n1 == 0):
         raise PostCheckFailed("alpha·beta = 1 and alpha + beta = s")
-    return alpha, u, v.surds, w
+    return alpha, u, v, w
 
 
 def real_pair_lines(g: LatticeMap, cls: ElementClass) -> tuple | None:

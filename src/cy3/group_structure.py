@@ -94,7 +94,7 @@ class GroupVerdict(NamedTuple):
 
 def _scaling_value(h: LatticeMap, line1: PairVector, line2: PairVector) -> QuadSurd:
     """Positive eigenvalue of h^4 on line1, for a symmetry h that fixes or
-    swaps the eigenlines line1 and line2 in Z^3, cleared by `clear_frame`.
+    swaps the eigenlines line1 and line2 in Z^3, PairVectors of any scale and den.
     Passing to 4th powers removes the finite ambiguity of line swaps and signs,
     so the returned value is a multiplicative character on the group. Images
     and same-line tests stay in plain ints; the eigenvalue is one surd quotient."""

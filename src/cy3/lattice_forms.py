@@ -296,7 +296,8 @@ def _as_surd(x) -> QuadSurd:
 
 class PairVector(NamedTuple):
     """The vector (p + q·√d)/den in plain ints: integer vectors p and q over a
-    nonzero denominator den, in the field ℚ(√d), d = 0 for ℚ."""
+    nonzero den, maybe negative and not reduced with p and q (`surds` builds
+    canonical surds), in the field ℚ(√d), d = 0 for ℚ."""
 
     p: tuple
     q: tuple
@@ -360,14 +361,6 @@ def cubic_eval(T: TrilinearForm, v: Sequence) -> QuadSurd:
     return trilinear_eval(T, v, v, v)
 
 
-def polar(T: TrilinearForm, v: Sequence) -> tuple[QuadSurd, QuadSurd, QuadSurd]:
-    """The covector T(v, v, ·), a third of the gradient of C at v, from one
-    integer-pair contraction of v."""
-    p, q, den, d = _int_pairs(v)
-    s = _pair_apply((T.contract(p), T.contract(q)), (p, q), d)
-    return tuple(_from_ints(x, y, T.scale * den * den, d) for x, y in zip(*s))
-
-
 def _scaled_pullback(T: TrilinearForm, cols) -> tuple:
     """The ten entries of (D·T)(f_i, f_j, f_k), in ENTRY_KEYS order, for
     three integer columns f. Each covector (D·T)(f_i, f_j, ·), i <= j, is
@@ -381,20 +374,15 @@ def _scaled_pullback(T: TrilinearForm, cols) -> tuple:
             _dot(s13, f3), _dot(s22, f2), _dot(s22, f3), _dot(s23, f3), _dot(s33, f3))
 
 
-def clear_frame(frame: Sequence[Sequence]) -> tuple[PairVector, ...]:
-    """The 3-vectors of `frame` cleared at once to integer pairs over one field
-    and one denominator, one PairVector each."""
-    p, q, den, d = _int_pairs([x for f in frame for x in f])
-    return tuple([PairVector(p[i:i + 3], q[i:i + 3], den, d) for i in range(0, len(p), 3)])
-
-
 def frame_table(T: TrilinearForm, frame: Sequence[PairVector]) -> dict[tuple, QuadSurd]:
-    """The cubic in the coordinates of a frame (f1, f2, f3), cleared by
-    `clear_frame`: the entries T(f_i, f_j, f_k) on the 10 sorted index
-    triples, exact, one surd per entry, from one integer pullback. An
-    irrational frame must be (u, v, w) = ((P - Q√d)/N, (P + Q√d)/N, W/N), read
-    on its real basis (P, Q, W); any other raises ValidationError."""
-    (p1, q1, den, d), (p, q, _, _), (w, qw, _, _) = frame
+    """The cubic in the coordinates of a frame (f1, f2, f3) of PairVectors over
+    one den N and one field: T(f_i, f_j, f_k) on the 10 sorted index triples,
+    one surd each, from one integer pullback. An irrational frame must be
+    (σ(v), v, w) = ((P - Q√d)/N, (P + Q√d)/N, W/N), read on its real basis
+    (P, Q, W); any other frame raises ValidationError."""
+    (p1, q1, den, d), (p, q, den2, d2), (w, qw, den3, d3) = frame
+    if (den2, d2, den3, d3) != (den, d, den, d):
+        raise ValidationError("the frame's columns must share one denominator and one field")
     scale = T.scale * den ** 3
     if not d:
         return {key: _from_ints(x, 0, scale, 0)

@@ -6,7 +6,7 @@ import pytest
 from cy3 import LatticeMap, LinearForm, TrilinearForm, cubic_eval
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import FiniteOrder, Identity
-from cy3.lattice_forms import ENTRY_KEYS, _form_pullback, _int_pairs, _normalized
+from cy3.lattice_forms import ENTRY_KEYS, PairVector, _form_pullback, _int_pairs, _normalized
 
 
 def form_entries(T) -> dict:
@@ -29,6 +29,13 @@ def scaled_tensor(T) -> tuple:
 def normalize(v) -> tuple:
     """The surds of the line of v scaled to a first nonzero coordinate of 1."""
     return _normalized(_int_pairs(v)).surds
+
+
+def clear_frame(frame) -> tuple:
+    """The 3-vectors of a hand-made frame cleared at once to integer pairs
+    over one field and one denominator, one PairVector each."""
+    p, q, den, d = _int_pairs([x for f in frame for x in f])
+    return tuple([PairVector(p[i:i + 3], q[i:i + 3], den, d) for i in range(0, len(p), 3)])
 
 
 def compose(L, g) -> LinearForm:

@@ -17,6 +17,7 @@ from cy3.cli import (
     run,
 )
 from cy3.cubic_geometry import FULL_JORDAN, LEFSCHETZ
+from cy3.element_classify import classify
 from cy3.errors import (
     DoesNotPreserveL,
     NonPreservingGenerator,
@@ -24,6 +25,7 @@ from cy3.errors import (
     PostCheckFailed,
     ValidationError,
 )
+from cy3.group_structure import certify_seed, seed_of
 from cy3.lattice_forms import MONOMIAL_INDICES, PairVector
 
 GOLDEN = {
@@ -163,6 +165,8 @@ class TestClassifyCommand:
         assert el["class"]["kind"] == "Hyperbolic"
         assert el["class"]["s"] == 3
         assert el["class"]["alpha"] == "3/2 + 1/2√5"
+        assert el["class"]["u"] == ["1", "-1/2 - 1/2√5", "0"]
+        assert el["class"]["v"] == ["1", "-1/2 + 1/2√5", "0"]
         assert el["class"]["w"] == [0, 0, 1]
 
     def test_unipotent_report(self):
@@ -197,15 +201,23 @@ class TestFactorCommand:
     @pytest.mark.parametrize("data, kind", [(GOLDEN, "ThreeLines"),
                                             (GOLDEN_QUADRIC, "QuadricLine")])
     def test_each_distinct_line_renders_once(self, monkeypatch, data, kind):
-        """A singular line equal to its frame column reuses the column's
-        strings: no PairVector builds its surds twice."""
+        """The surds of u and v are read once for the element entry and once
+        for the frame, each other frame column once, and a singular line only
+        when it differs from its column, whose strings it reuses otherwise."""
+        parsed = problem(data)
+        (g,), T, L = parsed.matrices, parsed.cubic, parsed.c2
+        cls = classify(g, L)
+        cert = certify_seed(T, L, seed_of(g, cls))
+        frame = cert.factorization.frame
+        expected = [cls.u, cls.v, *frame,
+                    *(line for line, col in zip(cert.singular_lines, frame) if line != col)]
         reads = []
         surds = PairVector.surds
         monkeypatch.setattr(PairVector, "surds",
                             property(lambda x: reads.append(x) or surds.fget(x)))
-        report, _ = run(problem(data), "factor")
+        report, _ = run(parsed, "factor")
         fact = report["factorization"]
-        assert fact["kind"] == kind and len(reads) == len(set(reads))
+        assert fact["kind"] == kind and reads == expected
         assert fact["singular_locus"] == fact["frame"][:len(fact["singular_locus"])]
 
     def test_quadric_line(self):

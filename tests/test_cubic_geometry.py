@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import compose, form_entry, normalize, reconstructs, surd
+from conftest import clear_frame, compose, form_entry, normalize, reconstructs, surd
 from cy3 import cubic_geometry, group_structure
 from cy3.cubic_geometry import (
     HODGE_INDEX,
@@ -31,15 +31,15 @@ from cy3.errors import (
 )
 from cy3.group_structure import _scaling_value, analyze_group
 from cy3.lattice_forms import (
+    ENTRY_KEYS,
     LatticeMap,
     LinearForm,
     PairVector,
     TrilinearForm,
-    clear_frame,
     preserves_pair,
     transform_cubic,
 )
-from test_lattice_forms import random_unimodular
+from test_lattice_forms import cubics, random_unimodular, small
 
 
 @pytest.fixture
@@ -47,6 +47,13 @@ def golden_frame(golden_generator, L_z):
     verdict = classify(golden_generator, L_z)
     assert isinstance(verdict, Hyperbolic)
     return verdict.u, verdict.v, verdict.w
+
+
+@pytest.fixture
+def standard_frame():
+    """The standard basis as a hand-made hyperbolic frame: u and v cleared,
+    w an int vector."""
+    return (*clear_frame(((1, 0, 0), (0, 1, 0))), (0, 0, 1))
 
 
 @pytest.fixture
@@ -75,35 +82,40 @@ class TestHyperbolicRelations:
             "v^2·w", "v·w^2", "L(u)", "L(v)",
         }
 
-    def test_wrong_frame_fails(self, golden_cubic, L_z):
-        rep = check_hyperbolic_relations(
-            golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        )
+    def test_wrong_frame_fails(self, golden_cubic, L_z, standard_frame):
+        rep = check_hyperbolic_relations(golden_cubic, L_z, *standard_frame)
         assert not rep.overall
         failing = {r.name for r in rep.rows if not r.holds}
         assert "u^2·w" in failing
 
-    def test_failing_names_the_rows_that_do_not_hold(self, golden_cubic, golden_frame, L_z):
+    def test_failing_names_the_rows_that_do_not_hold(self, golden_cubic, golden_frame, L_z,
+                                                     standard_frame):
         rep = check_hyperbolic_relations(golden_cubic, L_z, *golden_frame)
         assert rep.failing == []
-        bad = check_hyperbolic_relations(golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        bad = check_hyperbolic_relations(golden_cubic, L_z, *standard_frame)
         assert bad.failing == [r.name for r in bad.rows if not r.holds] != []
         with pytest.raises(RelationsNotVerified) as info:
             hyperbolic_factorization(bad)
         assert str(info.value) == f"failing relations: {bad.failing}"
 
     def test_a_frame_off_the_real_basis_is_rejected(self, golden_cubic, L_z, golden_frame):
-        """An irrational frame must be (σ(v), v, w) with w rational: 2u is not
-        the conjugate of v, and w + v is irrational."""
+        """An irrational frame must be (σ(v), v, w) with w an int vector, over
+        one den: 2u is not the conjugate of v, w + v is irrational, and u over
+        twice its den is the same vector over another den."""
         u, v, w = golden_frame
-        for frame in ((tuple(x * 2 for x in u), v, w), (u, v, tuple(x + y for x, y in zip(w, v)))):
-            with pytest.raises(ValidationError, match="irrational frame"):
-                check_hyperbolic_relations(golden_cubic, L_z, *frame)
+        with pytest.raises(ValidationError, match="irrational frame"):
+            check_hyperbolic_relations(golden_cubic, L_z,
+                                       *clear_frame((tuple(x * 2 for x in u.surds), v.surds)), w)
+        with pytest.raises(ValidationError, match="integer vectors"):
+            check_hyperbolic_relations(golden_cubic, L_z, u, v,
+                                       tuple(x + y for x, y in zip(w, v.surds)))
+        u2 = PairVector(tuple(x * 2 for x in u.p), tuple(y * 2 for y in u.q), u.den * 2, u.d)
+        assert u2.surds == u.surds
+        with pytest.raises(ValidationError, match="one denominator"):
+            check_hyperbolic_relations(golden_cubic, L_z, u2, v, w)
 
-    def test_failed_report_blocks_factorization(self, golden_cubic, L_z):
-        bad = check_hyperbolic_relations(
-            golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        )
+    def test_failed_report_blocks_factorization(self, golden_cubic, L_z, standard_frame):
+        bad = check_hyperbolic_relations(golden_cubic, L_z, *standard_frame)
         with pytest.raises(RelationsNotVerified):
             hyperbolic_factorization(bad)
 
@@ -127,11 +139,11 @@ class TestHyperbolicFactorization:
         assert quadric_signature(fact.quadric) == (2, 1, 0)
         assert reconstructs(fact)
 
-    def test_false_split_fails_the_named_post_check(self, golden_cubic, L_z):
+    def test_false_split_fails_the_named_post_check(self, golden_cubic, L_z, standard_frame):
         """With the relation gate forced open the standard frame reaches the
         split; B = -1/6, but x^2 z and y^2 z leave C∘M = z·Q with q11, q22 != 0,
         which is no hyperbolic split."""
-        report = check_hyperbolic_relations(golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        report = check_hyperbolic_relations(golden_cubic, L_z, *standard_frame)
         assert not report.overall
         with pytest.raises(PostCheckFailed) as info:
             hyperbolic_factorization(report._replace(overall=True))
@@ -337,12 +349,12 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
     assert preserves_pair(g, T, L)
     cls = classify(g, L)
     assert isinstance(cls, Hyperbolic)
-    frame = (cls.u, cls.v, cls.w)
+    frame = (cls.u.surds, cls.v.surds, cls.w)
 
-    report = check_hyperbolic_relations(T, L, *frame)
+    report = check_hyperbolic_relations(T, L, cls.u, cls.v, cls.w)
     table = {key: trilinear_eval(T, *(frame[i - 1] for i in key)) for _, key in HYPERBOLIC_ROWS}
-    lines = {"L(u)": sum((x * y for x, y in zip(L, cls.u)), surd(0)),
-             "L(v)": sum((x * y for x, y in zip(L, cls.v)), surd(0))}
+    lines = {"L(u)": sum((x * y for x, y in zip(L, frame[0])), surd(0)),
+             "L(v)": sum((x * y for x, y in zip(L, frame[1])), surd(0))}
     assert [(r.name, r.left) for r in report.rows] == [
         *((name, table[key]) for name, key in HYPERBOLIC_ROWS), *lines.items()]
     assert report.overall
@@ -363,10 +375,10 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
 
     betas = []
     for h in (g, g @ g):
-        image = surd_apply(h ** 4, cls.v)
-        beta = next(x for x in image if x) / next(x for x in cls.v if x)
-        assert image == tuple(x * beta for x in cls.v)
-        assert _scaling_value(h, *clear_frame((cls.v, cls.u))) == beta
+        image = surd_apply(h ** 4, frame[1])
+        beta = next(x for x in image if x) / next(x for x in frame[1] if x)
+        assert image == tuple(x * beta for x in frame[1])
+        assert _scaling_value(h, cls.v, cls.u) == beta
         betas.append(beta)
     assert betas == [cls.alpha ** 4, cls.alpha ** 8]
     verdict = analyze_group(T, L, [g, g @ g])
@@ -392,6 +404,47 @@ class TestUnipotentRelations:
         w, w1, w2 = unipotent_frame_vectors
         rep = check_unipotent_relations(golden_cubic, L_z, w, w1, w2)
         assert not rep.overall
+
+    @pytest.mark.parametrize("column, x", [(0, Fraction(1)), (1, Fraction(1, 2)),
+                                           (2, surd(1, 1, 5)), (2, surd(1))])
+    def test_a_column_that_is_not_an_int_vector_is_rejected(
+            self, unipotent_cubic, L_z, unipotent_frame_vectors, column, x):
+        """The frame is built from int columns: a Fraction or a surd
+        coordinate raises, an integral one too."""
+        frame = list(unipotent_frame_vectors)
+        frame[column] = (x, *frame[column][1:])
+        with pytest.raises(ValidationError, match="integer vectors"):
+            check_unipotent_relations(unipotent_cubic, L_z, *frame)
+
+
+@settings(deadline=None, max_examples=60)
+@given(cubics(), st.tuples(small, small, small), st.booleans(), st.randoms(use_true_random=False))
+def test_unipotent_w2_rows_match_trilinear_eval(T, w, flat, rng):
+    """Each row w^2·e_i of the unipotent relations, for an int w, has the
+    left side trilinear_eval(T, w, w, e_i) and holds exactly when that is 0.
+    With `flat` the cubic is moved by a random unimodular P from one whose
+    entries T(e1, e1, ·) vanish, and w = P·(k, 0, 0), so every row holds."""
+    if flat:
+        entries = {key: Fraction(x, T.scale) for key, x in zip(ENTRY_KEYS, T.flat)}
+        entries.update({(1, 1, 1): 0, (1, 1, 2): 0, (1, 1, 3): 0})
+        P = random_unimodular(rng, steps=4)
+        T, w = transform_cubic(TrilinearForm(entries), P.inverse()), P.apply((w[0], 0, 0))
+    report = check_unipotent_relations(T, LinearForm(0, 0, 1), w, (0, 1, 0), (0, 0, 1))
+    rows = [r for r in report.rows if r.name.startswith("w^2·")]
+    assert [r.name for r in rows] == ["w^2·e1", "w^2·e2", "w^2·e3"]
+    for row, e in zip(rows, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        value = trilinear_eval(T, w, w, e)
+        assert (row.left, row.right, row.holds) == (value, 0, value == 0)
+    if flat:
+        assert all(row.holds for row in rows)
+
+
+def test_unipotent_w2_rows_hold_and_fail(golden_cubic, L_z):
+    """At w = e1 the golden cubic z(x^2 - xy - y^2) has T(w, w, e1) =
+    T(w, w, e2) = 0 and T(w, w, e3) = 1/3: the rows hold, hold and fail."""
+    report = check_unipotent_relations(golden_cubic, L_z, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rows = [(r.name, r.left, r.holds) for r in report.rows if r.name.startswith("w^2·")]
+    assert rows == [("w^2·e1", 0, True), ("w^2·e2", 0, True), ("w^2·e3", Fraction(1, 3), False)]
 
 
 class TestUnipotentFactorization:
@@ -468,14 +521,14 @@ class TestReconstructionAndSingularLocus:
         fact = hyperbolic_split(golden_cubic, L_z, golden_frame)
         lines = [line.surds for line in singular_locus(fact)]
         assert len(lines) == 3
-        expected = {normalize(p) for p in (u, v, w)}
+        expected = {normalize(p) for p in (u.surds, v.surds, w)}
         assert set(lines) == expected
 
     def test_quadric_line_singular_lines(self, golden_cubic_quadric, golden_frame, L_z):
         u, v, w = golden_frame
         fact = hyperbolic_split(golden_cubic_quadric, L_z, golden_frame)
         lines = [line.surds for line in singular_locus(fact)]
-        assert set(lines) == {normalize(u), normalize(v)}
+        assert set(lines) == {normalize(u.surds), normalize(v.surds)}
 
     def test_singular_locus_builds_no_surd(self, golden_cubic, golden_frame, golden_generator,
                                            L_z, monkeypatch):

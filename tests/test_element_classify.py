@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLDEN_ALPHA, compose, is_finite_class
+from conftest import GOLDEN_ALPHA, clear_frame, compose, is_finite_class
 from cy3 import core_arith, element_classify
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import (
@@ -18,7 +18,7 @@ from cy3.element_classify import (
     finite_order,
 )
 from cy3.errors import DoesNotPreserveL, PostCheckFailed, RadicandTooLarge
-from cy3.lattice_forms import LatticeMap, LinearForm, clear_frame, cross, primitive_part
+from cy3.lattice_forms import LatticeMap, LinearForm, cross, primitive_part
 from test_lattice_forms import random_unimodular
 
 U_CHECK = "eigen-equation g u = u / alpha"
@@ -117,15 +117,15 @@ class TestHyperbolic:
         assert verdict.alpha == GOLDEN_ALPHA
         phi_minus = QuadSurd(Fraction(-1, 2), Fraction(-1, 2), 5)
         phi_plus = QuadSurd(Fraction(-1, 2), Fraction(1, 2), 5)
-        assert verdict.u == (QuadSurd(1), phi_minus, QuadSurd(0))
-        assert verdict.v == (QuadSurd(1), phi_plus, QuadSurd(0))
+        assert verdict.u.surds == (QuadSurd(1), phi_minus, QuadSurd(0))
+        assert verdict.v.surds == (QuadSurd(1), phi_plus, QuadSurd(0))
         assert verdict.w == (0, 0, 1)
 
     def test_eigen_equations(self, golden_generator, L_z):
         verdict = classify(golden_generator, L_z)
-        g, alpha = golden_generator, verdict.alpha
-        assert g.apply(verdict.v) == tuple(x * alpha for x in verdict.v)
-        assert g.apply(verdict.u) == tuple(x * alpha.inverse() for x in verdict.u)
+        g, alpha, u, v = golden_generator, verdict.alpha, verdict.u.surds, verdict.v.surds
+        assert g.apply(v) == tuple(x * alpha for x in v)
+        assert g.apply(u) == tuple(x * alpha.inverse() for x in u)
         assert g.apply(verdict.w) == verdict.w
 
     def test_inverse_swaps_expansion_lines(self, golden_generator, L_z):
@@ -278,11 +278,11 @@ class TestRealPairEigenvectors:
         g = P.inverse() @ _companion(s) @ P
         verdict = classify(g, compose(L_z, P))
         assert isinstance(verdict, Hyperbolic)
-        alpha = verdict.alpha
-        assert surd_apply(g, verdict.v) == tuple(x * alpha for x in verdict.v)
-        assert surd_apply(g, verdict.u) == tuple(x / alpha for x in verdict.u)
-        assert next(x for x in verdict.u if x) == 1
-        assert next(x for x in verdict.v if x) == 1
+        alpha, u, v = verdict.alpha, verdict.u.surds, verdict.v.surds
+        assert surd_apply(g, v) == tuple(x * alpha for x in v)
+        assert surd_apply(g, u) == tuple(x / alpha for x in u)
+        assert next(x for x in u if x) == 1
+        assert next(x for x in v if x) == 1
 
     @staticmethod
     def _built_from(monkeypatch, pair):
@@ -414,8 +414,8 @@ def test_real_pair_lines_match_a_surd_reference(rng, s):
     verdict = classify(g)
     assert isinstance(verdict, Hyperbolic if s > 0 else OutOfTheory)
     u, v, _ = element_classify.real_pair_lines(g, verdict)
-    assert v == _reference_line(g, root)
-    assert u == _reference_line(g, root.conjugate())
+    assert v.surds == _reference_line(g, root)
+    assert u.surds == _reference_line(g, root.conjugate())
 
 
 @pytest.mark.parametrize("pair, g", [
@@ -432,8 +432,8 @@ def test_each_written_out_row_pair_matches_the_reference(pair, g):
     root = QuadSurd(s, 1, s * s - 4)  # 2·alpha
     assert _first_row_product(g, 2, root)[0] == pair
     u, v, _ = element_classify.real_pair_lines(g, classify(g))
-    assert v == _reference_line(g, root / 2)
-    assert u == _reference_line(g, root.conjugate() / 2)
+    assert v.surds == _reference_line(g, root / 2)
+    assert u.surds == _reference_line(g, root.conjugate() / 2)
 
 
 @settings(deadline=None, max_examples=80)

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import GOLDEN_ALPHA, compose, form_entries, surd
+from conftest import GOLDEN_ALPHA, clear_frame, compose, form_entries, surd
 from cy3 import group_structure, lattice_forms
 from cy3.core_arith import QuadSurd, squarefree_decompose
 from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
@@ -43,7 +43,6 @@ from cy3.lattice_forms import (
     LatticeMap,
     LinearForm,
     TrilinearForm,
-    clear_frame,
     preserves_pair,
     transform_cubic,
 )
@@ -75,75 +74,70 @@ PLANE_FLIP = LatticeMap([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
 class TestScalingCharacter:
-    """`_scaling_value` on eigenlines cleared by `clear_frame`, as the
+    """`_scaling_value` on the integer-pair eigenlines of `classify`, as the
     hyperbolic route reads them."""
 
     @pytest.fixture
     def golden_lines(self, golden_generator, L_z):
-        """The eigenlines (v, u) in Z^3, v for the larger root alpha."""
+        """The eigenlines (v, u) in Z^3 as PairVectors, v for the larger root alpha."""
         cls = classify(golden_generator, L_z)
         return cls.v, cls.u
 
-    @pytest.fixture
-    def cleared(self, golden_lines):
-        return clear_frame(golden_lines)
-
-    def test_generator_value(self, golden_generator, cleared):
-        assert _scaling_value(golden_generator, *cleared) == GOLDEN_ALPHA**4
+    def test_generator_value(self, golden_generator, golden_lines):
+        assert _scaling_value(golden_generator, *golden_lines) == GOLDEN_ALPHA**4
 
     def test_value_does_not_depend_on_the_scale_of_the_lines(self, golden_generator,
                                                              golden_lines):
         """Scaled by 2 - √5 and by -3/2, the pivot of each line is irrational."""
         v, u = golden_lines
-        v_scaled = tuple(x * surd(2, -1, 5) for x in v)
-        u_scaled = tuple(x * Fraction(-3, 2) for x in u)
+        v_scaled = tuple(x * surd(2, -1, 5) for x in v.surds)
+        u_scaled = tuple(x * Fraction(-3, 2) for x in u.surds)
         assert v_scaled[0].b != 0
         v_cleared, u_cleared = clear_frame((v_scaled, u_scaled))
         assert _scaling_value(golden_generator, v_cleared, u_cleared) == GOLDEN_ALPHA**4
         assert _scaling_value(golden_generator, u_cleared, v_cleared) == GOLDEN_ALPHA**-4
 
-    def test_multiplicativity_on_words(self, golden_generator, cleared):
+    def test_multiplicativity_on_words(self, golden_generator, golden_lines):
         """chi(g^a) * chi(g^b) = chi(g^(a+b)) on words up to length 4."""
         for a in range(-4, 5):
             for b in range(-4, 5):
-                prod = (_scaling_value(golden_generator**a, *cleared)
-                        * _scaling_value(golden_generator**b, *cleared))
-                assert prod == _scaling_value(golden_generator ** (a + b), *cleared)
+                prod = (_scaling_value(golden_generator**a, *golden_lines)
+                        * _scaling_value(golden_generator**b, *golden_lines))
+                assert prod == _scaling_value(golden_generator ** (a + b), *golden_lines)
 
-    def test_line_swap_absorbed_by_fourth_power(self, cleared):
+    def test_line_swap_absorbed_by_fourth_power(self, golden_lines):
         """A symmetry swapping the two eigenlines still yields a positive value."""
-        assert _scaling_value(LINE_SWAP, *cleared) == 1
-        assert _scaling_value(LINE_SWAP, *cleared[::-1]) == 1
+        assert _scaling_value(LINE_SWAP, *golden_lines) == 1
+        assert _scaling_value(LINE_SWAP, *golden_lines[::-1]) == 1
 
-    def test_non_preserving_raises(self, cleared):
+    def test_non_preserving_raises(self, golden_lines):
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(shear, *cleared)
+            _scaling_value(shear, *golden_lines)
         assert str(info.value) == "restricted action does not permute the two lines"
 
-    def test_fourth_power_check_is_named(self, golden_generator, cleared, monkeypatch):
+    def test_fourth_power_check_is_named(self, golden_generator, golden_lines, monkeypatch):
         """A 4th power that moves line1 fails its own check."""
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: shear)
         with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(golden_generator, *cleared)
+            _scaling_value(golden_generator, *golden_lines)
         assert str(info.value) == "4th power does not fix line1"
 
-    def test_positivity_check_is_named(self, golden_generator, cleared, monkeypatch):
+    def test_positivity_check_is_named(self, golden_generator, golden_lines, monkeypatch):
         """-g^4 has the eigenvalue -alpha^4 on line1, which the check rejects."""
         power = LatticeMap.__pow__
         monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: LatticeMap(
             [[-x for x in row] for row in power(self, n).rows]))
         with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(golden_generator, *cleared)
+            _scaling_value(golden_generator, *golden_lines)
         assert str(info.value) == "4th-power scalar is not positive"
 
     def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_lines,
                                                fraction_builds):
-        """Clearing the lines, images, same-line tests and the eigenvalue itself
-        stay in ints: no Fraction is built."""
-        value, built = fraction_builds(
-            lambda: _scaling_value(golden_generator, *clear_frame(golden_lines)))
+        """The images, same-line tests and the eigenvalue itself stay in ints:
+        no Fraction is built."""
+        value, built = fraction_builds(lambda: _scaling_value(golden_generator, *golden_lines))
         assert value == GOLDEN_ALPHA**4
         assert built == 0
 
@@ -772,9 +766,9 @@ class TestCertifySeed:
 
     def test_one_frame_table_per_check(self, golden_cubic_quadric, golden_generator, L_z,
                                         monkeypatch):
-        """On a conjugated hyperbolic seed the frame is cleared to integer
-        pairs once: the relation rows, the frame table, the split and the
-        singular-line gradients are all read off that one clearing."""
+        """On a conjugated hyperbolic seed the frame is never cleared: the
+        relation rows, the frame table, the split and the singular-line
+        gradients are all read off the integer pairs that classify built."""
         rng = random.Random(5)
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
@@ -787,13 +781,13 @@ class TestCertifySeed:
         cert = certify_seed(T, L, lines)
         assert isinstance(cert.factorization, QuadricLine)
         assert len(cert.singular_lines) == 2
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_one_clearing_per_hyperbolic_analysis(self, golden_cubic_quadric, golden_generator,
                                                   L_z, monkeypatch):
-        """classify builds u and v from integer pairs and the route reads the
-        scaling character of every generator off the frame the relations
-        cleared: one clearing for the whole analysis of three generators."""
+        """classify keeps u and v as integer pairs, and the relations, the
+        split and the scaling character of every generator read them as they
+        are: no clearing in the whole analysis of three generators."""
         rng = random.Random(6)
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
@@ -805,7 +799,23 @@ class TestCertifySeed:
         verdict = analyze_group(T, L, [g, g @ g, g.inverse()])
         assert verdict.kind == "AlmostAbelianRankOne"
         assert verdict.witness.exponents == (8, 16, -8)
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_no_eigenline_surd_per_hyperbolic_analysis(self, golden_cubic_quadric,
+                                                       golden_generator, L_z, monkeypatch):
+        """analyze renders no eigenline: the analysis of the three conjugated
+        golden generators above reads PairVector.surds not once."""
+        rng = random.Random(6)
+        p = random_unimodular(rng, steps=4)
+        T = transform_cubic(golden_cubic_quadric, p)
+        g, L = p.inverse() @ golden_generator @ p, compose(L_z, p)
+        reads = []
+        surds = lattice_forms.PairVector.surds
+        monkeypatch.setattr(lattice_forms.PairVector, "surds",
+                            property(lambda x: reads.append(x) or surds.fget(x)))
+        verdict = analyze_group(T, L, [g, g @ g, g.inverse()])
+        assert verdict.witness.exponents == (8, 16, -8)
+        assert reads == []
 
     def test_analyze_runs_the_unipotent_singular_locus_post_check(
             self, unipotent_cubic, unipotent_generator, L_z, monkeypatch):

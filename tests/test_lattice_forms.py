@@ -8,7 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import compose, form_entries, form_entry, normalize, scaled_tensor
+from conftest import clear_frame, compose, form_entries, form_entry, normalize, scaled_tensor
 from cy3 import core_arith
 from cy3.core_arith import QuadSurd
 from cy3.errors import Cy3Error, IncompatibleFields, NotUnimodular, ValidationError, ZeroVector
@@ -25,12 +25,10 @@ from cy3.lattice_forms import (
     _matvec,
     _normalized,
     _scaled_pullback,
-    clear_frame,
     cross,
     cubic_eval,
     frame_table,
     multinomial,
-    polar,
     preserves_pair,
     primitive_part,
     same_line,
@@ -638,19 +636,24 @@ def eigenframes(draw):
     return tuple(x.conjugate() if type(x) is QuadSurd else x for x in v), v, w
 
 
-@given(cubics(), eigenframes(), st.sampled_from([2, 3, 5, 13]).flatmap(
-    lambda d: st.tuples(vectors_over(d), vectors_over(d), vectors_over(d))))
-def test_frame_table_and_polar_match_trilinear_eval(T, frame, vectors):
+@given(cubics(), eigenframes())
+def test_frame_table_matches_trilinear_eval(T, frame):
     """The frame table of an eigenframe holds T(f_i, f_j, f_k) on every sorted
-    index triple, and polar(T, f) is T(f, f, e_i) on the standard basis for
-    arbitrary vectors f."""
+    index triple."""
     table = frame_table(T, clear_frame(frame))
     assert sorted(table) == sorted(ENTRY_KEYS)
     for i, j, k in ENTRY_KEYS:
         assert table[i, j, k] == trilinear_eval(T, frame[i - 1], frame[j - 1], frame[k - 1])
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for f in vectors:
-        assert polar(T, f) == tuple(trilinear_eval(T, f, f, e) for e in basis)
+
+
+def test_frame_table_rejects_columns_over_two_denominators(golden_cubic_quadric):
+    """The columns of a frame share one den and one field: the same vectors
+    with one column over twice its den, or over another field, raise."""
+    u, v, w = clear_frame(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    frame_table(golden_cubic_quadric, (u, v, w))
+    for bad in (w._replace(p=(0, 0, 2), den=2), w._replace(d=5)):
+        with pytest.raises(ValidationError, match="one denominator and one field"):
+            frame_table(golden_cubic_quadric, (u, v, bad))
 
 
 # -- the unrolled 3x3 kernels against naive sums -----------------------------------
