@@ -2,12 +2,12 @@
 of the symmetries of a pair (cubic, linear form), decide Finite versus
 almost abelian of rank 1, with an explicit witness.
 
-The unipotent witness is the integer-valued homomorphism h -> p * a_h, with
-a_h = H01/e read off the integer frame matrix (H, e) of h, so the unipotent
-route runs on integers alone. The hyperbolic witness is the scaling
-character, the eigenvalue of h^4 on an eigenline in Z^3 read on integer pairs,
-certified to land in the discrete cyclic group generated by the fundamental
-unit of a real quadratic field.
+Both infinite routes read each generator h as its integer frame matrix (H, e)
+in the basis of the seed's frame. The unipotent witness is the integer-valued
+homomorphism h -> p * a_h, a_h = H01/e. The hyperbolic witness is the scaling
+character, the eigenvalue of h^4 on an eigenline read off the first two
+columns of H, certified to land in the discrete cyclic group generated by the
+fundamental unit of a real quadratic field.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .errors import (
 from .lattice_forms import (
     LatticeMap,
     LinearForm,
-    PairVector,
     TrilinearForm,
     _adjugate3,
     _as_surd,
@@ -62,7 +61,6 @@ from .lattice_forms import (
     _matvec,
     preserves_pair,
     primitive_part,
-    same_line,
 )
 
 ENUMERATION_BOUND_GUARD = 6
@@ -89,34 +87,41 @@ class GroupVerdict(NamedTuple):
     reason: str | None = None
 
 
-# -- scaling character ----------------------------------------------------------
+# -- frame matrix and scaling character -----------------------------------------
 
 
-def _scaling_value(h: LatticeMap, line1: PairVector, line2: PairVector) -> QuadSurd:
-    """Positive eigenvalue of h^4 on line1, for a symmetry h that fixes or
-    swaps the eigenlines line1 and line2 in Z^3, PairVectors of any scale and den.
-    Passing to 4th powers removes the finite ambiguity of line swaps and signs,
-    so the returned value is a multiplicative character on the group. Images
-    and same-line tests stay in plain ints; the eigenvalue is one surd quotient."""
-    d, x1, x2 = line1.d, line1[:2], line2[:2]
+def frame_coordinates_matrix(h: LatticeMap, frame) -> tuple[tuple, int]:
+    """h in the basis of any integer frame, such as (w, w1, w2) of a unipotent
+    split or the real basis (P, Q, W) of a hyperbolic one, as (H, e) with
+    M⁻¹·h·M = H/e, M holding the frame vectors as columns: H = ±adj(M)·h·M
+    and e = |det M| > 0, all integers."""
+    m = tuple(zip(*frame))
+    det = _det3(m)
+    if det == 0:
+        raise PostCheckFailed("degenerate frame")
+    hm = _matmul(_adjugate3(m), _matmul(h.rows, m))
+    if det < 0:
+        hm = tuple(tuple(-x for x in row) for row in hm)
+    return hm, abs(det)
 
-    def image(m, x):
-        return _matvec(m, x[0]), _matvec(m, x[1])
 
-    img1, img2 = image(h.rows, x1), image(h.rows, x2)
-    if not ((same_line(img1, x1, d) and same_line(img2, x2, d))
-            or (same_line(img1, x2, d) and same_line(img2, x1, d))):
+def _scaling_value(h: LatticeMap, frame) -> QuadSurd:
+    """Positive eigenvalue of h^4 on v, for a symmetry h that fixes or swaps
+    the eigenlines u = σ(v) and v = (P + Q√d)/N of a hyperbolic frame (u, v, W).
+    On the frame matrix (H, e) of h on the real basis (P, Q, W), h·v = β·v
+    exactly when the first two columns of H are (a, d·b, 0) and (b, a, 0), and
+    h·v = β·u when they are (a, -d·b, 0) and (b, -a, 0), with β = (a + b√d)/e.
+    Then h^4·v is β^4·v, or N(β)^2·v as h^2·v = β·σ(β)·v: passing to 4th
+    powers removes the finite ambiguity of line swaps and signs, so the value
+    is a positive multiplicative character on the group."""
+    _, (p, q, _, d), w = frame
+    hm, e = frame_coordinates_matrix(h, (p, q, w.p))
+    (a, b, _), (x, y, _), (z1, z2, _) = hm
+    fixes = (x, y) == (d * b, a)
+    if z1 or z2 or not (fixes or (x, y) == (-d * b, -a)):
         raise LinesNotPreserved("restricted action does not permute the two lines")
-    img = image((h ** 4).rows, x1)
-    if not same_line(img, x1, d):
-        raise LinesNotPreserved("4th power does not fix line1")
-    # beta = (P + Q√d)/(a + b√d) at a pivot i of line1
-    p, q = x1
-    i = next(i for i in range(3) if p[i] or q[i])
-    beta = _from_ints(img[0][i], img[1][i], 1, d) / _from_ints(p[i], q[i], 1, d)
-    if beta.sign() <= 0:
-        raise LinesNotPreserved("4th-power scalar is not positive")
-    return beta
+    beta = _from_ints(a, b, e, d)
+    return beta ** 4 if fixes else beta.norm() ** 2
 
 
 # -- discrete cyclic certification ----------------------------------------------
@@ -213,20 +218,6 @@ def _fundamental_unit(d: int, ceiling: tuple[int, int]) -> tuple[int, int]:
 
 
 # -- unipotent constraints -------------------------------------------------------
-
-
-def frame_coordinates_matrix(h: LatticeMap, frame) -> tuple[tuple, int]:
-    """h expressed in the (w, w1, w2) frame basis as (H, e) with M⁻¹·h·M = H/e,
-    M holding the frame vectors as columns: H = ±adj(M)·h·M and e = |det M| > 0,
-    all integers."""
-    m = tuple(zip(*frame))
-    det = _det3(m)
-    if det == 0:
-        raise PostCheckFailed("degenerate frame")
-    hm = _matmul(_adjugate3(m), _matmul(h.rows, m))
-    if det < 0:
-        hm = tuple(tuple(-x for x in row) for row in hm)
-    return hm, abs(det)
 
 
 def unipotent_shear(hf) -> int:
@@ -411,9 +402,6 @@ def analyze_group(
 
 
 def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
-    if not generators:
-        return GroupVerdict(kind="Finite", elements=(LatticeMap.identity(),))
-
     a = next((g for g in generators if g.det == -1), None)
     if a is not None:
         a_inv = a.inverse()
@@ -508,12 +496,11 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> tuple | s
 def _hyperbolic_route(generators, fact: Factorization, reductions) -> tuple | str:
     """(phi, witness), phi = the exponents of the 4th-power scaling values per
     generator, () when all are 1, or why the route is inconclusive."""
-    u, v = fact.frame[:2]
     values = []
     for h in generators:
         try:
             # v carries the larger root alpha of the seed generator
-            values.append(_scaling_value(h, v, u))
+            values.append(_scaling_value(h, fact.frame))
         except LinesNotPreserved as exc:
             return str(exc)
     reductions.append("scaling character computed on 4th powers (index ≤ 4)")

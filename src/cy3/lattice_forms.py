@@ -460,13 +460,6 @@ def _normalized(v: PairVector) -> PairVector:
                       tuple([y * a - x * b for x, y in zip(p, q)]), a * a - d * b * b, d)
 
 
-def same_line(x, y, d: int) -> bool:
-    """True iff the nonzero vectors p + q·√d and r + s·√d, given as pairs of
-    integer vectors x = (p, q) and y = (r, s), span one line: both the rational
-    and the √d part of their cross product vanish."""
-    return _pair_cross(x, y, d) == ((0, 0, 0), (0, 0, 0))
-
-
 def _pair_cross(x, y, d: int) -> tuple:
     """The cross product of two integer pairs of vectors, as an integer pair."""
     (p, q), (r, s) = x, y

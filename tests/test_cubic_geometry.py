@@ -378,7 +378,7 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
         image = surd_apply(h ** 4, frame[1])
         beta = next(x for x in image if x) / next(x for x in frame[1] if x)
         assert image == tuple(x * beta for x in frame[1])
-        assert _scaling_value(h, cls.v, cls.u) == beta
+        assert _scaling_value(h, report.source[1]) == beta
         betas.append(beta)
     assert betas == [cls.alpha ** 4, cls.alpha ** 8]
     verdict = analyze_group(T, L, [g, g @ g])

@@ -73,73 +73,89 @@ LINE_SWAP = LatticeMap([[-1, 0, 0], [1, 1, 0], [0, 0, 1]])
 PLANE_FLIP = LatticeMap([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
+def _swapped(frame):
+    """The frame (u, v, W) with the u and v slots exchanged."""
+    u, v, w = frame
+    return v, u, w
+
+
 class TestScalingCharacter:
-    """`_scaling_value` on the integer-pair eigenlines of `classify`, as the
-    hyperbolic route reads them."""
+    """`_scaling_value` on the frame (u, v, W) of the eigenlines of
+    `classify`, as the hyperbolic route reads it."""
 
     @pytest.fixture
-    def golden_lines(self, golden_generator, L_z):
-        """The eigenlines (v, u) in Z^3 as PairVectors, v for the larger root alpha."""
+    def golden_frame(self, golden_generator, L_z):
+        """The eigenframe (u, v, W) as PairVectors over one den, v for the
+        larger root alpha."""
         cls = classify(golden_generator, L_z)
-        return cls.v, cls.u
+        return clear_frame((cls.u.surds, cls.v.surds, cls.w))
 
-    def test_generator_value(self, golden_generator, golden_lines):
-        assert _scaling_value(golden_generator, *golden_lines) == GOLDEN_ALPHA**4
+    def test_generator_value(self, golden_generator, golden_frame):
+        assert _scaling_value(golden_generator, golden_frame) == GOLDEN_ALPHA**4
 
     def test_value_does_not_depend_on_the_scale_of_the_lines(self, golden_generator,
-                                                             golden_lines):
-        """Scaled by 2 - √5 and by -3/2, the pivot of each line is irrational."""
-        v, u = golden_lines
-        v_scaled = tuple(x * surd(2, -1, 5) for x in v.surds)
-        u_scaled = tuple(x * Fraction(-3, 2) for x in u.surds)
+                                                             golden_frame):
+        """v scaled by the irrational mu = -3 + (3/2)√5 and u by σ(mu): the
+        value on v is alpha^4, and on u, with the slots exchanged, alpha^-4."""
+        u, v, w = (f.surds for f in golden_frame)
+        mu = surd(-3, Fraction(3, 2), 5)
+        v_scaled = tuple(x * mu for x in v)
         assert v_scaled[0].b != 0
-        v_cleared, u_cleared = clear_frame((v_scaled, u_scaled))
-        assert _scaling_value(golden_generator, v_cleared, u_cleared) == GOLDEN_ALPHA**4
-        assert _scaling_value(golden_generator, u_cleared, v_cleared) == GOLDEN_ALPHA**-4
+        frame = clear_frame((tuple(x * mu.conjugate() for x in u), v_scaled, w))
+        assert _scaling_value(golden_generator, frame) == GOLDEN_ALPHA**4
+        assert _scaling_value(golden_generator, _swapped(frame)) == GOLDEN_ALPHA**-4
 
-    def test_multiplicativity_on_words(self, golden_generator, golden_lines):
+    def test_multiplicativity_on_words(self, golden_generator, golden_frame):
         """chi(g^a) * chi(g^b) = chi(g^(a+b)) on words up to length 4."""
         for a in range(-4, 5):
             for b in range(-4, 5):
-                prod = (_scaling_value(golden_generator**a, *golden_lines)
-                        * _scaling_value(golden_generator**b, *golden_lines))
-                assert prod == _scaling_value(golden_generator ** (a + b), *golden_lines)
+                prod = (_scaling_value(golden_generator**a, golden_frame)
+                        * _scaling_value(golden_generator**b, golden_frame))
+                assert prod == _scaling_value(golden_generator ** (a + b), golden_frame)
 
-    def test_line_swap_absorbed_by_fourth_power(self, golden_lines):
+    def test_line_swap_absorbed_by_fourth_power(self, golden_frame):
         """A symmetry swapping the two eigenlines still yields a positive value."""
-        assert _scaling_value(LINE_SWAP, *golden_lines) == 1
-        assert _scaling_value(LINE_SWAP, *golden_lines[::-1]) == 1
+        assert _scaling_value(LINE_SWAP, golden_frame) == 1
+        assert _scaling_value(LINE_SWAP, _swapped(golden_frame)) == 1
 
-    def test_non_preserving_raises(self, golden_lines):
+    def test_non_preserving_raises(self, golden_frame):
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(shear, *golden_lines)
+            _scaling_value(shear, golden_frame)
         assert str(info.value) == "restricted action does not permute the two lines"
 
-    def test_fourth_power_check_is_named(self, golden_generator, golden_lines, monkeypatch):
-        """A 4th power that moves line1 fails its own check."""
-        shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-        monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: shear)
-        with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(golden_generator, *golden_lines)
-        assert str(info.value) == "4th power does not fix line1"
-
-    def test_positivity_check_is_named(self, golden_generator, golden_lines, monkeypatch):
-        """-g^4 has the eigenvalue -alpha^4 on line1, which the check rejects."""
-        power = LatticeMap.__pow__
-        monkeypatch.setattr(LatticeMap, "__pow__", lambda self, n: LatticeMap(
-            [[-x for x in row] for row in power(self, n).rows]))
-        with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(golden_generator, *golden_lines)
-        assert str(info.value) == "4th-power scalar is not positive"
-
-    def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_lines,
+    def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_frame,
                                                fraction_builds):
-        """The images, same-line tests and the eigenvalue itself stay in ints:
-        no Fraction is built."""
-        value, built = fraction_builds(lambda: _scaling_value(golden_generator, *golden_lines))
+        """The frame matrix, its line checks and the eigenvalue itself stay in
+        ints: no Fraction is built."""
+        value, built = fraction_builds(lambda: _scaling_value(golden_generator, golden_frame))
         assert value == GOLDEN_ALPHA**4
         assert built == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_scaling_value_matches_a_surd_oracle(rng, steps):
+    """On the eigenframe of a random unimodular P-conjugate of the golden g,
+    the value of each conjugate of g, g², g⁻¹, LINE_SWAP and PLANE_FLIP is the
+    eigenvalue of its 4th power on v, found by QuadSurd products: the line
+    swap included. The conjugated shear moves the lines and raises."""
+    p = random_unimodular(rng, steps=steps)
+    p_inv = p.inverse()
+    L = compose(LinearForm(0, 0, 1), p)
+    cls = classify(p_inv @ GOLDEN @ p, L)
+    frame = clear_frame((cls.u.surds, cls.v.surds, cls.w))
+    v = frame[1].surds
+    for h in (GOLDEN, GOLDEN @ GOLDEN, GOLDEN.inverse(), LINE_SWAP, PLANE_FLIP):
+        h = p_inv @ h @ p
+        image = tuple(sum((x * y for x, y in zip(row, v)), surd(0)) for row in (h ** 4).rows)
+        beta = next(x for x in image if x) / next(x for x in v if x)
+        assert image == tuple(x * beta for x in v)
+        assert _scaling_value(h, frame) == beta
+    shear = p_inv @ LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]]) @ p
+    with pytest.raises(LinesNotPreserved) as info:
+        _scaling_value(shear, frame)
+    assert str(info.value) == "restricted action does not permute the two lines"
 
 
 class TestCertifyDiscreteCyclic:
@@ -998,6 +1014,26 @@ class TestAnalyzeGroup:
         assert verdict.kind == "AlmostAbelianRankOne"
         exps = verdict.witness.exponents
         assert exps[0] == -exps[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_matrix_power_on_the_hyperbolic_route(self, golden_cubic, L_z, monkeypatch,
+                                                      seed):
+        """Conjugated golden generators and LINE_SWAP are certified with
+        LatticeMap.__pow__ patched to raise: the route reads each generator
+        through its frame matrix and takes no matrix power."""
+        p = random_unimodular(random.Random(seed), steps=6)
+        T, L = transform_cubic(golden_cubic, p), compose(L_z, p)
+        gens = [p.inverse() @ g @ p for g in (GOLDEN, LINE_SWAP)]
+
+        def no_power(self, n):
+            raise AssertionError("LatticeMap power taken")
+
+        monkeypatch.setattr(LatticeMap, "__pow__", no_power)
+        verdict = analyze_group(T, L, gens)
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert verdict.witness == CharacterWitness(
+            generator=surd(Fraction(1, 2), Fraction(1, 2), 5), exponents=(8, -8, 0),
+            values=(GOLDEN_ALPHA**4, GOLDEN_ALPHA**-4, QuadSurd(1)))
 
     def test_two_golden_reflections(self, golden_cubic, L_z):
         """Two det -1 involutions: each has a trivial character, and the

@@ -24,6 +24,7 @@ from cy3.lattice_forms import (
     _matmul,
     _matvec,
     _normalized,
+    _pair_cross,
     _scaled_pullback,
     cross,
     cubic_eval,
@@ -31,7 +32,6 @@ from cy3.lattice_forms import (
     multinomial,
     preserves_pair,
     primitive_part,
-    same_line,
     transform_cubic,
     trilinear_eval,
 )
@@ -342,19 +342,23 @@ class TestVectors:
         v = _normalized(_int_pairs((0, 3, -6)))
         assert v.surds == (QuadSurd(0), QuadSurd(1), QuadSurd(-2))
 
-    def test_same_line_surds(self):
+    def test_pair_cross_surds(self):
         phi = QuadSurd(Fraction(1, 2), Fraction(1, 2), 5)
-        assert same_line(_pairs((1, phi, 0)), _pairs((phi, phi * phi, QuadSurd(0))), 5)
-        assert not same_line(_pairs((1, phi, 0)), _pairs((1, -phi, 0)), 5)
+        zero = ((0, 0, 0), (0, 0, 0))
+        assert _pair_cross(_pairs((1, phi, 0)), _pairs((phi, phi * phi, QuadSurd(0))), 5) == zero
+        assert _pair_cross(_pairs((1, phi, 0)), _pairs((1, -phi, 0)), 5) != zero
 
-    def test_same_line_needs_both_parts(self):
+    def test_pair_cross_needs_both_parts(self):
         """(1 + √5, 1, 0) and (1, 1, 0): the rational part of the cross
         product vanishes, the √5 part does not. (√5, 1, 0) and (5, √5, 0):
         the rational part vanishes only with the factor d = 5."""
         root5 = QuadSurd(0, 1, 5)
-        assert not same_line(_pairs((1 + root5, 1, 0)), _pairs((1, 1, 0)), 5)
-        assert same_line(_pairs((root5, 1, 0)), _pairs((5, root5, 0)), 5)
-        assert not same_line(_pairs((root5, 1, 0)), _pairs((5, root5, 0)), 3)
+        assert _pair_cross(_pairs((1 + root5, 1, 0)), _pairs((1, 1, 0)), 5) == (
+            (0, 0, 0), (0, 0, 1))
+        assert _pair_cross(_pairs((root5, 1, 0)), _pairs((5, root5, 0)), 5) == (
+            (0, 0, 0), (0, 0, 0))
+        assert _pair_cross(_pairs((root5, 1, 0)), _pairs((5, root5, 0)), 3) == (
+            (0, 0, -2), (0, 0, 0))
 
     def test_cross_orthogonal(self):
         r1, r2 = (1, 2, 3), (4, 5, 6)
