@@ -13,7 +13,6 @@ fundamental unit of a real quadratic field.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import NamedTuple, Sequence
 
 from .core_arith import QuadSurd, _from_ints, _pair_sign, _ratio_str
@@ -56,9 +55,7 @@ from .lattice_forms import (
     _adjugate3,
     _as_surd,
     _det3,
-    _dot,
     _matmul,
-    _matvec,
     preserves_pair,
     primitive_part,
 )
@@ -269,47 +266,67 @@ def enumerate_symmetries(
 ) -> list[LatticeMap]:
     """All unimodular maps with entries in [-bound, bound] preserving (T, L).
 
-    Brute-force oracle over the integer tensor D·T, third column first.
-    Columns are pooled by L and the cubic value, each with its covector
-    (D·T)(c, c, ·). For each third column c3, first columns are kept by the
-    entries (1,3,3) and (1,1,3), second columns by (2,3,3) and (2,2,3), and
-    pairs of those by (1,2,3), (1,1,2), (1,2,2) and the det, so a survivor
-    matches all ten entries. The full pullback in `preserves_pair` still
-    re-verifies every survivor."""
+    Oracle over the integer tensor D·T, third column first. Column j lies on
+    the plane L(c) = l_j, so its pool walks only that plane's points in the
+    box, solving c_k of one nonzero l_k by a divmod per pair of the other two
+    coordinates; it keeps a point with (D·T)(c, c, c) = (D·T)_jjj and its
+    covector s = (D·T)(c, c, ·), written out on the six quadratic monomials
+    of c. For each third column c3, on the six entries of (D·T)(c3, ·, ·),
+    first columns are kept by the entries (1,3,3) and (1,1,3), second columns
+    by (2,3,3) and (2,2,3), and pairs of those by (1,2,3), (1,1,2), (1,2,2)
+    and the det, so a survivor matches L and all ten entries; `preserves_pair`
+    still re-verifies each. The zero covector raises ValidationError."""
     if bound < 0:
         raise ValidationError(f"bound {bound} must be nonnegative")
     if bound > ENUMERATION_BOUND_GUARD and not allow_large_bound:
         raise BoundTooLarge(f"bound {bound} exceeds the guard {ENUMERATION_BOUND_GUARD}")
+    if L.is_zero():
+        raise ValidationError("the zero covector is not admitted")
+    l = L.coefficients()
     t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = T.flat
-    l, diagonal = L.coefficients(), (t111, t222, t333)
-    # Column pools: c is a candidate j-th column iff L(c) = l_j and
-    # (D·T)(c, c, c) = (D·T)_jjj; each is kept with s = (D·T)(c, c, ·).
+    k = max(range(3), key=lambda i: abs(l[i]))
+    lk, (li, lj) = l[k], l[:k] + l[k + 1:]
+    box = range(-bound, bound + 1)
     pools = ([], [], [])
-    for c in product(range(-bound, bound + 1), repeat=3):
-        lc = _dot(l, c)
-        if lc not in l:
-            continue
-        s = _matvec(T.contract(c), c)
-        cc = _dot(s, c)
-        for j in range(3):
-            if lc == l[j] and cc == diagonal[j]:
-                pools[j].append((c, s))
+    for level in dict.fromkeys(l):
+        targets = [(pools[j], (t111, t222, t333)[j]) for j in range(3) if l[j] == level]
+        for x in box:
+            rest = level - li * x
+            for y in box:
+                ck, r = divmod(rest - lj * y, lk)
+                if r or not -bound <= ck <= bound:
+                    continue
+                a, b, c = (ck, x, y) if k == 0 else (x, ck, y) if k == 1 else (x, y, ck)
+                aa, ab, ac, bb, bc, cc = a * a, 2 * a * b, 2 * a * c, b * b, 2 * b * c, c * c
+                s1 = t111 * aa + t112 * ab + t113 * ac + t122 * bb + t123 * bc + t133 * cc
+                s2 = t112 * aa + t122 * ab + t123 * ac + t222 * bb + t223 * bc + t233 * cc
+                s3 = t113 * aa + t123 * ab + t133 * ac + t223 * bb + t233 * bc + t333 * cc
+                value = s1 * a + s2 * b + s3 * c
+                for pool, diagonal in targets:
+                    if value == diagonal:
+                        pool.append((a, b, c, s1, s2, s3))
     found = []
-    for c3, s33 in pools[2]:
-        m3 = T.contract(c3)  # (D·T)(c3, ·, ·)
-        firsts = []
-        for c1, s11 in pools[0]:
-            if _dot(s33, c1) == t133:
-                s13 = _matvec(m3, c1)  # (D·T)(c1, c3, ·)
-                if _dot(s13, c1) == t113:
-                    firsts.append((c1, s11, s13))
-        seconds = [(c2, s22) for c2, s22 in pools[1]
-                   if _dot(s33, c2) == t233 and _dot(_matvec(m3, c2), c2) == t223]
-        for c1, s11, s13 in firsts:
-            for c2, s22 in seconds:
-                if (_dot(s13, c2) == t123 and _dot(s11, c2) == t112 and _dot(s22, c1) == t122
-                        and _det3((c1, c2, c3)) in (1, -1)):
-                    g = LatticeMap._from_rows(tuple(zip(c1, c2, c3)))
+    for x3, y3, z3, e1, e2, e3 in pools[2]:
+        (m11, m12, m13), (_, m22, m23), (_, _, m33) = T.contract((x3, y3, z3))
+        firsts, seconds = [], []
+        for kept, pool, tj33, tjj3 in ((firsts, pools[0], t133, t113),
+                                       (seconds, pools[1], t233, t223)):
+            for a, b, c, s1, s2, s3 in pool:
+                if e1 * a + e2 * b + e3 * c == tj33:
+                    # the covector (D·T)(c, c3, ·)
+                    r1 = m11 * a + m12 * b + m13 * c
+                    r2 = m12 * a + m22 * b + m23 * c
+                    r3 = m13 * a + m23 * b + m33 * c
+                    if r1 * a + r2 * b + r3 * c == tjj3:
+                        kept.append((a, b, c, s1, s2, s3, r1, r2, r3))
+        for x1, y1, z1, u1, u2, u3, r1, r2, r3 in firsts:
+            # det(c1, c2, c3) = c2 · (c3 × c1)
+            n1, n2, n3 = y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1
+            for x2, y2, z2, v1, v2, v3, _, _, _ in seconds:
+                if (r1 * x2 + r2 * y2 + r3 * z2 == t123 and u1 * x2 + u2 * y2 + u3 * z2 == t112
+                        and v1 * x1 + v2 * y1 + v3 * z1 == t122
+                        and n1 * x2 + n2 * y2 + n3 * z2 in (1, -1)):
+                    g = LatticeMap._from_rows(((x1, x2, x3), (y1, y2, y3), (z1, z2, z3)))
                     if preserves_pair(g, T, L):
                         found.append(g)
     found.sort(key=lambda g: g.rows)
@@ -444,10 +461,13 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
 
 def _finite_closure(generators) -> GroupVerdict:
     """The group generated by det-1 maps, listed while it has at most
-    FINITE_SUBGROUP_BOUND elements; past that bound it is infinite."""
+    FINITE_SUBGROUP_BOUND elements; past that bound it is infinite. The set
+    grows by products with the generators alone, no inverses: a finite set
+    closed under products in a group is a subgroup, so the monoid that the
+    generators of an infinite group generate is infinite."""
     if any(g.det != 1 for g in generators):
         raise PostCheckFailed("closure generators of determinant 1")
-    gens = set(generators) | {g.inverse() for g in generators}
+    gens = set(generators)
     elements = {LatticeMap.identity()} | gens
     frontier = set(elements)
     while len(elements) <= FINITE_SUBGROUP_BOUND:

@@ -96,7 +96,8 @@ class TrilinearForm:
     def contract(self, v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """The symmetric integer matrix (D·T)(v, ·, ·) for an integer vector v,
         as a tuple of rows: its six distinct entries from the ten distinct
-        entries of D·T, 18 products. The library's one contraction of D·T."""
+        entries of D·T, 18 products. The library's one contraction of D·T by
+        a vector; the enumeration pools write (D·T)(c, c, ·) out on c's monomials."""
         a, b, c = v
         t111, t112, t113, t122, t123, t133, t222, t223, t233, t333 = self.flat
         m12 = a * t112 + b * t122 + c * t123

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import GOLDEN_ALPHA, clear_frame, compose, form_entries, surd
 from cy3 import group_structure, lattice_forms
@@ -575,6 +575,12 @@ class TestEnumeration:
         with pytest.raises(BoundTooLarge):
             enumerate_symmetries(golden_cubic, L_z, 7)
 
+    def test_zero_covector_is_refused(self, golden_cubic):
+        """The plane walk solves L(c) = l_j for a nonzero coefficient of L;
+        the zero covector is refused, as `classify` refuses it."""
+        with pytest.raises(ValidationError, match="^the zero covector is not admitted$"):
+            enumerate_symmetries(golden_cubic, LinearForm(0, 0, 0), 1)
+
     def test_closure_under_product_and_inverse(self, unipotent_cubic, L_z):
         """Enumerated sets are closed under products that stay within the bound."""
         found = set(enumerate_symmetries(unipotent_cubic, L_z, 2))
@@ -676,6 +682,40 @@ def test_enumeration_matches_brute_force(rng, shape, coefficients):
         assert enumerate_symmetries(T, L, 1) == expected
     assert pullback.call_count == len(expected)
     assert enumerate_symmetries(T, L, 0) == []  # the zero matrix is not unimodular
+
+
+@functools.cache
+def _box_2_columns():
+    return tuple(product(range(-2, 3), repeat=3))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+       st.dictionaries(st.sampled_from(sorted(MONOMIAL_INDICES)), st.integers(-2, 2),
+                       max_size=4))
+@example((2, 0, 0), {"x3": 1, "y2z": 1})
+@example((2, 3, 0), {"z3": 1})
+@example((0, 4, -6), {"x3": 1, "xy2": -1})
+def test_plane_walk_matches_the_box_oracle(l, cubic):
+    """Bound 2 against the 5³ box, for any nonzero L with coefficients in
+    [-3, 3], non-primitive ones and ones with no ±1 coefficient included, so
+    that the solve on a plane L(c) = l_j meets nonzero remainders. The oracle
+    filters columns only by L(c_j) = l_j, the definition of L∘g = L, and runs
+    the full pullback on every det ±1 triple of them; the enumeration runs it
+    once per map found."""
+    T, L = TrilinearForm.from_cubic_coefficients(cubic), LinearForm(*l)
+    columns = [[c for c in _box_2_columns() if lattice_forms._dot(l, c) == lj] for lj in l]
+    expected = []
+    for c1, c2, c3 in product(*columns):
+        if lattice_forms._det3((c1, c2, c3)) in (1, -1):
+            g = LatticeMap(tuple(zip(c1, c2, c3)))
+            if preserves_pair(g, T, L):
+                expected.append(g)
+    expected.sort(key=lambda g: g.rows)
+    with mock.patch.object(group_structure, "preserves_pair", wraps=preserves_pair) as pullback:
+        found = enumerate_symmetries(T, L, 2)
+    assert found == expected
+    assert pullback.call_count == len(found)
 
 
 # For each entry checked after the column pools, a pair with a map of entries
@@ -884,6 +924,33 @@ class TestAnalyzeGroup:
         with pytest.raises(PostCheckFailed) as info:
             group_structure._finite_closure([flip])
         assert info.value.check == "closure generators of determinant 1"
+
+    @pytest.mark.parametrize("order, g", [
+        (2, ((-1, 0, 0), (0, -1, 0), (0, 0, 1))),
+        (3, ((0, -1, 0), (1, -1, 0), (0, 0, 1))),
+        (4, ((0, -1, 0), (1, 0, 0), (0, 0, 1))),
+        (6, ((1, -1, 0), (1, 0, 0), (0, 0, 1))),
+    ])
+    def test_closure_of_one_generator_is_its_powers(self, order, g):
+        g = LatticeMap(g)
+        powers = [LatticeMap.identity()]
+        for _ in range(order - 1):
+            powers.append(powers[-1] @ g)
+        verdict = group_structure._finite_closure([g])
+        assert verdict.kind == "Finite"
+        assert set(verdict.elements) == set(powers) and len(verdict.elements) == order
+        assert g.inverse() in verdict.elements
+
+    def test_closure_takes_no_inverse(self):
+        """The closure grows by products with the generators alone: in a
+        finite group each inverse is a power."""
+        gens = [LatticeMap([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+                LatticeMap([[1, 0, 0], [0, -1, 0], [0, 0, -1]])]
+        with mock.patch.object(LatticeMap, "inverse", autospec=True,
+                               side_effect=LatticeMap.inverse) as inverse:
+            verdict = group_structure._finite_closure(gens)
+        assert (verdict.kind, len(verdict.elements)) == ("Finite", 8)
+        assert inverse.call_count == 0
 
     def test_hyperbolic_verdict(self, golden_cubic, golden_generator, L_z):
         verdict = analyze_group(golden_cubic, L_z, [golden_generator])
