@@ -171,18 +171,11 @@ def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, PairVector, PairVecto
     return alpha, u, v, w
 
 
-def real_pair_lines(g: LatticeMap, cls: ElementClass) -> tuple | None:
-    """Eigenlines (u, v, w) of an infinite-order element with a real eigenvalue
-    pair, else None. That is a Hyperbolic class, or a det-1 map with eigenvalue
-    1 and a negative real pair (s < -2): out of theory as an element, since no
-    eigenvalue exceeds 1, but its square is hyperbolic with the same eigenlines,
-    so it certifies the same relations, factorization and scaling character."""
-    if isinstance(cls, Hyperbolic):
-        return cls.u, cls.v, cls.w
-    if (isinstance(cls, OutOfTheory) and g.det == 1 and g.trace - 1 < -2
-            and _has_eigenvalue_1(g)):
-        return _real_pair_eigendata(g)[1:]
-    return None
+def has_real_pair(g: LatticeMap) -> bool:
+    """det 1, eigenvalue 1 and |s| > 2, s = trace - 1, told on integers: a real
+    eigenvalue pair. Hyperbolic for s > 2; for s < -2 no eigenvalue exceeds 1, but
+    the square is hyperbolic with the same eigenlines and the same certificate."""
+    return g.det == 1 and abs(g.trace - 1) > 2 and _has_eigenvalue_1(g)
 
 
 def classify(g: LatticeMap, L: LinearForm | None = None) -> ElementClass:

@@ -2,12 +2,14 @@
 of the symmetries of a pair (cubic, linear form), decide Finite versus
 almost abelian of rank 1, with an explicit witness.
 
-Both infinite routes read each generator h as its integer frame matrix (H, e)
-in the basis of the seed's frame. The unipotent witness is the integer-valued
-homomorphism h -> p * a_h, a_h = H01/e. The hyperbolic witness is the scaling
-character, the eigenvalue of h^4 on an eigenline read off the first two
-columns of H, certified to land in the discrete cyclic group generated by the
-fundamental unit of a real quadratic field.
+Only the seed, the first infinite-order generator, enters its quadratic
+field; the others are tagged on integers. Both infinite routes read each
+generator h as its integer frame matrix (H, e) in the basis of the seed's
+frame. The unipotent witness is the integer-valued homomorphism h -> p * a_h,
+a_h = H01/e. The hyperbolic witness is the scaling character, the eigenvalue
+of h^4 on an eigenline read off the first two columns of H, certified to land
+in the discrete cyclic group generated by the fundamental unit of the seed's
+real quadratic field.
 """
 
 from __future__ import annotations
@@ -28,18 +30,19 @@ from .cubic_geometry import (
     unipotent_factorization,
 )
 from .element_classify import (
+    Hyperbolic,
     UnipotentDeficient,
     UnipotentFull,
     OutOfTheory,
+    _real_pair_eigendata,
     classify,
     finite_order,
-    real_pair_lines,
+    has_real_pair,
 )
 from .errors import (
     BoundTooLarge,
     ConstraintViolated,
     GeometricInconsistency,
-    IncompatibleFields,
     LinesNotPreserved,
     NonIntegral,
     NonPreservingGenerator,
@@ -140,17 +143,14 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
     each value is found by doubling, then bisection, on exact comparisons in
     O(log k) products, and confirmed by eps**k == v. A value that is not a unit
     of that ring (a rational value other than 1 included) gives Inconclusive;
-    values over two fields raise IncompatibleFields and a value that is not
-    positive raises ValidationError.
+    a value that is not positive raises ValidationError, and units over two
+    fields raise IncompatibleFields when first compared.
     """
     values = [_as_surd(v) for v in values]
     if any(not v > 0 for v in values):
         raise ValidationError("character values must be positive")
     if all(v == 1 for v in values):
         return CyclicCertificate(kind="Finite")
-    fields = sorted({v.d for v in values if v.d})
-    if len(fields) > 1:
-        raise IncompatibleFields(f"sqrt({fields[0]}) vs sqrt({fields[1]})")
     for v in values:
         if v != 1 and (2 * v.p % v.den or v.norm() not in (1, -1)):
             return CyclicCertificate(
@@ -158,10 +158,10 @@ def certify_discrete_cyclic(values: Sequence[QuadSurd]) -> CyclicCertificate:
                 reason=f"{v} is not a unit of the ring of integers (norm {v.norm()})",
             )
 
-    d = fields[0]
     # Each value as u**sign with u >= 1.
     above = [(v, 1) if v > 1 else (v.inverse(), -1) for v in values]
     smallest = min(u for u, _ in above if u != 1)
+    d = smallest.d
     eps = _fundamental_unit(d, (2 * smallest.p // smallest.den, 2 * smallest.q // smallest.den))
     generator = _from_ints(eps[0], eps[1], 2, d)
     exponents = []
@@ -372,11 +372,16 @@ def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
 
 def seed_of(g: LatticeMap, cls):
     """The seed a generator g of class cls offers `certify_seed`: its
-    UnipotentFull class or its real-pair eigenlines, else None. A
-    UnipotentDeficient class violates the full-Jordan condition and raises."""
+    UnipotentFull class or its real-pair eigenlines (u, v, w), which a
+    Hyperbolic class carries, else None. A UnipotentDeficient class violates
+    the full-Jordan condition and raises."""
     if isinstance(cls, UnipotentDeficient):
         raise GeometricInconsistency(FULL_JORDAN, "rank(g - id) = 1")
-    return cls if isinstance(cls, UnipotentFull) else real_pair_lines(g, cls)
+    if isinstance(cls, UnipotentFull):
+        return cls
+    if isinstance(cls, Hyperbolic):
+        return cls.u, cls.v, cls.w
+    return _real_pair_eigendata(g)[1:] if has_real_pair(g) else None
 
 
 # -- the dichotomy pipeline -------------------------------------------------------
@@ -428,22 +433,23 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
         reductions.append("determinant -1 generators replaced by the Schreier "
                           "generators of the det-1 subgroup (index ≤ 2)")
 
-    classes = [classify(g, L) for g in generators]
-    seeds = []
-    for g, cls in zip(generators, classes):
-        seed = seed_of(g, cls)
-        if seed is not None:
-            seeds.append(seed)
-        elif isinstance(cls, OutOfTheory):
+    # Tags on integers: a real pair enters no field, and classify needs none for
+    # the rest. It gets no L: every generator here was checked to preserve it.
+    infinite = []  # (g, its UnipotentFull class, or None for a real pair)
+    for g in generators:
+        cls = None if has_real_pair(g) else classify(g)
+        if isinstance(cls, OutOfTheory):
             return GroupVerdict(kind="Inconclusive", reason=cls.reason)
-    if not seeds:
+        if cls is None or seed_of(g, cls) is not None:  # raises on a deficient block
+            infinite.append((g, cls))
+    if not infinite:
         return _finite_closure(generators)
-    unipotent = isinstance(seeds[0], UnipotentFull)
-    if any(isinstance(seed, UnipotentFull) != unipotent for seed in seeds):
+    unipotent = infinite[0][1] is not None
+    if any((cls is not None) != unipotent for _, cls in infinite):
         return GroupVerdict(kind="Inconclusive",
                             reason="mixed unipotent and hyperbolic generators")
 
-    cert = certify_seed(T, L, seeds[0])
+    cert = certify_seed(T, L, seed_of(*infinite[0]))
     if cert.inconsistency is not None:
         raise cert.inconsistency
     if cert.reason is not None:

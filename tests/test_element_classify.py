@@ -407,13 +407,15 @@ def _reference_line(g, root):
 def test_real_pair_lines_match_a_surd_reference(rng, s):
     """u and v of a random unimodular conjugate of a companion block are its
     two kernel lines, each computed and normalized with QuadSurd arithmetic;
-    for s < -2 through real_pair_lines of the OutOfTheory verdict."""
+    for s < -2 too, whose verdict is OutOfTheory but whose real pair is
+    told on integers."""
     P = random_unimodular(rng, steps=rng.randint(1, 6))
     g = P.inverse() @ _companion(s) @ P
     root = QuadSurd(Fraction(s, 2), Fraction(1, 2), s * s - 4)
     verdict = classify(g)
     assert isinstance(verdict, Hyperbolic if s > 0 else OutOfTheory)
-    u, v, _ = element_classify.real_pair_lines(g, verdict)
+    assert element_classify.has_real_pair(g)
+    _, u, v, _ = element_classify._real_pair_eigendata(g)
     assert v.surds == _reference_line(g, root)
     assert u.surds == _reference_line(g, root.conjugate())
 
@@ -431,7 +433,7 @@ def test_each_written_out_row_pair_matches_the_reference(pair, g):
     s = g.trace - 1
     root = QuadSurd(s, 1, s * s - 4)  # 2·alpha
     assert _first_row_product(g, 2, root)[0] == pair
-    u, v, _ = element_classify.real_pair_lines(g, classify(g))
+    _, _, u, v, _ = classify(g)
     assert v.surds == _reference_line(g, root / 2)
     assert u.surds == _reference_line(g, root.conjugate() / 2)
 
@@ -494,6 +496,22 @@ class TestPostChecks:
         with pytest.raises(PostCheckFailed) as info:
             element_classify._eigenvector_1(LatticeMap.identity())
         assert info.value.check == "eigenspace for 1 is not one-dimensional"
+
+    def test_non_nilpotent_shift_fails_the_nilpotency_check(self, monkeypatch):
+        """g - id of a unipotent g is nilpotent; with g - 0·id handed over in
+        its place, (g - id)^3 e = g^3 e is not 0 and the frame is refused."""
+        shifted = element_classify._shifted
+        monkeypatch.setattr(element_classify, "_shifted", lambda g, k, s: shifted(g, k, s - 1))
+        with pytest.raises(PostCheckFailed) as info:
+            classify(LatticeMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        assert info.value.check == "nilpotency"
+
+    def test_missing_kernel_line_fails_the_eigenspace_check(self, golden_generator,
+                                                            monkeypatch):
+        monkeypatch.setattr(element_classify, "_kernel_line", lambda g, s, f, d: None)
+        with pytest.raises(PostCheckFailed) as info:
+            classify(golden_generator)
+        assert info.value.check == "eigenspace for (3 + 1√5)/2 is not one-dimensional"
 
 
 def _order_oracle(g, bound=2 * ORDER_SEARCH_BOUND):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import GOLDEN_ALPHA, clear_frame, compose, form_entries, surd
-from cy3 import group_structure, lattice_forms
+from cy3 import core_arith, group_structure, lattice_forms
 from cy3.core_arith import QuadSurd, squarefree_decompose
-from cy3.cubic_geometry import HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
-from cy3.element_classify import classify, real_pair_lines
+from cy3.cubic_geometry import FULL_JORDAN, HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
+from cy3.element_classify import classify
 from cy3.errors import (
     BoundTooLarge,
     ConstraintViolated,
@@ -36,6 +36,7 @@ from cy3.group_structure import (
     enumerate_symmetries,
     frame_coordinates_matrix,
     quadric_preserved_in_frame,
+    seed_of,
     unipotent_shear,
 )
 from cy3.lattice_forms import (
@@ -791,7 +792,7 @@ def test_enumeration_of_z3_counts_gl2_times_translations(bound):
 
 class TestCertifySeed:
     def test_hyperbolic_seed(self, golden_cubic, golden_generator, L_z):
-        lines = real_pair_lines(golden_generator, classify(golden_generator, L_z))
+        lines = seed_of(golden_generator, classify(golden_generator, L_z))
         cert = certify_seed(golden_cubic, L_z, lines)
         assert cert.relations.overall
         assert (cert.reason, cert.inconsistency) == (None, None)
@@ -807,7 +808,7 @@ class TestCertifySeed:
     def test_hodge_index_comes_after_the_relation_gate(self, golden_generator, L_z):
         """z^3: every relation holds, then B = T(u, v, w) = 0 is returned."""
         T = TrilinearForm.from_cubic_coefficients({"z3": 1})
-        lines = real_pair_lines(golden_generator, classify(golden_generator, L_z))
+        lines = seed_of(golden_generator, classify(golden_generator, L_z))
         cert = certify_seed(T, L_z, lines)
         assert cert.relations.overall
         assert cert.factorization is None and cert.reason is None
@@ -829,7 +830,7 @@ class TestCertifySeed:
         p = random_unimodular(rng, steps=4)
         T = transform_cubic(golden_cubic_quadric, p)
         g, L = p.inverse() @ golden_generator @ p, compose(L_z, p)
-        lines = real_pair_lines(g, classify(g, L))
+        lines = seed_of(g, classify(g, L))
         calls = []
         int_pairs = lattice_forms._int_pairs
         monkeypatch.setattr(lattice_forms, "_int_pairs",
@@ -1122,6 +1123,72 @@ GOLDEN_SETS = [
     [GOLDEN, PLANE_FLIP],
     [LINE_SWAP, GOLDEN**2, PLANE_FLIP],
 ]
+
+
+Z3 = TrilinearForm.from_cubic_coefficients({"z3": 1})
+JORDAN = LatticeMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+SHEAR = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])  # rank(g - id) = 1
+MINUS_JORDAN = LatticeMap([[-1, 1, 0], [0, -1, 0], [0, 0, 1]])  # s = -2, infinite order
+
+
+class TestVerdictOrder:
+    """On C = z³ with L = z every [[A, t], [0, 1]] preserves the pair, so a
+    list may mix any classes. The generators are walked in input order: the
+    first deficient Jordan block raises, the first out-of-theory element that
+    is no real pair answers Inconclusive, and only then are unipotent and
+    hyperbolic generators told apart."""
+
+    @pytest.mark.parametrize("gens", [[GOLDEN, JORDAN], [JORDAN, GOLDEN]])
+    def test_mixed_unipotent_and_hyperbolic(self, gens, L_z):
+        verdict = analyze_group(Z3, L_z, gens)
+        assert (verdict.kind, verdict.reason) == (
+            "Inconclusive", "mixed unipotent and hyperbolic generators")
+
+    def test_deficient_block_after_a_hyperbolic_seed(self, L_z):
+        with pytest.raises(GeometricInconsistency) as info:
+            analyze_group(Z3, L_z, [GOLDEN, SHEAR])
+        assert info.value.mechanism == FULL_JORDAN
+
+    def test_minus_one_block_after_a_hyperbolic_seed(self, L_z):
+        verdict = analyze_group(Z3, L_z, [GOLDEN, MINUS_JORDAN])
+        assert (verdict.kind, verdict.reason) == (
+            "Inconclusive", "infinite order with eigenvalue -1 Jordan block")
+
+    def test_first_of_deficient_and_out_of_theory_decides(self, L_z):
+        with pytest.raises(GeometricInconsistency):
+            analyze_group(Z3, L_z, [SHEAR, MINUS_JORDAN])
+        verdict = analyze_group(Z3, L_z, [MINUS_JORDAN, SHEAR])
+        assert verdict.reason == "infinite order with eigenvalue -1 Jordan block"
+
+    def test_negative_real_pair_seeds_the_hyperbolic_route(self, golden_cubic, L_z):
+        """diag(-1, -1, 1)·g has s = -3 and comes first, so it is the seed: its
+        v is the eigenline of (-3 + √5)/2, where g scales by phi^-2, and both
+        exponents read -8."""
+        verdict = analyze_group(golden_cubic, L_z, [PLANE_FLIP @ GOLDEN, GOLDEN])
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert verdict.witness.exponents == (-8, -8)
+
+
+class TestOneRadicandPerProblem:
+    """Only the seed enters its quadratic field: every other generator is read
+    in the seed's frame, so analyze factors s² - 4 once, with two squarefree
+    splits, whatever the number of generators."""
+
+    @pytest.mark.parametrize("gens", [
+        [GOLDEN ** 2500],
+        [GOLDEN ** 2500, GOLDEN ** 2501],
+        [GOLDEN ** k for k in range(2500, 2504)],
+        # LINE_SWAP has det -1: its Schreier generators conjugate each power
+        [GOLDEN ** 2500, GOLDEN ** 2501, LINE_SWAP],
+    ], ids=["one", "two", "four", "four-schreier"])
+    def test_at_most_two_squarefree_splits(self, gens, golden_cubic, L_z, monkeypatch):
+        calls = []
+        original = core_arith.squarefree_decompose
+        monkeypatch.setattr(core_arith, "squarefree_decompose",
+                            lambda n: calls.append(n) or original(n))
+        verdict = analyze_group(golden_cubic, L_z, gens)
+        assert verdict.kind == "AlmostAbelianRankOne"
+        assert len(calls) <= 2
 
 
 @settings(deadline=None, max_examples=40)
