@@ -309,7 +309,7 @@ def _run_factor(problem: ProblemFile, report: dict) -> tuple[dict, int]:
     report["relations"].append({"rows": [render(r, {}) for r in cert.relations.rows],
                                 "overall": cert.relations.overall})
     if cert.inconsistency is not None:
-        raise cert.inconsistency
+        raise GeometricInconsistency(*cert.inconsistency)
     if cert.reason is not None:
         report["verdict"] = {"kind": "Inconclusive", "reason": cert.reason}
         return report, EXIT_INCONCLUSIVE

@@ -9,6 +9,7 @@ of u's pair, on the ints also v's; w is a primitive cross product of two rows of
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core_arith import QuadSurd, solve_unit_quadratic
@@ -66,6 +67,7 @@ ElementClass = (
 )
 
 ORDER_SEARCH_BOUND = 12  # covers det -1 elements; the det-1 bound is 6
+MEMO_SIZE = 8  # results kept per memoized step: the generators of one problem
 
 
 def _has_eigenvalue_1(g: LatticeMap) -> bool:
@@ -147,10 +149,12 @@ def _eigenvector(g: LatticeMap, x: PairVector, s: int, f: int, check: str) -> Pa
     return x
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _real_pair_eigendata(g: LatticeMap) -> tuple[QuadSurd, PairVector, PairVector, tuple]:
     """(alpha, u, v, w) for a det-1 map with eigenvalue 1 and |s| > 2, s = trace - 1:
     alpha is the larger root of t^2 - s*t + 1 (|alpha| < 1 for s < -2), v and u = σ(v)
-    the eigenlines of alpha and 1/alpha, first nonzero coordinate 1, w the fixed vector."""
+    the eigenlines of alpha and 1/alpha, first nonzero coordinate 1, w the fixed vector.
+    Memoized on g's rows: classify, factor and analyze of one problem compute it once."""
     s = g.trace - 1
     alpha, beta = solve_unit_quadratic(s)
     f, d = 2 * alpha.q // alpha.den, alpha.d  # 2·alpha = s + f√d

@@ -15,6 +15,7 @@ real quadratic field.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .core_arith import QuadSurd, _from_ints, _pair_sign, _ratio_str
@@ -30,6 +31,7 @@ from .cubic_geometry import (
     unipotent_factorization,
 )
 from .element_classify import (
+    MEMO_SIZE,
     Hyperbolic,
     UnipotentDeficient,
     UnipotentFull,
@@ -90,33 +92,36 @@ class GroupVerdict(NamedTuple):
 # -- frame matrix and scaling character -----------------------------------------
 
 
-def frame_coordinates_matrix(h: LatticeMap, frame) -> tuple[tuple, int]:
-    """h in the basis of any integer frame, such as (w, w1, w2) of a unipotent
-    split or the real basis (P, Q, W) of a hyperbolic one, as (H, e) with
-    M⁻¹·h·M = H/e, M holding the frame vectors as columns: H = ±adj(M)·h·M
-    and e = |det M| > 0, all integers."""
+def frame_basis(frame) -> tuple[tuple, tuple, int]:
+    """(M, A, e) for any integer frame, such as (w, w1, w2) of a unipotent
+    split or the real basis (P, Q, W) of a hyperbolic one: M holds the frame
+    vectors as columns, e = |det M| > 0 and A = ±adj(M) = e·M⁻¹, all integers.
+    Each route forms it once for all its generators."""
     m = tuple(zip(*frame))
     det = _det3(m)
     if det == 0:
         raise PostCheckFailed("degenerate frame")
-    hm = _matmul(_adjugate3(m), _matmul(h.rows, m))
-    if det < 0:
-        hm = tuple(tuple(-x for x in row) for row in hm)
-    return hm, abs(det)
+    adj = _adjugate3(m)
+    return m, adj if det > 0 else tuple(tuple(-x for x in row) for row in adj), abs(det)
 
 
-def _scaling_value(h: LatticeMap, frame) -> QuadSurd:
+def frame_coordinates_matrix(h: LatticeMap, basis) -> tuple[tuple, int]:
+    """h in the basis of a frame, given as its `frame_basis` (M, A, e), as
+    (H, e) with M⁻¹·h·M = H/e: H = A·h·M, all integers."""
+    m, adj, e = basis
+    return _matmul(adj, _matmul(h.rows, m)), e
+
+
+def _scaling_value(hf, d: int) -> QuadSurd:
     """Positive eigenvalue of h^4 on v, for a symmetry h that fixes or swaps
     the eigenlines u = σ(v) and v = (P + Q√d)/N of a hyperbolic frame (u, v, W).
-    On the frame matrix (H, e) of h on the real basis (P, Q, W), h·v = β·v
+    On the frame matrix hf = (H, e) of h on the real basis (P, Q, W), h·v = β·v
     exactly when the first two columns of H are (a, d·b, 0) and (b, a, 0), and
     h·v = β·u when they are (a, -d·b, 0) and (b, -a, 0), with β = (a + b√d)/e.
     Then h^4·v is β^4·v, or N(β)^2·v as h^2·v = β·σ(β)·v: passing to 4th
     powers removes the finite ambiguity of line swaps and signs, so the value
     is a positive multiplicative character on the group."""
-    _, (p, q, _, d), w = frame
-    hm, e = frame_coordinates_matrix(h, (p, q, w.p))
-    (a, b, _), (x, y, _), (z1, z2, _) = hm
+    ((a, b, _), (x, y, _), (z1, z2, _)), e = hf
     fixes = (x, y) == (d * b, a)
     if z1 or z2 or not (fixes or (x, y) == (-d * b, -a)):
         raise LinesNotPreserved("restricted action does not permute the two lines")
@@ -339,22 +344,25 @@ def enumerate_symmetries(
 class SeedCertificate(NamedTuple):
     """The relation report of one infinite-order seed, then either the
     factorization of C with its singular lines (`PairVector`s), or the reason
-    the relation gate gave, or the inconsistency the factorization found."""
+    the relation gate gave, or the (mechanism, detail) of the inconsistency
+    the factorization found, which each caller raises afresh."""
 
     relations: RelationReport
     factorization: Factorization | None = None
     singular_lines: tuple = ()
     reason: str | None = None
-    inconsistency: GeometricInconsistency | None = None
+    inconsistency: tuple[str, str] | None = None
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
     """Check the intersection relations of a seed's frame and factor C along L.
 
     The seed is a UnipotentFull class or the eigenlines (u, v, w) of a real
     pair. Each factorization keeps its own order of checks: the hyperbolic
     relation gate comes before B = 0, the unipotent E = 0 before the gate. The
-    singular lines are post-checked against the gradient of C."""
+    singular lines are post-checked against the gradient of C. Memoized on
+    the values of T, L and the seed, so factor and analyze share one run."""
     if isinstance(seed, UnipotentFull):
         kind, factor = "unipotent", unipotent_factorization
         relations = check_unipotent_relations(T, L, seed.w, seed.w1, seed.w2)
@@ -366,7 +374,7 @@ def certify_seed(T: TrilinearForm, L: LinearForm, seed) -> SeedCertificate:
     except RelationsNotVerified:
         return SeedCertificate(relations, reason=f"{kind} relations failed: {relations.failing}")
     except GeometricInconsistency as exc:
-        return SeedCertificate(relations, inconsistency=exc)
+        return SeedCertificate(relations, inconsistency=(exc.mechanism, exc.detail))
     return SeedCertificate(relations, fact, tuple(singular_locus(fact)))
 
 
@@ -451,7 +459,7 @@ def _dichotomy(T, L, generators, reductions) -> GroupVerdict:
 
     cert = certify_seed(T, L, seed_of(*infinite[0]))
     if cert.inconsistency is not None:
-        raise cert.inconsistency
+        raise GeometricInconsistency(*cert.inconsistency)
     if cert.reason is not None:
         return GroupVerdict(kind="Inconclusive", reason=cert.reason)
     route = _unipotent_route if unipotent else _hyperbolic_route
@@ -495,16 +503,16 @@ def _finite_closure(generators) -> GroupVerdict:
 
 def _unipotent_route(generators, split: UnipotentSplit, reductions) -> tuple | str:
     """(phi, witness), phi = tau per generator, or why the route is inconclusive."""
-    frame = [f.p for f in split.frame]
-    p = primitive_part(frame[0]).scale
+    basis = frame_basis([f.p for f in split.frame])
+    p = primitive_part(split.frame[0].p).scale
     taus = []
     for h in generators:
-        hf = frame_coordinates_matrix(h, frame)
+        hf = frame_coordinates_matrix(h, basis)
         try:
             shear = unipotent_shear(hf)
         except NotUnipotentInFrame as exc:
             # det(h|_L) = -1: pass to the square (index-2 reduction)
-            hf = frame_coordinates_matrix(h @ h, frame)
+            hf = frame_coordinates_matrix(h @ h, basis)
             try:
                 shear = unipotent_shear(hf)
             except NotUnipotentInFrame:
@@ -522,11 +530,12 @@ def _unipotent_route(generators, split: UnipotentSplit, reductions) -> tuple | s
 def _hyperbolic_route(generators, fact: Factorization, reductions) -> tuple | str:
     """(phi, witness), phi = the exponents of the 4th-power scaling values per
     generator, () when all are 1, or why the route is inconclusive."""
+    _, (p, q, _, d), w = fact.frame  # v carries the larger root alpha of the seed
+    basis = frame_basis((p, q, w.p))
     values = []
     for h in generators:
         try:
-            # v carries the larger root alpha of the seed generator
-            values.append(_scaling_value(h, fact.frame))
+            values.append(_scaling_value(frame_coordinates_matrix(h, basis), d))
         except LinesNotPreserved as exc:
             return str(exc)
     reductions.append("scaling character computed on 4th powers (index ≤ 4)")

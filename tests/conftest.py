@@ -3,9 +3,11 @@ from itertools import product
 
 import pytest
 
-from cy3 import LatticeMap, LinearForm, TrilinearForm, cubic_eval
+from cy3 import (LatticeMap, LinearForm, TrilinearForm, cubic_eval, element_classify,
+                 group_structure)
 from cy3.core_arith import QuadSurd
 from cy3.element_classify import FiniteOrder, Identity
+from cy3.group_structure import _scaling_value, frame_basis, frame_coordinates_matrix
 from cy3.lattice_forms import ENTRY_KEYS, PairVector, _form_pullback, _int_pairs, _normalized
 
 
@@ -41,6 +43,21 @@ def clear_frame(frame) -> tuple:
 def compose(L, g) -> LinearForm:
     """The linear form L∘g, v -> L(g v)."""
     return LinearForm(*_form_pullback(L, g))
+
+
+def scaling_value(h, frame):
+    """`_scaling_value` of h on a hyperbolic frame (u, v, W), v = (P + Q√d)/N,
+    read on the real basis (P, Q, W) as the hyperbolic route reads it."""
+    _, (p, q, _, d), w = frame
+    return _scaling_value(frame_coordinates_matrix(h, frame_basis((p, q, w.p))), d)
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Each test starts with both memos empty: a value cached by one test,
+    possibly under a monkeypatch, never answers another."""
+    element_classify._real_pair_eigendata.cache_clear()
+    group_structure.certify_seed.cache_clear()
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from cy3.group_structure import (
     analyze_group,
     certify_discrete_cyclic,
     enumerate_symmetries,
+    frame_basis,
     frame_coordinates_matrix,
     unipotent_shear,
 )
@@ -114,7 +115,7 @@ def test_criterion_2_unipotent_pipeline():
         _FACTORIZATIONS.append(fact)
 
         for n in range(1, 11):
-            hf = frame_coordinates_matrix(UNIPOTENT_GEN**n, frame)
+            hf = frame_coordinates_matrix(UNIPOTENT_GEN**n, frame_basis(frame))
             h, e = hf
             assert unipotent_shear(hf) == h[0][1]
             assert Fraction(h[0][1], e) == n  # a
@@ -212,7 +213,7 @@ def test_criterion_6_negative_controls():
 
         bad = LatticeMap([[1, 1, 1], [0, 1, 1], [0, 0, 1]])  # d = 1 != a(a-1)/2 = 0
         with pytest.raises(ConstraintViolated):
-            unipotent_shear(frame_coordinates_matrix(bad, (w, w1, w2)))
+            unipotent_shear(frame_coordinates_matrix(bad, frame_basis((w, w1, w2))))
 
     _verdict(6, "negative controls (c2 = 0, deficient block, E = 0, bad d entry)", body)
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import sys
+from itertools import islice, permutations
+from pathlib import Path
 
 import pytest
 
-from cy3 import group_structure
+from cy3 import core_arith, element_classify, group_structure
 from cy3.cli import (
     EXIT_GEOMETRIC,
     EXIT_INCONCLUSIVE,
@@ -19,6 +21,7 @@ from cy3.cli import (
 from cy3.cubic_geometry import FULL_JORDAN, LEFSCHETZ
 from cy3.element_classify import classify
 from cy3.errors import (
+    Cy3Error,
     DoesNotPreserveL,
     NonPreservingGenerator,
     ParseError,
@@ -302,6 +305,59 @@ class TestSeedCertificate:
         assert report["verdict"]["mechanism"] == LEFSCHETZ
         rows = {r["name"]: r["holds"] for r in report["relations"][0]["rows"]}
         assert rows["w·w2^2 ≠ 0"] is False
+
+
+class TestMemo:
+    """classify, factor and analyze of one problem share its eigendata and
+    its seed certificate, each command on its own freshly parsed copy."""
+
+    @staticmethod
+    def outcome(text, command):
+        """The report bytes and exit code of one command, or the Cy3Error it raised."""
+        try:
+            report, code = run(parse_problem(text), command)
+            return json.dumps(report), code
+        except Cy3Error as exc:
+            return type(exc).__name__, str(exc)
+
+    @staticmethod
+    def clear():
+        element_classify._real_pair_eigendata.cache_clear()
+        group_structure.certify_seed.cache_clear()
+
+    def test_every_order_of_the_commands_gives_the_same_bytes(self, monkeypatch):
+        """On the first certify problem of each class, every order of the three
+        commands gives each command's report as a run with empty memos does."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import problems
+
+        firsts = {}
+        for p in islice(problems.stream("certify", 1), len(problems.CERTIFY_CYCLE)):
+            firsts.setdefault(p.cls, p)
+        assert len(firsts) == 10
+        hits = 0
+        for p in firsts.values():
+            cold = {}
+            for command in problems.CERTIFY_COMMANDS:
+                self.clear()
+                cold[command] = self.outcome(p.text, command)
+            for order in permutations(problems.CERTIFY_COMMANDS):
+                self.clear()
+                assert {c: self.outcome(p.text, c) for c in order} == cold, (p.cls, order)
+                hits += (element_classify._real_pair_eigendata.cache_info().hits
+                         + group_structure.certify_seed.cache_info().hits)
+        assert hits > 0
+
+    def test_one_field_entry_per_hyperbolic_problem(self, monkeypatch):
+        """The golden problem enters its field once over all three commands:
+        two squarefree splits, where each command used to make two."""
+        calls = []
+        split = core_arith.squarefree_decompose
+        monkeypatch.setattr(core_arith, "squarefree_decompose",
+                            lambda n: calls.append(n) or split(n))
+        for command in ("classify", "factor", "analyze"):
+            assert run(problem(GOLDEN), command)[1] == EXIT_OK
+        assert calls == [1, 5]
 
 
 def test_factor_checks_full_jordan_past_the_seed():

@@ -6,7 +6,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import clear_frame, compose, form_entry, normalize, reconstructs, surd
+from conftest import (clear_frame, compose, form_entry, normalize, reconstructs,
+                      scaling_value, surd)
 from cy3 import cubic_geometry, group_structure
 from cy3.cubic_geometry import (
     HODGE_INDEX,
@@ -29,7 +30,7 @@ from cy3.errors import (
     RelationsNotVerified,
     ValidationError,
 )
-from cy3.group_structure import _scaling_value, analyze_group
+from cy3.group_structure import analyze_group
 from cy3.lattice_forms import (
     ENTRY_KEYS,
     LatticeMap,
@@ -378,7 +379,7 @@ def test_hyperbolic_certificate_matches_a_trilinear_oracle(rng, form, e, steps):
         image = surd_apply(h ** 4, frame[1])
         beta = next(x for x in image if x) / next(x for x in frame[1] if x)
         assert image == tuple(x * beta for x in frame[1])
-        assert _scaling_value(h, report.source[1]) == beta
+        assert scaling_value(h, report.source[1]) == beta
         betas.append(beta)
     assert betas == [cls.alpha ** 4, cls.alpha ** 8]
     verdict = analyze_group(T, L, [g, g @ g])

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+import traceback
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -10,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import GOLDEN_ALPHA, clear_frame, compose, form_entries, surd
+from conftest import GOLDEN_ALPHA, clear_frame, compose, form_entries, scaling_value, surd
 from cy3 import core_arith, group_structure, lattice_forms
 from cy3.core_arith import QuadSurd, squarefree_decompose
 from cy3.cubic_geometry import FULL_JORDAN, HODGE_INDEX, LEFSCHETZ, QuadricLine, ThreeLines
@@ -29,11 +30,11 @@ from cy3.errors import (
 from cy3.group_structure import (
     CharacterWitness,
     TauWitness,
-    _scaling_value,
     analyze_group,
     certify_discrete_cyclic,
     certify_seed,
     enumerate_symmetries,
+    frame_basis,
     frame_coordinates_matrix,
     quadric_preserved_in_frame,
     seed_of,
@@ -92,7 +93,7 @@ class TestScalingCharacter:
         return clear_frame((cls.u.surds, cls.v.surds, cls.w))
 
     def test_generator_value(self, golden_generator, golden_frame):
-        assert _scaling_value(golden_generator, golden_frame) == GOLDEN_ALPHA**4
+        assert scaling_value(golden_generator, golden_frame) == GOLDEN_ALPHA**4
 
     def test_value_does_not_depend_on_the_scale_of_the_lines(self, golden_generator,
                                                              golden_frame):
@@ -103,33 +104,33 @@ class TestScalingCharacter:
         v_scaled = tuple(x * mu for x in v)
         assert v_scaled[0].b != 0
         frame = clear_frame((tuple(x * mu.conjugate() for x in u), v_scaled, w))
-        assert _scaling_value(golden_generator, frame) == GOLDEN_ALPHA**4
-        assert _scaling_value(golden_generator, _swapped(frame)) == GOLDEN_ALPHA**-4
+        assert scaling_value(golden_generator, frame) == GOLDEN_ALPHA**4
+        assert scaling_value(golden_generator, _swapped(frame)) == GOLDEN_ALPHA**-4
 
     def test_multiplicativity_on_words(self, golden_generator, golden_frame):
         """chi(g^a) * chi(g^b) = chi(g^(a+b)) on words up to length 4."""
         for a in range(-4, 5):
             for b in range(-4, 5):
-                prod = (_scaling_value(golden_generator**a, golden_frame)
-                        * _scaling_value(golden_generator**b, golden_frame))
-                assert prod == _scaling_value(golden_generator ** (a + b), golden_frame)
+                prod = (scaling_value(golden_generator**a, golden_frame)
+                        * scaling_value(golden_generator**b, golden_frame))
+                assert prod == scaling_value(golden_generator ** (a + b), golden_frame)
 
     def test_line_swap_absorbed_by_fourth_power(self, golden_frame):
         """A symmetry swapping the two eigenlines still yields a positive value."""
-        assert _scaling_value(LINE_SWAP, golden_frame) == 1
-        assert _scaling_value(LINE_SWAP, _swapped(golden_frame)) == 1
+        assert scaling_value(LINE_SWAP, golden_frame) == 1
+        assert scaling_value(LINE_SWAP, _swapped(golden_frame)) == 1
 
     def test_non_preserving_raises(self, golden_frame):
         shear = LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(LinesNotPreserved) as info:
-            _scaling_value(shear, golden_frame)
+            scaling_value(shear, golden_frame)
         assert str(info.value) == "restricted action does not permute the two lines"
 
     def test_no_fraction_before_the_eigenvalue(self, golden_generator, golden_frame,
                                                fraction_builds):
         """The frame matrix, its line checks and the eigenvalue itself stay in
         ints: no Fraction is built."""
-        value, built = fraction_builds(lambda: _scaling_value(golden_generator, golden_frame))
+        value, built = fraction_builds(lambda: scaling_value(golden_generator, golden_frame))
         assert value == GOLDEN_ALPHA**4
         assert built == 0
 
@@ -152,10 +153,10 @@ def test_scaling_value_matches_a_surd_oracle(rng, steps):
         image = tuple(sum((x * y for x, y in zip(row, v)), surd(0)) for row in (h ** 4).rows)
         beta = next(x for x in image if x) / next(x for x in v if x)
         assert image == tuple(x * beta for x in v)
-        assert _scaling_value(h, frame) == beta
+        assert scaling_value(h, frame) == beta
     shear = p_inv @ LatticeMap([[1, 1, 0], [0, 1, 0], [0, 0, 1]]) @ p
     with pytest.raises(LinesNotPreserved) as info:
-        _scaling_value(shear, frame)
+        scaling_value(shear, frame)
     assert str(info.value) == "restricted action does not permute the two lines"
 
 
@@ -352,7 +353,7 @@ class TestUnipotentConstraints:
     def test_generator_powers(self, unipotent_generator):
         frame = _unipotent_frame(unipotent_generator)
         for n in (1, 2, 3, 10):
-            hf = frame_coordinates_matrix(unipotent_generator**n, frame)
+            hf = frame_coordinates_matrix(unipotent_generator**n, frame_basis(frame))
             h, e = hf
             assert unipotent_shear(hf) == h[0][1]
             assert Fraction(h[0][1], e) == n  # a
@@ -389,7 +390,7 @@ class TestUnipotentConstraints:
     def test_not_unipotent_in_frame(self, unipotent_generator, golden_generator):
         frame = _unipotent_frame(unipotent_generator)
         with pytest.raises(NotUnipotentInFrame):
-            unipotent_shear(frame_coordinates_matrix(golden_generator, frame))
+            unipotent_shear(frame_coordinates_matrix(golden_generator, frame_basis(frame)))
 
     @given(st.randoms(use_true_random=False), st.integers(-3, 3))
     def test_frame_coordinates_match_a_rational_inverse(self, rng, k):
@@ -402,7 +403,7 @@ class TestUnipotentConstraints:
         h = g**k @ random_unimodular(rng, steps=3)
         m = [[frame[j][i] for j in range(3)] for i in range(3)]
         expected = _mat_mul(_rational_inverse(m), _mat_mul(h.rows, m))
-        hm, e = frame_coordinates_matrix(h, frame)
+        hm, e = frame_coordinates_matrix(h, frame_basis(frame))
         assert e == abs(lattice_forms._det3(m))
         assert [[Fraction(x, e) for x in row] for row in hm] == expected
 
@@ -446,7 +447,7 @@ class TestUnipotentConstraints:
         cls = classify(unipotent_generator, L_z)
         frame = (cls.w, cls.w1, tuple(a + b for a, b in zip(cls.w, cls.w1)))
         with pytest.raises(PostCheckFailed) as info:
-            frame_coordinates_matrix(unipotent_generator, frame)
+            frame_coordinates_matrix(unipotent_generator, frame_basis(frame))
         assert info.value.check == "degenerate frame"
 
     def test_one_frame_matrix_per_generator(self, unipotent_cubic, unipotent_generator, L_z,
@@ -470,7 +471,7 @@ class TestUnipotentConstraints:
         # unit upper triangular but a != c
         h = LatticeMap([[1, 2, 0], [0, 1, 1], [0, 0, 1]])
         with pytest.raises(ConstraintViolated):
-            unipotent_shear(frame_coordinates_matrix(h, frame))
+            unipotent_shear(frame_coordinates_matrix(h, frame_basis(frame)))
 
 
 def unipotent_split(p=LatticeMap.identity()):
@@ -482,8 +483,8 @@ def unipotent_split(p=LatticeMap.identity()):
 
 
 def frame_of(split):
-    """The integer columns (w, w1, w2) of a unipotent split."""
-    return [f.p for f in split.frame]
+    """The `frame_basis` of the integer columns (w, w1, w2) of a unipotent split."""
+    return frame_basis([f.p for f in split.frame])
 
 
 def scaled(hf, scale):
@@ -812,14 +813,33 @@ class TestCertifySeed:
         cert = certify_seed(T, L_z, lines)
         assert cert.relations.overall
         assert cert.factorization is None and cert.reason is None
-        assert cert.inconsistency.mechanism == HODGE_INDEX
+        assert cert.inconsistency[0] == HODGE_INDEX
 
     def test_lefschetz_comes_before_the_relation_gate(self, split_cubic, unipotent_generator,
                                                       L_z):
         cert = certify_seed(split_cubic, L_z, classify(unipotent_generator, L_z))
         assert not cert.relations.overall
         assert cert.factorization is None and cert.reason is None
-        assert cert.inconsistency.mechanism == LEFSCHETZ
+        assert cert.inconsistency[0] == LEFSCHETZ
+
+    def test_each_raise_is_a_fresh_inconsistency(self, golden_generator, L_z):
+        """The memoized certificate keeps the Hodge inconsistency of z^3 as
+        data: three analyses that share it raise three instances, each with
+        the reductions of its own call and a traceback of one depth."""
+        T = TrilinearForm.from_cubic_coefficients({"z3": 1})
+        schreier = ("determinant -1 generators replaced by the Schreier generators of the "
+                    "det-1 subgroup (index ≤ 2)",)
+        raised = []
+        for generators, reductions in (([golden_generator], ()),
+                                       ([golden_generator, LINE_SWAP], schreier),
+                                       ([golden_generator], ())):
+            with pytest.raises(GeometricInconsistency) as info:
+                analyze_group(T, L_z, generators)
+            assert (info.value.mechanism, info.value.reductions) == (HODGE_INDEX, reductions)
+            raised.append(info.value)
+        assert certify_seed.cache_info().hits == 2
+        assert len({id(exc) for exc in raised}) == 3
+        assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
 
     def test_one_frame_table_per_check(self, golden_cubic_quadric, golden_generator, L_z,
                                         monkeypatch):
